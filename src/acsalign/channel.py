@@ -20,7 +20,6 @@ __all__ = [
     "rotation_matrix",
     "extend_rotation",
     "ExtendedRotation",
-    "RealLiftedVector",
     "lift",
     "unlift",
     "mod_distance",
@@ -81,8 +80,7 @@ class ExtendedRotation:
 
     Applying it equals multiplying the underlying complex S-vector by
     exp(j*phase): the matrix is the 2x2 rotation repeated S times along the
-    diagonal.  Rotations with the same extension form a group under
-    composition (angles add) and the inverse is the rotation by -phase.
+    diagonal.
     """
 
     phase: float
@@ -98,52 +96,10 @@ class ExtendedRotation:
     def matrix(self) -> np.ndarray:
         return np.kron(np.eye(self.extension), rotation_matrix(self.phase))
 
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != 2 * self.extension:
-            raise ValueError(f"expected leading dimension {2 * self.extension}, got {x.shape[0]}")
-        return self.matrix @ x
-
-    def inverse(self) -> "ExtendedRotation":
-        return ExtendedRotation(-self.phase, self.extension)
-
-    def compose(self, other: "ExtendedRotation") -> "ExtendedRotation":
-        if other.extension != self.extension:
-            raise ValueError("cannot compose rotations with different extensions")
-        return ExtendedRotation(self.phase + other.phase, self.extension)
-
 
 def extend_rotation(phi: float, extension: int) -> ExtendedRotation:
     """Rotation by phi applied independently to each of `extension` complex slots."""
     return ExtendedRotation(float(phi), int(extension))
-
-
-@dataclass(frozen=True)
-class RealLiftedVector:
-    """A complex S-vector stored as 2S interleaved reals (Re, Im per slot)."""
-
-    extension: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.array(self.data, dtype=float).reshape(-1)
-        if self.extension < 1:
-            raise ValueError("extension must be at least 1")
-        if data.size != 2 * self.extension:
-            raise ValueError(f"expected {2 * self.extension} entries, got {data.size}")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    @classmethod
-    def from_complex(cls, vec) -> "RealLiftedVector":
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        return cls(v.size, lift(v))
-
-    def to_complex(self) -> np.ndarray:
-        return unlift(self.data)
-
-    def rotate(self, phi: float) -> "RealLiftedVector":
-        return RealLiftedVector(self.extension, extend_rotation(phi, self.extension).apply(self.data))
 
 
 @dataclass(frozen=True)

@@ -25,21 +25,8 @@ from .channel import (
     sample_channel,
     special_channel_kinds,
 )
-from .rates import (
-    DEFAULT_SNR_GRID_DB,
-    baseline_rate_profile,
-    estimate_baseline_dof,
-    estimate_dof,
-    sum_rate,
-    validate_snr_grid,
-)
-from .schemes import (
-    SCHEME_TAGS,
-    build_scheme,
-    sample_feasible_channel,
-    scheme_channel_shape,
-    scheme_feasibility_kind,
-)
+from .rates import DEFAULT_SNR_GRID_DB, baseline_rate_profile, fit_dof, sum_rate, validate_snr_grid
+from .schemes import SCHEME_TAGS, SCHEMES, build_scheme, scheme_spec
 from .verify import (
     DegenerateAnglesError,
     InfeasibleChannelError,
@@ -58,11 +45,10 @@ __all__ = [
     "main",
 ]
 
-SWEEP_SCHEMES = SCHEME_TAGS + ("baseline",)
 OUT_DIR_ENV = "ACSALIGN_OUT_DIR"
 
 # A freshly built scheme must align to rounding level; a containment demo is
-# judged against the looser documented threshold.
+# held to the tighter documented threshold.
 VERIFY_RESIDUAL_PASS = 1e-9
 DEMO_RESIDUAL_PASS = 1e-10
 
@@ -198,8 +184,9 @@ def _emit(text: str, out: str | None) -> None:
 
 def run_verify(config: ExperimentConfig) -> int:
     scheme = config.scheme
-    channel = _resolve_channel(config, scheme_channel_shape(scheme))
-    report = check_conditions(channel, scheme_feasibility_kind(scheme))
+    spec = scheme_spec(scheme)
+    channel = _resolve_channel(config, spec.shape)
+    report = check_conditions(channel, spec.feasibility)
     payload: dict = {"scheme": scheme, "conditions": report.to_dict()}
     if channel.magnitude.shape == (3, 3):
         payload["singularity"] = check_conditions(channel, "singularity").to_dict()
@@ -219,49 +206,30 @@ def run_verify(config: ExperimentConfig) -> int:
 
 # -- sweep --------------------------------------------------------------------
 
-def _scheme_records(scheme: str, channel: ComplexChannelMatrix, trial_seed: int, grid) -> list[dict]:
-    beamformers = build_scheme(scheme, channel, seed=trial_seed)
-    records = []
-    for db in grid:
-        report = sum_rate(beamformers, channel, 10.0 ** (db / 10.0))
-        records.append({
+def _trial_records(scheme: str, channel: ComplexChannelMatrix, trial_seed: int, grid) -> list[dict]:
+    """One rate record per grid point and a closing dof record fitted to them."""
+    snrs = [10.0 ** (db / 10.0) for db in grid]
+    if scheme == "baseline":
+        profiles = [baseline_rate_profile(channel, snr) for snr in snrs]
+        rates = [(float(p.sum()), [float(r) for r in p]) for p in profiles]
+    else:
+        beamformers = build_scheme(scheme, channel, seed=trial_seed)
+        reports = [sum_rate(beamformers, channel, snr) for snr in snrs]
+        rates = [(r.sum_rate, list(r.per_receiver)) for r in reports]
+    records = [
+        {
             "scheme": scheme,
             "seed": trial_seed,
             "snr_db": db,
-            "sum_rate_bpcu": report.sum_rate,
-            "per_user_rates": list(report.per_receiver),
+            "sum_rate_bpcu": total,
+            "per_user_rates": per_user,
             "record": "rate",
-        })
-    estimate = estimate_dof(lambda _chn, _seed: beamformers, channel, trial_seed, snr_grid_db=grid)
+        }
+        for db, (total, per_user) in zip(grid, rates)
+    ]
+    estimate = fit_dof(grid, [total for total, _ in rates])
     records.append({
         "scheme": scheme,
-        "seed": trial_seed,
-        "snr_db": None,
-        "sum_rate_bpcu": None,
-        "per_user_rates": None,
-        "record": "dof",
-        "slope": estimate.slope,
-        "intercept": estimate.intercept,
-        "rms_residual": estimate.rms_residual,
-    })
-    return records
-
-
-def _baseline_records(channel: ComplexChannelMatrix, trial_seed: int, grid) -> list[dict]:
-    records = []
-    for db in grid:
-        profile = baseline_rate_profile(channel, 10.0 ** (db / 10.0))
-        records.append({
-            "scheme": "baseline",
-            "seed": trial_seed,
-            "snr_db": db,
-            "sum_rate_bpcu": float(profile.sum()),
-            "per_user_rates": [float(r) for r in profile],
-            "record": "rate",
-        })
-    estimate = estimate_baseline_dof(channel, snr_grid_db=grid)
-    records.append({
-        "scheme": "baseline",
         "seed": trial_seed,
         "snr_db": None,
         "sum_rate_bpcu": None,
@@ -283,18 +251,8 @@ def _sweep_trial(args) -> tuple[int, list[dict]]:
     """
     scheme, trial_index, trial_seed, grid, fixed = args
     try:
-        channel = fixed
-        if channel is None:
-            if scheme == "baseline":
-                channel = sample_feasible_channel("acs-ic3", trial_seed)
-            elif scheme == "phase-align":
-                channel = sample_channel(trial_seed, 3, 3)
-            else:
-                channel = sample_feasible_channel(scheme, trial_seed)
-        if scheme == "baseline":
-            records = _baseline_records(channel, trial_seed, grid)
-        else:
-            records = _scheme_records(scheme, channel, trial_seed, grid)
+        channel = fixed if fixed is not None else SCHEMES[scheme].sample(trial_seed)
+        records = _trial_records(scheme, channel, trial_seed, grid)
     except InfeasibleChannelError as exc:
         records = [{
             "scheme": scheme,
@@ -310,10 +268,10 @@ def _sweep_trial(args) -> tuple[int, list[dict]]:
 
 def run_sweep(config: ExperimentConfig) -> int:
     scheme = config.scheme
+    shape = scheme_spec(scheme).shape
     grid = tuple(float(x) for x in validate_snr_grid(config.snr_grid_db))
     fixed = None
     if config.special is not None or config.channel_file is not None or config.channel_seed is not None:
-        shape = (3, 3) if scheme == "baseline" else scheme_channel_shape(scheme)
         fixed = _resolve_channel(config, shape)
     payloads = [
         (scheme, i, config.master_seed + i, grid, fixed)
@@ -404,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0, help="seed for the free beamformer columns")
 
     sweep = sub.add_parser("sweep", help="rate sweeps over trials and an SNR grid")
-    sweep.add_argument("--scheme", required=True, choices=SWEEP_SCHEMES)
+    sweep.add_argument("--scheme", required=True, choices=tuple(SCHEMES))
     sweep.add_argument("--trials", type=_positive_int, default=20)
     sweep.add_argument("--master-seed", type=int, default=0)
     sweep.add_argument("--snr-grid", type=_grid_arg, default=DEFAULT_SNR_GRID_DB,

@@ -13,8 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ComplexChannelMatrix, extend_rotation
+from .channel import ComplexChannelMatrix
 from .schemes import BeamformerSet
+from .verify import receive_images
 
 __all__ = [
     "DEFAULT_SNR_GRID_DB",
@@ -25,6 +26,7 @@ __all__ = [
     "zf_receive",
     "sum_rate",
     "estimate_dof",
+    "fit_dof",
     "validate_snr_grid",
     "baseline_circsym",
     "baseline_rate_profile",
@@ -45,14 +47,6 @@ class RankDeficientReceiverError(Exception):
         super().__init__(f"receiver {rx} is rank deficient: no zero-forcing direction exists")
 
 
-def _receive_images(beamformers: BeamformerSet, channel: ComplexChannelMatrix, rx: int) -> dict:
-    S = beamformers.extension
-    images = {}
-    for t, c, _ in beamformers.streams():
-        images[(t, c)] = extend_rotation(channel.phase[rx, t], S).matrix @ beamformers.column(t, c)
-    return images
-
-
 def zf_receive(beamformers: BeamformerSet, channel: ComplexChannelMatrix) -> dict[tuple[int, int], np.ndarray]:
     """Per-stream unit combiners, each orthogonal to every other effective column.
 
@@ -65,7 +59,7 @@ def zf_receive(beamformers: BeamformerSet, channel: ComplexChannelMatrix) -> dic
         raise ValueError("beamformer set and channel disagree on dimensions")
     combiners: dict[tuple[int, int], np.ndarray] = {}
     for rx in range(beamformers.num_rx):
-        images = _receive_images(beamformers, channel, rx)
+        images = receive_images(beamformers, channel, rx)
         desired = beamformers.desired_streams(rx)
         basis = beamformers.interference_basis(rx)
         for t, c in desired:
@@ -126,12 +120,11 @@ def sum_rate(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snr: flo
     combiners = zf_receive(beamformers, channel)
     S = beamformers.extension
     num_rx = beamformers.num_rx
+    images = [receive_images(beamformers, channel, rx) for rx in range(num_rx)]
     streams = []
     per_rx_block = np.zeros(num_rx)
     for t, c, rx in beamformers.streams():
-        w = combiners[(t, c)]
-        image = extend_rotation(channel.phase[rx, t], S).matrix @ beamformers.column(t, c)
-        gain = float(w @ image)
+        gain = float(combiners[(t, c)] @ images[rx][(t, c)])
         power = S * snr * beamformers.power_share[t][c]
         sinr = power * channel.magnitude[rx, t] ** 2 * gain ** 2 / NOISE_VAR_PER_REAL_DIM
         rate = 0.5 * np.log2(1.0 + sinr)
@@ -170,6 +163,9 @@ def validate_snr_grid(snr_grid_db) -> np.ndarray:
     grid = np.asarray(snr_grid_db, dtype=float)
     if grid.ndim != 1 or grid.size < 4:
         raise ValueError("snr grid needs at least 4 points")
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if bad.size:
+        raise ValueError(f"snr grid values must be finite, got {grid[bad[0]]:g} at position {bad[0] + 1}")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("snr grid must be strictly increasing")
     if grid[0] < 40.0 or grid[-1] > 140.0:
@@ -177,10 +173,12 @@ def validate_snr_grid(snr_grid_db) -> np.ndarray:
     return grid
 
 
-def _regress(grid_db: np.ndarray, rates: list[float]) -> DofEstimate:
-    # Slope against log2(snr): the regression coordinate for DoF.
+def fit_dof(snr_grid_db, sum_rates) -> DofEstimate:
+    """Least-squares line through sum rates against log2(snr); the slope is
+    the DoF estimate.  The grid is taken as already validated."""
+    grid_db = np.asarray(snr_grid_db, dtype=float)
     x = grid_db / 10.0 * np.log2(10.0)
-    y = np.asarray(rates)
+    y = np.asarray(sum_rates)
     slope, intercept = np.polyfit(x, y, 1)
     fit = slope * x + intercept
     rms = float(np.sqrt(np.mean((fit - y) ** 2)))
@@ -202,7 +200,7 @@ def estimate_dof(
     grid = validate_snr_grid(snr_grid_db)
     beamformers = builder(channel, seed)
     rates = [sum_rate(beamformers, channel, 10.0 ** (db / 10.0)).sum_rate for db in grid]
-    return _regress(grid, rates)
+    return fit_dof(grid, rates)
 
 
 def baseline_circsym(channel: ComplexChannelMatrix, powers) -> np.ndarray:
@@ -248,4 +246,4 @@ def baseline_best_sum_rate(channel: ComplexChannelMatrix, snr: float) -> float:
 def estimate_baseline_dof(channel: ComplexChannelMatrix, snr_grid_db=DEFAULT_SNR_GRID_DB) -> DofEstimate:
     grid = validate_snr_grid(snr_grid_db)
     rates = [baseline_best_sum_rate(channel, 10.0 ** (db / 10.0)) for db in grid]
-    return _regress(grid, rates)
+    return fit_dof(grid, rates)

@@ -3,7 +3,10 @@
 Every scheme follows the same recipe: pick a few free columns, derive the
 rest through link rotations so that interfering streams land on top of each
 other at the receivers they bother, and record which receive images coincide
-so later stages can deduplicate the interference basis.
+so later stages can deduplicate the interference basis.  One SchemeSpec entry
+per scheme holds that recipe as data; its alignment pairs are the only
+description of the geometry, read both to derive the columns and to verify
+them.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ComplexChannelMatrix, extend_rotation, rotation_matrix, sample_channel
-from .verify import InfeasibleChannelError, check_conditions, independence_margin
+from .channel import ComplexChannelMatrix, extend_rotation, sample_channel
+from .verify import InfeasibleChannelError, check_conditions, receiver_stack
 
 __all__ = [
     "AlignmentPair",
     "SchemeDescriptor",
+    "SchemeSpec",
     "BeamformerSet",
     "build_phase_alignment",
     "build_acs_ic3",
@@ -27,14 +31,12 @@ __all__ = [
     "build_uplinks",
     "build_scheme",
     "sample_feasible_channel",
-    "scheme_channel_shape",
-    "scheme_feasibility_kind",
+    "scheme_spec",
     "CANDIDATE_DRAWS",
     "GENERIC_PHASE_MARGIN",
+    "SCHEMES",
     "SCHEME_TAGS",
 ]
-
-SCHEME_TAGS = ("phase-align", "acs-ic3", "x-channel", "cognitive-x", "uplinks")
 
 # How many free-column draws the randomized builders try before keeping the
 # best conditioned one.
@@ -46,39 +48,6 @@ CANDIDATE_DRAWS = 8
 # badly; the receive-side singular values shrink roughly with this distance.
 GENERIC_PHASE_MARGIN = 1e-2
 
-# Channel geometry (num_rx, num_tx) each scheme expects.
-_SCHEME_SHAPES = {
-    "phase-align": (3, 3),
-    "acs-ic3": (3, 3),
-    "x-channel": (2, 2),
-    "cognitive-x": (2, 2),
-    "uplinks": (2, 4),
-}
-
-# Which condition set gates each scheme. Cognitive reuses the 2x2 cross-phase
-# condition: its two cross streams separate at receiver 2 under the same sum.
-_FEASIBILITY_KIND = {
-    "phase-align": "phase-align",
-    "acs-ic3": "acs-ic3",
-    "x-channel": "x-channel",
-    "cognitive-x": "x-channel",
-    "uplinks": "uplinks",
-}
-
-
-def scheme_channel_shape(tag: str) -> tuple[int, int]:
-    try:
-        return _SCHEME_SHAPES[tag]
-    except KeyError:
-        raise ValueError(f"unknown scheme {tag!r}; expected one of {SCHEME_TAGS}") from None
-
-
-def scheme_feasibility_kind(tag: str) -> str:
-    try:
-        return _FEASIBILITY_KIND[tag]
-    except KeyError:
-        raise ValueError(f"unknown scheme {tag!r}; expected one of {SCHEME_TAGS}") from None
-
 
 @dataclass(frozen=True)
 class AlignmentPair:
@@ -86,13 +55,52 @@ class AlignmentPair:
 
     `dropped` is the derived column, `kept` the one retained in that
     receiver's interference basis.  `up_to_sign` marks coincidences where the
-    construction only pins down the line, not the orientation.
+    construction only pins down the line, not the orientation; such a pair
+    follows from the others and derives no column.
     """
 
     rx: int
     kept: tuple[int, int]
     dropped: tuple[int, int]
     up_to_sign: bool = False
+
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """Everything the package knows about one scheme.
+
+    shape is (num_rx, num_tx); feasibility names the condition set that gates
+    building and sampling; stream_rx[t][c] is the receiver of transmitter t's
+    column c.  A randomized scheme draws each free block (tx, columns) as
+    orthonormal columns, in order from one rng; a single-symbol scheme lists
+    its ((tx, column), entries) as fixed_columns instead.  Every other column
+    is derived from its alignment pair.  removed_streams is as in
+    BeamformerSet.  An entry without streams (the per-symbol baseline) only
+    fixes the channel shape and sampler of its sweep.
+    """
+
+    tag: str
+    shape: tuple[int, int]
+    feasibility: str
+    extension: int = 1
+    stream_rx: tuple[tuple[int, ...], ...] = ()
+    free_blocks: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    fixed_columns: tuple[tuple[tuple[int, int], tuple[float, ...]], ...] = ()
+    alignments: tuple[AlignmentPair, ...] = ()
+    removed_streams: frozenset[tuple[int, int, int]] = frozenset()
+    sampleable: bool = True          # random draws can pass the gate
+    needs_connected: bool = False    # the gate also wants every link gain nonzero
+
+    def sample(self, seed: int) -> ComplexChannelMatrix:
+        """The random channel of one sweep trial.
+
+        Open gates get a draw redrawn off the degenerate set; a closure-gated
+        scheme gets the plain draw, which its gate then rejects.
+        """
+        if self.sampleable:
+            return sample_feasible_channel(self.tag, seed)
+        num_rx, num_tx = self.shape
+        return sample_channel(seed, num_tx, num_rx)
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,6 @@ class BeamformerSet:
     power_share: tuple[np.ndarray, ...]
     alignments: tuple[AlignmentPair, ...]
     removed_streams: frozenset[tuple[int, int, int]] = frozenset()
-    cognition: str | None = None
 
     def __post_init__(self):
         if self.extension < 1:
@@ -185,7 +192,7 @@ class BeamformerSet:
             self.extension,
             self.streams_per_tx,
             Fraction(self.total_streams, 2 * self.extension),
-            _FEASIBILITY_KIND[self.scheme],
+            SCHEMES[self.scheme].feasibility,
         )
 
     def column(self, tx: int, col: int) -> np.ndarray:
@@ -226,36 +233,196 @@ def _orthonormal_columns(rng: np.random.Generator, dim: int, cols: int) -> np.nd
     return q * signs
 
 
-def _require_feasible(channel: ComplexChannelMatrix, scheme: str) -> None:
-    kind = _FEASIBILITY_KIND[scheme]
-    report = check_conditions(channel, kind)
+def _require_buildable(spec: SchemeSpec, channel: ComplexChannelMatrix, check: bool = True) -> None:
+    if channel.magnitude.shape != spec.shape:
+        raise ValueError(
+            f"{spec.tag} needs a {spec.shape[0]}x{spec.shape[1]} channel (receivers x transmitters), "
+            f"got {channel.num_rx}x{channel.num_tx}"
+        )
+    if not check:
+        return
+    if spec.needs_connected and not channel.fully_connected:
+        raise InfeasibleChannelError(spec.tag, ("fully-connected",))
+    report = check_conditions(channel, spec.feasibility)
     if not report.all_satisfied:
-        raise InfeasibleChannelError(scheme, report.failed)
+        raise InfeasibleChannelError(spec.tag, report.failed)
 
 
-def _uniform_shares(counts: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    return tuple(np.full(d, 1.0 / d) for d in counts)
+def _derive_columns(spec: SchemeSpec, phase: np.ndarray, columns: dict) -> None:
+    """Fill in every dropped column of `columns` from its kept partner.
+
+    The kept column rotated by p[rx, kept_tx] - p[rx, dropped_tx] lands on the
+    same receive image at rx.  Consecutive pairs sharing one rotation go
+    through a single matmul and a lone pair through a matvec: the built bits,
+    and with them every sweep file, depend on that grouping.
+    """
+    groups: list[tuple[tuple[int, int, int], list[AlignmentPair]]] = []
+    for pair in spec.alignments:
+        if pair.up_to_sign:
+            continue
+        link = (pair.rx, pair.kept[0], pair.dropped[0])
+        if groups and groups[-1][0] == link:
+            groups[-1][1].append(pair)
+        else:
+            groups.append((link, [pair]))
+    for (rx, ktx, dtx), group in groups:
+        rot = extend_rotation(phase[rx, ktx] - phase[rx, dtx], spec.extension).matrix
+        if len(group) == 1:
+            columns[group[0].dropped] = rot @ columns[group[0].kept]
+            continue
+        block = rot @ np.column_stack([columns[p.kept] for p in group])
+        for k, pair in enumerate(group):
+            columns[pair.dropped] = block[:, k]
 
 
-def _best_draw(assemble, channel: ComplexChannelMatrix, seed: int, draws: int) -> BeamformerSet:
-    """Assemble `draws` candidate beamformer sets and keep the best conditioned.
+def _beamformer_set(spec: SchemeSpec, columns: dict) -> BeamformerSet:
+    """Assemble the spec's streams from their columns, power split evenly per transmitter."""
+    return BeamformerSet(
+        scheme=spec.tag,
+        extension=spec.extension,
+        matrices=tuple(
+            np.column_stack([columns[(t, c)] for c in range(len(rxs))])
+            for t, rxs in enumerate(spec.stream_rx)
+        ),
+        stream_rx=spec.stream_rx,
+        power_share=tuple(np.full(len(rxs), 1.0 / len(rxs)) for rxs in spec.stream_rx),
+        alignments=spec.alignments,
+        removed_streams=spec.removed_streams,
+    )
 
-    The score is the smallest receive-side singular value across receivers.
-    Candidates come from one sequential rng, so the result is deterministic in
+
+def _build(
+    spec: SchemeSpec,
+    channel: ComplexChannelMatrix,
+    seed: int = 0,
+    check: bool = True,
+    draws: int = CANDIDATE_DRAWS,
+) -> BeamformerSet:
+    """Build a scheme from its spec; `check=False` skips the feasibility gate,
+    to probe what happens on channels that violate it.
+
+    A spec with fixed columns is built once.  Otherwise `draws` candidates
+    draw the free blocks from one sequential rng and the best conditioned is
+    kept: the score is the smallest singular value of any receiver's stacked
+    desired and interference images.  The result is deterministic in
     (channel, seed) and the first candidate reproduces a single plain draw.
     """
+    if not spec.stream_rx:
+        raise ValueError(f"{spec.tag!r} sends no beamformed streams; only its rates can be swept")
+    _require_buildable(spec, channel, check)
+    if not spec.free_blocks:
+        columns = {key: np.array(col) for key, col in spec.fixed_columns}
+        _derive_columns(spec, channel.phase, columns)
+        return _beamformer_set(spec, columns)
     if draws < 1:
         raise ValueError("need at least one candidate draw")
     rng = np.random.default_rng(seed)
     best = None
     best_score = -np.inf
     for _ in range(draws):
-        candidate = assemble(rng)
-        report = independence_margin(candidate, channel)
-        score = min(r.singular_values[-1] for r in report.receivers)
+        columns = {}
+        for tx, cols in spec.free_blocks:
+            block = _orthonormal_columns(rng, 2 * spec.extension, len(cols))
+            for k, c in enumerate(cols):
+                columns[(tx, c)] = block[:, k]
+        _derive_columns(spec, channel.phase, columns)
+        candidate = _beamformer_set(spec, columns)
+        score = min(
+            np.linalg.svd(receiver_stack(candidate, channel, rx)[0], compute_uv=False).min()
+            for rx in range(candidate.num_rx)
+        )
         if score > best_score:
             best, best_score = candidate, score
     return best
+
+
+SCHEMES: dict[str, SchemeSpec] = {spec.tag: spec for spec in (
+    # One stream per user in one slot (3/2).  The closure condition makes the
+    # product of rotations around the interference triangle +/-identity, so
+    # every unit vector is an eigenvector of the loop rotation: a fixed one
+    # and two chained link rotations align both interferers at every receiver.
+    SchemeSpec(
+        "phase-align", (3, 3), "phase-align",
+        stream_rx=((0,), (1,), (2,)),
+        fixed_columns=(((0, 0), (1.0, 0.0)),),
+        alignments=(
+            AlignmentPair(rx=1, kept=(0, 0), dropped=(2, 0)),
+            AlignmentPair(rx=0, kept=(2, 0), dropped=(1, 0)),
+            # The third coincidence follows from closure, which only fixes the line.
+            AlignmentPair(rx=2, kept=(0, 0), dropped=(1, 0), up_to_sign=True),
+        ),
+        sampleable=False,
+    ),
+    # Four streams per user over five slots (12/10): each transmitter draws two
+    # columns and copies one free column of each other transmitter, so the
+    # eight interfering streams at every receiver occupy six directions.
+    SchemeSpec(
+        "acs-ic3", (3, 3), "acs-ic3", extension=5,
+        stream_rx=((0,) * 4, (1,) * 4, (2,) * 4),
+        free_blocks=((0, (0, 1)), (1, (0, 1)), (2, (0, 1))),
+        alignments=(
+            AlignmentPair(rx=0, kept=(2, 0), dropped=(1, 2)),
+            AlignmentPair(rx=0, kept=(1, 1), dropped=(2, 3)),
+            AlignmentPair(rx=1, kept=(0, 0), dropped=(2, 2)),
+            AlignmentPair(rx=1, kept=(2, 1), dropped=(0, 3)),
+            AlignmentPair(rx=2, kept=(1, 0), dropped=(0, 2)),
+            AlignmentPair(rx=2, kept=(0, 1), dropped=(1, 3)),
+        ),
+        needs_connected=True,
+    ),
+    # Crossed messages over three slots (8/6): transmitter 2's block for each
+    # receiver copies transmitter 1's, coinciding at the other receiver.
+    SchemeSpec(
+        "x-channel", (2, 2), "x-channel", extension=3,
+        stream_rx=((0, 0, 1, 1), (0, 0, 1, 1)),
+        free_blocks=((0, (0, 1)), (0, (2, 3))),
+        alignments=(
+            AlignmentPair(rx=1, kept=(0, 0), dropped=(1, 0)),
+            AlignmentPair(rx=1, kept=(0, 1), dropped=(1, 1)),
+            AlignmentPair(rx=0, kept=(0, 2), dropped=(1, 2)),
+            AlignmentPair(rx=0, kept=(0, 3), dropped=(1, 3)),
+        ),
+    ),
+    # Three streams in two real dimensions with one message known at receiver
+    # 2 (3/2).  The cross streams share one line at receiver 1, the direct
+    # stream goes a quarter turn off it, and receiver 2 cancels that stream
+    # with its side information.  The gate is the 2x2 cross-phase one: the two
+    # cross streams separate at receiver 2 under the same sum.
+    SchemeSpec(
+        "cognitive-x", (2, 2), "x-channel",
+        stream_rx=((0, 1), (1,)),
+        fixed_columns=(((0, 0), (np.cos(np.pi / 2), np.sin(np.pi / 2))), ((0, 1), (1.0, 0.0))),
+        alignments=(AlignmentPair(rx=0, kept=(0, 1), dropped=(1, 0)),),
+        removed_streams=frozenset({(1, 0, 0)}),
+    ),
+    # Two interfering two-user uplinks over three slots (8/6): within each
+    # cell the second transmitter copies the first, coinciding at the other
+    # cell's receiver.
+    SchemeSpec(
+        "uplinks", (2, 4), "uplinks", extension=3,
+        stream_rx=((0, 0), (0, 0), (1, 1), (1, 1)),
+        free_blocks=((0, (0, 1)), (2, (0, 1))),
+        alignments=(
+            AlignmentPair(rx=1, kept=(0, 0), dropped=(1, 0)),
+            AlignmentPair(rx=1, kept=(0, 1), dropped=(1, 1)),
+            AlignmentPair(rx=0, kept=(2, 0), dropped=(3, 0)),
+            AlignmentPair(rx=0, kept=(2, 1), dropped=(3, 1)),
+        ),
+    ),
+    # The per-symbol baseline sends no beamformed streams; it is swept on the
+    # channels the three-user scheme draws.
+    SchemeSpec("baseline", (3, 3), "acs-ic3"),
+)}
+
+# Tags that build beamformers, in table order.
+SCHEME_TAGS = tuple(tag for tag, spec in SCHEMES.items() if spec.stream_rx)
+
+
+def scheme_spec(tag: str) -> SchemeSpec:
+    try:
+        return SCHEMES[tag]
+    except KeyError:
+        raise ValueError(f"unknown scheme {tag!r}; expected one of {tuple(SCHEMES)}") from None
 
 
 def sample_feasible_channel(
@@ -273,19 +440,19 @@ def sample_feasible_channel(
     an open condition can be sampled; the closure-gated scheme needs specially
     constructed channels instead.
     """
-    kind = scheme_feasibility_kind(scheme)
-    num_rx, num_tx = scheme_channel_shape(scheme)
-    if scheme == "phase-align":
+    spec = scheme_spec(scheme)
+    if not spec.sampleable:
         raise ValueError(
             "random channels fail the closure condition almost surely; "
             "use construct_special_channel('phase-example') or a channel file"
         )
     if min_margin < 0:
         raise ValueError("min_margin must be nonnegative")
+    num_rx, num_tx = spec.shape
     for attempt in range(max_attempts):
         entropy = seed if attempt == 0 else [seed, attempt]
         chn = sample_channel(entropy, num_tx, num_rx)
-        report = check_conditions(chn, kind)
+        report = check_conditions(chn, spec.feasibility)
         if min(rec.distance for rec in report.records) >= min_margin:
             return chn
     raise InfeasibleChannelError(
@@ -296,35 +463,8 @@ def sample_feasible_channel(
 
 
 def build_phase_alignment(channel: ComplexChannelMatrix) -> BeamformerSet:
-    """Single-symbol scheme for the 3-user channel: one stream per user.
-
-    The closure condition makes the product of rotations around the
-    interference triangle equal +/-identity, so starting from a fixed unit
-    vector and chaining two link rotations aligns both interferers at every
-    receiver.  Deterministic: no randomness is needed.
-    """
-    if channel.magnitude.shape != (3, 3):
-        raise ValueError("phase alignment needs a 3x3 channel")
-    _require_feasible(channel, "phase-align")
-    p = channel.phase
-    # Closure makes every unit vector an eigenvector of the loop rotation.
-    v1 = np.array([1.0, 0.0])
-    v3 = rotation_matrix(p[1, 0] - p[1, 2]) @ v1   # receiver-2 coincidence
-    v2 = rotation_matrix(p[0, 2] - p[0, 1]) @ v3   # receiver-1 coincidence
-    alignments = (
-        AlignmentPair(rx=0, kept=(2, 0), dropped=(1, 0)),
-        AlignmentPair(rx=1, kept=(0, 0), dropped=(2, 0)),
-        # The third coincidence follows from closure, which only fixes the line.
-        AlignmentPair(rx=2, kept=(0, 0), dropped=(1, 0), up_to_sign=True),
-    )
-    return BeamformerSet(
-        scheme="phase-align",
-        extension=1,
-        matrices=(v1[:, None], v2[:, None], v3[:, None]),
-        stream_rx=((0,), (1,), (2,)),
-        power_share=_uniform_shares((1, 1, 1)),
-        alignments=alignments,
-    )
+    """Single-symbol scheme for the 3-user channel: one stream per user (3/2)."""
+    return _build(SCHEMES["phase-align"], channel)
 
 
 def build_acs_ic3(
@@ -333,68 +473,8 @@ def build_acs_ic3(
     check: bool = True,
     draws: int = CANDIDATE_DRAWS,
 ) -> BeamformerSet:
-    """Five-slot scheme for the 3-user channel: four streams per user (12/10 total).
-
-    Per transmitter, two free orthonormal columns are drawn; the remaining two
-    are rotated copies of other transmitters' free columns, arranged so that
-    at every receiver the eight interfering streams occupy only six directions.
-    Several candidate draws are scored by the smallest receive-side singular
-    value and the best one is kept, so one unlucky draw cannot spoil an
-    otherwise healthy channel.
-
-    `check=False` skips the feasibility gate; useful for probing what happens
-    on channels that violate it.
-    """
-    if channel.magnitude.shape != (3, 3):
-        raise ValueError("this construction needs a 3x3 channel")
-    if check:
-        if not channel.fully_connected:
-            raise InfeasibleChannelError("acs-ic3", ("fully-connected",))
-        _require_feasible(channel, "acs-ic3")
-    S = 5
-    p = channel.phase
-    alignments = (
-        AlignmentPair(rx=0, kept=(2, 0), dropped=(1, 2)),
-        AlignmentPair(rx=0, kept=(1, 1), dropped=(2, 3)),
-        AlignmentPair(rx=1, kept=(0, 0), dropped=(2, 2)),
-        AlignmentPair(rx=1, kept=(2, 1), dropped=(0, 3)),
-        AlignmentPair(rx=2, kept=(1, 0), dropped=(0, 2)),
-        AlignmentPair(rx=2, kept=(0, 1), dropped=(1, 3)),
-    )
-
-    def rot(phi: float) -> np.ndarray:
-        return extend_rotation(phi, S).matrix
-
-    def assemble(rng: np.random.Generator) -> BeamformerSet:
-        free = [_orthonormal_columns(rng, 2 * S, 2) for _ in range(3)]
-        v1 = np.column_stack([
-            free[0][:, 0],
-            free[0][:, 1],
-            rot(p[2, 1] - p[2, 0]) @ free[1][:, 0],   # lands on tx-2 free column 1 at receiver 3
-            rot(p[1, 2] - p[1, 0]) @ free[2][:, 1],   # lands on tx-3 free column 2 at receiver 2
-        ])
-        v2 = np.column_stack([
-            free[1][:, 0],
-            free[1][:, 1],
-            rot(p[0, 2] - p[0, 1]) @ free[2][:, 0],   # lands on tx-3 free column 1 at receiver 1
-            rot(p[2, 0] - p[2, 1]) @ free[0][:, 1],   # lands on tx-1 free column 2 at receiver 3
-        ])
-        v3 = np.column_stack([
-            free[2][:, 0],
-            free[2][:, 1],
-            rot(p[1, 0] - p[1, 2]) @ free[0][:, 0],   # lands on tx-1 free column 1 at receiver 2
-            rot(p[0, 1] - p[0, 2]) @ free[1][:, 1],   # lands on tx-2 free column 2 at receiver 1
-        ])
-        return BeamformerSet(
-            scheme="acs-ic3",
-            extension=S,
-            matrices=(v1, v2, v3),
-            stream_rx=((0,) * 4, (1,) * 4, (2,) * 4),
-            power_share=_uniform_shares((4, 4, 4)),
-            alignments=alignments,
-        )
-
-    return _best_draw(assemble, channel, seed, draws)
+    """Five-slot scheme for the 3-user channel: four streams per user (12/10 total)."""
+    return _build(SCHEMES["acs-ic3"], channel, seed, check, draws)
 
 
 def build_x_channel(
@@ -403,79 +483,13 @@ def build_x_channel(
     check: bool = True,
     draws: int = CANDIDATE_DRAWS,
 ) -> BeamformerSet:
-    """Three-slot scheme for 2x2 crossed messages: each transmitter serves both
-    receivers with two streams per message (8/6 total).
-
-    The two blocks bound for receiver 2 are rotated so they coincide at
-    receiver 1, and vice versa, collapsing four interfering streams into a
-    two-dimensional nuisance at each receiver.  The best conditioned of
-    several candidate draws is kept.
-    """
-    if channel.magnitude.shape != (2, 2):
-        raise ValueError("the crossed-message construction needs a 2x2 channel")
-    if check:
-        _require_feasible(channel, "x-channel")
-    S = 3
-    p = channel.phase
-    alignments = (
-        AlignmentPair(rx=1, kept=(0, 0), dropped=(1, 0)),
-        AlignmentPair(rx=1, kept=(0, 1), dropped=(1, 1)),
-        AlignmentPair(rx=0, kept=(0, 2), dropped=(1, 2)),
-        AlignmentPair(rx=0, kept=(0, 3), dropped=(1, 3)),
-    )
-
-    def rot(phi: float) -> np.ndarray:
-        return extend_rotation(phi, S).matrix
-
-    def assemble(rng: np.random.Generator) -> BeamformerSet:
-        to_rx1 = _orthonormal_columns(rng, 2 * S, 2)   # tx 1 block for receiver 1
-        to_rx2 = _orthonormal_columns(rng, 2 * S, 2)   # tx 1 block for receiver 2
-        other_rx1 = rot(p[1, 0] - p[1, 1]) @ to_rx1    # tx 2 block for rx 1: coincides at rx 2
-        other_rx2 = rot(p[0, 0] - p[0, 1]) @ to_rx2    # tx 2 block for rx 2: coincides at rx 1
-        return BeamformerSet(
-            scheme="x-channel",
-            extension=S,
-            matrices=(
-                np.column_stack([to_rx1, to_rx2]),
-                np.column_stack([other_rx1, other_rx2]),
-            ),
-            stream_rx=((0, 0, 1, 1), (0, 0, 1, 1)),
-            power_share=_uniform_shares((4, 4)),
-            alignments=alignments,
-        )
-
-    return _best_draw(assemble, channel, seed, draws)
+    """Three-slot scheme for 2x2 crossed messages: two streams per message (8/6 total)."""
+    return _build(SCHEMES["x-channel"], channel, seed, check, draws)
 
 
-def build_cognitive_x(channel: ComplexChannelMatrix, cognition: str = "receiver") -> BeamformerSet:
-    """Single-symbol 2x2 scheme with one message known to the second receiver.
-
-    Three streams in two real dimensions: the two cross streams are rotated
-    to share one line at receiver 1, the direct stream is sent so its
-    receiver-1 image is orthogonal to that line, and its interference at
-    receiver 2 is cancelled through cognition.  With transmitter-side
-    cognition the cancellation happens in the encoding; the rate accounting
-    is identical, so both variants build the same geometry.
-    """
-    if channel.magnitude.shape != (2, 2):
-        raise ValueError("the cognitive construction needs a 2x2 channel")
-    if cognition not in ("receiver", "transmitter"):
-        raise ValueError(f"cognition must be 'receiver' or 'transmitter', got {cognition!r}")
-    _require_feasible(channel, "cognitive-x")
-    p = channel.phase
-    v_cross = np.array([1.0, 0.0])                            # tx 1 stream for rx 2
-    v_other = rotation_matrix(p[0, 0] - p[0, 1]) @ v_cross    # tx 2 stream for rx 2
-    v_own = rotation_matrix(np.pi / 2) @ v_cross              # tx 1 stream for rx 1
-    return BeamformerSet(
-        scheme="cognitive-x",
-        extension=1,
-        matrices=(np.column_stack([v_own, v_cross]), v_other[:, None]),
-        stream_rx=((0, 1), (1,)),
-        power_share=_uniform_shares((2, 1)),
-        alignments=(AlignmentPair(rx=0, kept=(0, 1), dropped=(1, 0)),),
-        removed_streams=frozenset({(1, 0, 0)}),
-        cognition=cognition,
-    )
+def build_cognitive_x(channel: ComplexChannelMatrix) -> BeamformerSet:
+    """Single-symbol 2x2 scheme with one message known to the second receiver (3/2)."""
+    return _build(SCHEMES["cognitive-x"], channel)
 
 
 def build_uplinks(
@@ -484,56 +498,10 @@ def build_uplinks(
     check: bool = True,
     draws: int = CANDIDATE_DRAWS,
 ) -> BeamformerSet:
-    """Three-slot scheme for two interfering two-user uplinks (8/6 total).
-
-    Transmitters 1 and 2 serve receiver 1, transmitters 3 and 4 serve
-    receiver 2.  Within each pair the second transmitter's block is a rotated
-    copy of the first, chosen to coincide at the other cell's receiver.  The
-    best conditioned of several candidate draws is kept.
-    """
-    if channel.magnitude.shape != (2, 4):
-        raise ValueError("the uplink construction needs a 2x4 channel (2 receivers, 4 transmitters)")
-    if check:
-        _require_feasible(channel, "uplinks")
-    S = 3
-    p = channel.phase
-    alignments = (
-        AlignmentPair(rx=1, kept=(0, 0), dropped=(1, 0)),
-        AlignmentPair(rx=1, kept=(0, 1), dropped=(1, 1)),
-        AlignmentPair(rx=0, kept=(2, 0), dropped=(3, 0)),
-        AlignmentPair(rx=0, kept=(2, 1), dropped=(3, 1)),
-    )
-
-    def rot(phi: float) -> np.ndarray:
-        return extend_rotation(phi, S).matrix
-
-    def assemble(rng: np.random.Generator) -> BeamformerSet:
-        cell1 = _orthonormal_columns(rng, 2 * S, 2)
-        cell2 = _orthonormal_columns(rng, 2 * S, 2)
-        cell1_partner = rot(p[1, 0] - p[1, 1]) @ cell1   # coincides with tx 1 at receiver 2
-        cell2_partner = rot(p[0, 2] - p[0, 3]) @ cell2   # coincides with tx 3 at receiver 1
-        return BeamformerSet(
-            scheme="uplinks",
-            extension=S,
-            matrices=(cell1, cell1_partner, cell2, cell2_partner),
-            stream_rx=((0, 0), (0, 0), (1, 1), (1, 1)),
-            power_share=_uniform_shares((2, 2, 2, 2)),
-            alignments=alignments,
-        )
-
-    return _best_draw(assemble, channel, seed, draws)
+    """Three-slot scheme for two interfering two-user uplinks (8/6 total)."""
+    return _build(SCHEMES["uplinks"], channel, seed, check, draws)
 
 
 def build_scheme(tag: str, channel: ComplexChannelMatrix, seed: int = 0, check: bool = True) -> BeamformerSet:
-    """Dispatch a scheme tag to its builder with a uniform signature."""
-    if tag == "phase-align":
-        return build_phase_alignment(channel)
-    if tag == "acs-ic3":
-        return build_acs_ic3(channel, seed, check=check)
-    if tag == "x-channel":
-        return build_x_channel(channel, seed, check=check)
-    if tag == "cognitive-x":
-        return build_cognitive_x(channel)
-    if tag == "uplinks":
-        return build_uplinks(channel, seed, check=check)
-    raise ValueError(f"unknown scheme {tag!r}; expected one of {SCHEME_TAGS}")
+    """Build any scheme of the table; the single-symbol ones ignore `seed`."""
+    return _build(scheme_spec(tag), channel, seed, check)

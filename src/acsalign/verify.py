@@ -39,6 +39,8 @@ __all__ = [
     "ConditionRecord",
     "ConditionReport",
     "check_conditions",
+    "receive_images",
+    "receiver_stack",
     "alignment_residual",
     "ReceiverIndependence",
     "IndependenceReport",
@@ -228,6 +230,33 @@ def _check_compatible(beamformers: "BeamformerSet", channel: ComplexChannelMatri
         )
 
 
+def receive_images(
+    beamformers: "BeamformerSet", channel: ComplexChannelMatrix, rx: int
+) -> dict[tuple[int, int], np.ndarray]:
+    """Every stream's image at receiver rx, keyed (tx, column).
+
+    One matvec per stream with the (rx, tx) link rotation, so each caller
+    sees the same bits for the same image.
+    """
+    images = {}
+    for t, m in enumerate(beamformers.matrices):
+        rot = channel.rotation(rx, t, beamformers.extension).matrix
+        for c in range(m.shape[1]):
+            images[(t, c)] = rot @ m[:, c]
+    return images
+
+
+def receiver_stack(
+    beamformers: "BeamformerSet", channel: ComplexChannelMatrix, rx: int
+) -> tuple[np.ndarray, int]:
+    """Receiver rx's desired images, then its deduplicated interference basis,
+    as columns of one matrix; also how many columns are desired."""
+    images = receive_images(beamformers, channel, rx)
+    desired = beamformers.desired_streams(rx)
+    keys = desired + beamformers.interference_basis(rx)
+    return np.column_stack([images[k] for k in keys]), len(desired)
+
+
 def alignment_residual(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> float:
     """Worst Euclidean mismatch over the scheme's alignment coincidences.
 
@@ -236,13 +265,11 @@ def alignment_residual(beamformers: "BeamformerSet", channel: ComplexChannelMatr
     rounding level; a perturbed column shows up at the perturbation scale.
     """
     _check_compatible(beamformers, channel)
-    S = beamformers.extension
+    images = [receive_images(beamformers, channel, rx) for rx in range(beamformers.num_rx)]
     worst = 0.0
     for pair in beamformers.alignments:
-        ktx, kcol = pair.kept
-        dtx, dcol = pair.dropped
-        left = extend_rotation(channel.phase[pair.rx, ktx], S).matrix @ beamformers.column(ktx, kcol)
-        right = extend_rotation(channel.phase[pair.rx, dtx], S).matrix @ beamformers.column(dtx, dcol)
+        left = images[pair.rx][pair.kept]
+        right = images[pair.rx][pair.dropped]
         d = float(np.linalg.norm(left - right))
         if pair.up_to_sign:
             d = min(d, float(np.linalg.norm(left + right)))
@@ -301,18 +328,9 @@ def independence_margin(beamformers: "BeamformerSet", channel: ComplexChannelMat
     """Stack each receiver's desired images with its deduplicated interference
     basis and judge linear independence by the smallest singular value."""
     _check_compatible(beamformers, channel)
-    S = beamformers.extension
     out = []
     for rx in range(beamformers.num_rx):
-        desired = [
-            extend_rotation(channel.phase[rx, t], S).matrix @ beamformers.column(t, c)
-            for t, c in beamformers.desired_streams(rx)
-        ]
-        interference = [
-            extend_rotation(channel.phase[rx, t], S).matrix @ beamformers.column(t, c)
-            for t, c in beamformers.interference_basis(rx)
-        ]
-        stack = np.column_stack(desired + interference)
+        stack, num_desired = receiver_stack(beamformers, channel, rx)
         svals = np.linalg.svd(stack, compute_uv=False)
         smallest = float(svals.min())
         if smallest > SV_INDEPENDENT:
@@ -321,12 +339,9 @@ def independence_margin(beamformers: "BeamformerSet", channel: ComplexChannelMat
             status = "dependent"
         else:
             status = "indeterminate"
-        angle = _principal_angle(
-            np.column_stack(desired) if desired else np.empty((2 * S, 0)),
-            np.column_stack(interference) if interference else np.empty((2 * S, 0)),
-        )
+        angle = _principal_angle(stack[:, :num_desired], stack[:, num_desired:])
         out.append(
-            ReceiverIndependence(rx, 2 * S, stack.shape[1], np.sort(svals)[::-1], angle, status)
+            ReceiverIndependence(rx, stack.shape[0], stack.shape[1], np.sort(svals)[::-1], angle, status)
         )
     return IndependenceReport(beamformers.scheme, tuple(out))
 

@@ -137,6 +137,16 @@ def test_sweep_on_an_infeasible_fixed_channel_skips_every_trial(tmp_path, capsys
     assert all("infeasible" in r["reason"] for r in records)
 
 
+def test_closure_gated_sweep_skips_its_plain_random_draws(tmp_path, capsys):
+    out = tmp_path / "phase.jsonl"
+    code = main(["sweep", "--scheme", "phase-align", "--trials", "2", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 1
+    records = sweep_lines(out)
+    assert [(r["seed"], r["record"]) for r in records] == [(0, "skip"), (1, "skip")]
+    assert all("closure" in r["reason"] for r in records)
+
+
 def test_out_dir_env_resolves_relative_paths(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ACSALIGN_OUT_DIR", str(tmp_path))
     code = main([
@@ -181,6 +191,10 @@ def test_usage_errors_exit_with_two(capsys):
         main(["sweep", "--scheme", "acs-ic3", "--snr-grid", "60,70"])
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scheme", "baseline", "--snr-grid", "60,nan,80,90"])
+    assert exc.value.code == 2
+    assert "snr grid values must be finite, got nan at position 2" in capsys.readouterr().err
 
 
 def test_demo_containment_exit_codes(capsys):

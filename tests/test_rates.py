@@ -145,6 +145,10 @@ def test_grid_validation():
         validate_snr_grid([30.0, 70.0, 80.0, 90.0])
     with pytest.raises(ValueError):
         validate_snr_grid([60.0, 70.0, 80.0, 150.0])
+    with pytest.raises(ValueError, match="finite, got nan at position 2"):
+        validate_snr_grid([60.0, np.nan, 80.0, 90.0])
+    with pytest.raises(ValueError, match="finite, got inf at position 4"):
+        validate_snr_grid([60.0, 70.0, 80.0, np.inf])
 
 
 def test_slope_estimate_on_one_channel():

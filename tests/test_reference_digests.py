@@ -1,0 +1,61 @@
+"""Sweep bytes stay those of the recorded reference.
+
+perfbench/reference.json holds a sha256 prefix of every trial's output lines
+for the benchmark's sweep commands.  Re-running the first trials of each with
+the same arguments must reproduce them exactly, so a refactor that moves a
+last digit anywhere in the numerical stack fails here, not in a benchmark.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from acsalign.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+TRIALS = 3
+GRID_21 = ",".join(f"{60 + 2.5 * i:g}" for i in range(21))
+
+# The benchmark's arguments per scheme: acs-ic3 as JSON lines on the default
+# grid, the rest as CSV on the 21-point grid.
+SWEEPS = {
+    "acs-ic3": [],
+    "x-channel": ["--format", "csv", "--snr-grid", GRID_21],
+    "uplinks": ["--format", "csv", "--snr-grid", GRID_21],
+    "cognitive-x": ["--format", "csv", "--snr-grid", GRID_21],
+    "baseline": ["--format", "csv", "--snr-grid", GRID_21],
+}
+
+
+@pytest.fixture(scope="module")
+def reference():
+    with open(REFERENCE, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _trial_digests(lines: list[str], seeds: list[int]) -> list[str]:
+    blocks: dict[int, list[str]] = {}
+    for line, seed in zip(lines, seeds):
+        blocks.setdefault(seed, []).append(line)
+    return [
+        hashlib.sha256("".join(ln + "\n" for ln in blocks[s]).encode()).hexdigest()[:16]
+        for s in sorted(blocks)
+    ]
+
+
+@pytest.mark.parametrize("scheme", sorted(SWEEPS))
+def test_first_trials_match_the_reference_digests(scheme, reference, tmp_path, capsys):
+    out = tmp_path / "sweep.out"
+    argv = ["sweep", "--scheme", scheme, "--trials", str(TRIALS), "--master-seed", "0", "--out", str(out)]
+    assert main(argv + SWEEPS[scheme]) == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    if SWEEPS[scheme]:
+        assert lines[0] == reference["csv_header"]
+        lines = lines[1:]
+        seeds = [int(line.split(",")[1]) for line in lines]
+    else:
+        seeds = [json.loads(line)["seed"] for line in lines]
+    assert _trial_digests(lines, seeds) == reference["digests"][scheme][:TRIALS]
