@@ -25,7 +25,7 @@ from .channel import (
     sample_channel,
     special_channel_kinds,
 )
-from .rates import DEFAULT_SNR_GRID_DB, baseline_rate_profile, fit_dof, sum_rate, validate_snr_grid
+from .rates import DEFAULT_SNR_GRID_DB, baseline_rate_profile, fit_dof, rate_reports, validate_snr_grid
 from .schemes import SCHEME_TAGS, SCHEMES, build_scheme, scheme_spec
 from .verify import (
     DegenerateAnglesError,
@@ -192,7 +192,9 @@ def run_verify(config: ExperimentConfig) -> int:
         payload["singularity"] = check_conditions(channel, "singularity").to_dict()
     ok = report.all_satisfied
     if ok:
-        beamformers = build_scheme(scheme, channel, seed=config.seed)
+        # The gate's conditions were just checked, and independence is judged
+        # below, so the build must not raise on a poorly conditioned channel.
+        beamformers = build_scheme(scheme, channel, seed=config.seed, check=False)
         residual = alignment_residual(beamformers, channel)
         independence = independence_margin(beamformers, channel)
         payload["descriptor"] = beamformers.descriptor.to_dict()
@@ -206,6 +208,12 @@ def run_verify(config: ExperimentConfig) -> int:
 
 # -- sweep --------------------------------------------------------------------
 
+def _record(scheme: str, seed: int, kind: str, snr_db, total, per_user, **fields) -> dict:
+    """One sweep record: every kind leads with the same keys, in this order."""
+    return {"scheme": scheme, "seed": seed, "snr_db": snr_db, "sum_rate_bpcu": total,
+            "per_user_rates": per_user, "record": kind, **fields}
+
+
 def _trial_records(scheme: str, channel: ComplexChannelMatrix, trial_seed: int, grid) -> list[dict]:
     """One rate record per grid point and a closing dof record fitted to them."""
     snrs = [10.0 ** (db / 10.0) for db in grid]
@@ -214,31 +222,12 @@ def _trial_records(scheme: str, channel: ComplexChannelMatrix, trial_seed: int, 
         rates = [(float(p.sum()), [float(r) for r in p]) for p in profiles]
     else:
         beamformers = build_scheme(scheme, channel, seed=trial_seed)
-        reports = [sum_rate(beamformers, channel, snr) for snr in snrs]
-        rates = [(r.sum_rate, list(r.per_receiver)) for r in reports]
-    records = [
-        {
-            "scheme": scheme,
-            "seed": trial_seed,
-            "snr_db": db,
-            "sum_rate_bpcu": total,
-            "per_user_rates": per_user,
-            "record": "rate",
-        }
-        for db, (total, per_user) in zip(grid, rates)
-    ]
+        rates = [(r.sum_rate, list(r.per_receiver)) for r in rate_reports(beamformers, channel, snrs)]
+    records = [_record(scheme, trial_seed, "rate", db, total, per_user)
+               for db, (total, per_user) in zip(grid, rates)]
     estimate = fit_dof(grid, [total for total, _ in rates])
-    records.append({
-        "scheme": scheme,
-        "seed": trial_seed,
-        "snr_db": None,
-        "sum_rate_bpcu": None,
-        "per_user_rates": None,
-        "record": "dof",
-        "slope": estimate.slope,
-        "intercept": estimate.intercept,
-        "rms_residual": estimate.rms_residual,
-    })
+    records.append(_record(scheme, trial_seed, "dof", None, None, None, slope=estimate.slope,
+                           intercept=estimate.intercept, rms_residual=estimate.rms_residual))
     return records
 
 
@@ -254,15 +243,7 @@ def _sweep_trial(args) -> tuple[int, list[dict]]:
         channel = fixed if fixed is not None else SCHEMES[scheme].sample(trial_seed)
         records = _trial_records(scheme, channel, trial_seed, grid)
     except InfeasibleChannelError as exc:
-        records = [{
-            "scheme": scheme,
-            "seed": trial_seed,
-            "snr_db": None,
-            "sum_rate_bpcu": None,
-            "per_user_rates": None,
-            "record": "skip",
-            "reason": str(exc),
-        }]
+        records = [_record(scheme, trial_seed, "skip", None, None, None, reason=str(exc))]
     return trial_index, records
 
 
@@ -397,10 +378,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             fields[name] = getattr(args, name)
     if hasattr(args, "snr_grid") and args.snr_grid is not None:
         fields["snr_grid_db"] = tuple(args.snr_grid)
-    # Channel-source flags must stay None unless given, so put them back.
-    for name in ("scheme", "channel_seed", "special", "channel_file", "d_max", "out"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
     return ExperimentConfig(subcommand=args.subcommand, **fields)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ComplexChannelMatrix
 from .schemes import BeamformerSet
-from .verify import receive_images
+from .verify import receiver_stack
 
 __all__ = [
     "DEFAULT_SNR_GRID_DB",
@@ -24,6 +24,7 @@ __all__ = [
     "RateReport",
     "DofEstimate",
     "zf_receive",
+    "rate_reports",
     "sum_rate",
     "estimate_dof",
     "fit_dof",
@@ -47,6 +48,28 @@ class RankDeficientReceiverError(Exception):
         super().__init__(f"receiver {rx} is rank deficient: no zero-forcing direction exists")
 
 
+def _zf_solve(
+    beamformers: BeamformerSet, channel: ComplexChannelMatrix
+) -> dict[tuple[int, int], tuple[np.ndarray, float]]:
+    """Each desired stream's unit combiner and its gain on its own image, from
+    receiver_stack's columns.  Column j is copied to a contiguous vector first:
+    on the strided view the solve and the dot product change last digits."""
+    solved = {}
+    for rx in range(beamformers.num_rx):
+        stack, _ = receiver_stack(beamformers, channel, rx)
+        for j, key in enumerate(beamformers.desired_streams(rx)):
+            own = stack[:, j].copy()
+            others = np.delete(stack, j, axis=1)
+            coeffs, *_ = np.linalg.lstsq(others, own, rcond=None)
+            w = own - others @ coeffs
+            norm = float(np.linalg.norm(w))
+            if norm < 1e-9:
+                raise RankDeficientReceiverError(rx)
+            w = w / norm
+            solved[key] = (w, float(w @ own))
+    return solved
+
+
 def zf_receive(beamformers: BeamformerSet, channel: ComplexChannelMatrix) -> dict[tuple[int, int], np.ndarray]:
     """Per-stream unit combiners, each orthogonal to every other effective column.
 
@@ -55,28 +78,7 @@ def zf_receive(beamformers: BeamformerSet, channel: ComplexChannelMatrix) -> dic
     residual of its own image after projecting onto the span of all the
     others; its inner product with the own image is therefore positive.
     """
-    if channel.num_tx != beamformers.num_tx or channel.num_rx != beamformers.num_rx:
-        raise ValueError("beamformer set and channel disagree on dimensions")
-    combiners: dict[tuple[int, int], np.ndarray] = {}
-    for rx in range(beamformers.num_rx):
-        images = receive_images(beamformers, channel, rx)
-        desired = beamformers.desired_streams(rx)
-        basis = beamformers.interference_basis(rx)
-        for t, c in desired:
-            own = images[(t, c)]
-            others = [images[k] for k in desired if k != (t, c)]
-            others += [images[k] for k in basis]
-            if others:
-                o = np.column_stack(others)
-                coeffs, *_ = np.linalg.lstsq(o, own, rcond=None)
-                w = own - o @ coeffs
-            else:
-                w = own.copy()
-            norm = float(np.linalg.norm(w))
-            if norm < 1e-9:
-                raise RankDeficientReceiverError(rx)
-            combiners[(t, c)] = w / norm
-    return combiners
+    return {key: w for key, (w, _) in _zf_solve(beamformers, channel).items()}
 
 
 @dataclass(frozen=True)
@@ -108,31 +110,45 @@ class RateReport:
         }
 
 
-def sum_rate(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snr: float) -> RateReport:
-    """Achieved rates under zero forcing at operating SNR (linear scale).
+def rate_reports(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snrs) -> tuple[RateReport, ...]:
+    """Achieved rates under zero forcing at each operating SNR (linear scale).
 
     Stream power is S*snr*share, the desired gain is the squared projection
     of the rotated column on the combiner times the link magnitude squared,
     and residual interference is exactly nulled, so SINR = 2 * power * gain.
+    The combiners do not depend on the SNR, so zero forcing is solved once
+    for the whole grid.
     """
-    if not np.isfinite(snr) or snr <= 0:
-        raise ValueError(f"snr must be positive and finite, got {snr!r}")
-    combiners = zf_receive(beamformers, channel)
+    snrs = np.asarray(snrs, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(snrs) & (snrs > 0)))
+    if bad.size:
+        raise ValueError(f"snr must be positive and finite, got {float(snrs[bad[0]])!r}")
+    solved = _zf_solve(beamformers, channel)
     S = beamformers.extension
-    num_rx = beamformers.num_rx
-    images = [receive_images(beamformers, channel, rx) for rx in range(num_rx)]
-    streams = []
-    per_rx_block = np.zeros(num_rx)
-    for t, c, rx in beamformers.streams():
-        gain = float(combiners[(t, c)] @ images[rx][(t, c)])
-        power = S * snr * beamformers.power_share[t][c]
-        sinr = power * channel.magnitude[rx, t] ** 2 * gain ** 2 / NOISE_VAR_PER_REAL_DIM
-        rate = 0.5 * np.log2(1.0 + sinr)
-        streams.append(StreamRate(t, c, rx, gain, float(sinr), float(rate)))
-        per_rx_block[rx] += rate
-    per_receiver = tuple(float(x) / S for x in per_rx_block)
-    total = float(per_rx_block.sum()) / S
-    return RateReport(beamformers.scheme, float(snr), S, tuple(streams), per_receiver, total)
+    streams = beamformers.streams()
+    gains = [solved[(t, c)][1] for t, c, _ in streams]
+    share = np.array([beamformers.power_share[t][c] for t, c, _ in streams])
+    link = np.array([channel.magnitude[rx, t] ** 2 for t, _, rx in streams])
+    sinr = S * snrs[:, None] * share * link * np.array([g ** 2 for g in gains]) / NOISE_VAR_PER_REAL_DIM
+    rate = 0.5 * np.log2(1.0 + sinr)
+    per_rx_block = np.zeros((snrs.size, beamformers.num_rx))
+    for k, (_, _, rx) in enumerate(streams):
+        per_rx_block[:, rx] += rate[:, k]
+    return tuple(
+        RateReport(
+            beamformers.scheme, float(snr), S,
+            tuple(StreamRate(t, c, rx, g, float(sinr[i, k]), float(rate[i, k]))
+                  for k, ((t, c, rx), g) in enumerate(zip(streams, gains))),
+            tuple(float(x) / S for x in per_rx_block[i]),
+            float(per_rx_block[i].sum()) / S,
+        )
+        for i, snr in enumerate(snrs)
+    )
+
+
+def sum_rate(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snr: float) -> RateReport:
+    """Achieved rates under zero forcing at one operating SNR (linear scale)."""
+    return rate_reports(beamformers, channel, (snr,))[0]
 
 
 @dataclass(frozen=True)
@@ -199,8 +215,9 @@ def estimate_dof(
     """
     grid = validate_snr_grid(snr_grid_db)
     beamformers = builder(channel, seed)
-    rates = [sum_rate(beamformers, channel, 10.0 ** (db / 10.0)).sum_rate for db in grid]
-    return fit_dof(grid, rates)
+    # Converted point by point: numpy's vectorized power can differ in the last bit.
+    reports = rate_reports(beamformers, channel, [10.0 ** (db / 10.0) for db in grid])
+    return fit_dof(grid, [r.sum_rate for r in reports])
 
 
 def baseline_circsym(channel: ComplexChannelMatrix, powers) -> np.ndarray:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ComplexChannelMatrix, extend_rotation, sample_channel
-from .verify import InfeasibleChannelError, check_conditions, receiver_stack
+from .verify import SV_INDEPENDENT, InfeasibleChannelError, check_conditions, receiver_stack
 
 __all__ = [
     "AlignmentPair",
@@ -233,21 +233,6 @@ def _orthonormal_columns(rng: np.random.Generator, dim: int, cols: int) -> np.nd
     return q * signs
 
 
-def _require_buildable(spec: SchemeSpec, channel: ComplexChannelMatrix, check: bool = True) -> None:
-    if channel.magnitude.shape != spec.shape:
-        raise ValueError(
-            f"{spec.tag} needs a {spec.shape[0]}x{spec.shape[1]} channel (receivers x transmitters), "
-            f"got {channel.num_rx}x{channel.num_tx}"
-        )
-    if not check:
-        return
-    if spec.needs_connected and not channel.fully_connected:
-        raise InfeasibleChannelError(spec.tag, ("fully-connected",))
-    report = check_conditions(channel, spec.feasibility)
-    if not report.all_satisfied:
-        raise InfeasibleChannelError(spec.tag, report.failed)
-
-
 def _derive_columns(spec: SchemeSpec, phase: np.ndarray, columns: dict) -> None:
     """Fill in every dropped column of `columns` from its kept partner.
 
@@ -298,29 +283,36 @@ def _build(
     check: bool = True,
     draws: int = CANDIDATE_DRAWS,
 ) -> BeamformerSet:
-    """Build a scheme from its spec; `check=False` skips the feasibility gate,
-    to probe what happens on channels that violate it.
+    """Build a scheme from its spec; `check=False` skips the feasibility and
+    conditioning gates, to probe what happens on channels that violate them.
 
     A spec with fixed columns is built once.  Otherwise `draws` candidates
     draw the free blocks from one sequential rng and the best conditioned is
-    kept: the score is the smallest singular value of any receiver's stacked
-    desired and interference images.  The result is deterministic in
-    (channel, seed) and the first candidate reproduces a single plain draw.
+    kept.  The score is the smallest singular value of any receiver's stacked
+    desired and interference images; a channel so close to the degenerate set
+    that the best score does not clear SV_INDEPENDENT fails the gate.  The
+    result is deterministic in (channel, seed) and the first candidate
+    reproduces a single plain draw.
     """
     if not spec.stream_rx:
         raise ValueError(f"{spec.tag!r} sends no beamformed streams; only its rates can be swept")
-    _require_buildable(spec, channel, check)
-    if not spec.free_blocks:
-        columns = {key: np.array(col) for key, col in spec.fixed_columns}
-        _derive_columns(spec, channel.phase, columns)
-        return _beamformer_set(spec, columns)
+    if channel.magnitude.shape != spec.shape:
+        raise ValueError(
+            f"{spec.tag} needs a {spec.shape[0]}x{spec.shape[1]} channel (receivers x transmitters), "
+            f"got {channel.num_rx}x{channel.num_tx}"
+        )
+    if check and spec.needs_connected and not channel.fully_connected:
+        raise InfeasibleChannelError(spec.tag, ("fully-connected",))
+    failed = check_conditions(channel, spec.feasibility).failed if check else ()
+    if failed:
+        raise InfeasibleChannelError(spec.tag, failed)
     if draws < 1:
         raise ValueError("need at least one candidate draw")
     rng = np.random.default_rng(seed)
     best = None
     best_score = -np.inf
-    for _ in range(draws):
-        columns = {}
+    for _ in range(draws if spec.free_blocks else 1):
+        columns = {key: np.array(col) for key, col in spec.fixed_columns}
         for tx, cols in spec.free_blocks:
             block = _orthonormal_columns(rng, 2 * spec.extension, len(cols))
             for k, c in enumerate(cols):
@@ -333,6 +325,11 @@ def _build(
         )
         if score > best_score:
             best, best_score = candidate, score
+    if check and best_score <= SV_INDEPENDENT:
+        raise InfeasibleChannelError(
+            spec.tag, ("conditioning",),
+            f"smallest receive singular value {best_score:.3g} <= {SV_INDEPENDENT:g}",
+        )
     return best
 
 

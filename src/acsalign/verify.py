@@ -219,17 +219,6 @@ def check_conditions(channel: ComplexChannelMatrix, which: str) -> ConditionRepo
     raise ValueError(f"unknown condition set {which!r}; expected one of {CONDITION_SETS}")
 
 
-def _check_compatible(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> None:
-    if channel.num_tx != beamformers.num_tx:
-        raise ValueError(
-            f"beamformer set has {beamformers.num_tx} transmitters, channel has {channel.num_tx}"
-        )
-    if channel.num_rx != beamformers.num_rx:
-        raise ValueError(
-            f"beamformer set targets {beamformers.num_rx} receivers, channel has {channel.num_rx}"
-        )
-
-
 def receive_images(
     beamformers: "BeamformerSet", channel: ComplexChannelMatrix, rx: int
 ) -> dict[tuple[int, int], np.ndarray]:
@@ -238,6 +227,14 @@ def receive_images(
     One matvec per stream with the (rx, tx) link rotation, so each caller
     sees the same bits for the same image.
     """
+    if channel.num_tx != beamformers.num_tx:
+        raise ValueError(
+            f"beamformer set has {beamformers.num_tx} transmitters, channel has {channel.num_tx}"
+        )
+    if channel.num_rx != beamformers.num_rx:
+        raise ValueError(
+            f"beamformer set targets {beamformers.num_rx} receivers, channel has {channel.num_rx}"
+        )
     images = {}
     for t, m in enumerate(beamformers.matrices):
         rot = channel.rotation(rx, t, beamformers.extension).matrix
@@ -264,7 +261,6 @@ def alignment_residual(beamformers: "BeamformerSet", channel: ComplexChannelMatr
     to sign where only the line is pinned down).  Freshly built sets sit at
     rounding level; a perturbed column shows up at the perturbation scale.
     """
-    _check_compatible(beamformers, channel)
     images = [receive_images(beamformers, channel, rx) for rx in range(beamformers.num_rx)]
     worst = 0.0
     for pair in beamformers.alignments:
@@ -327,7 +323,6 @@ def _principal_angle(desired: np.ndarray, interference: np.ndarray) -> float | N
 def independence_margin(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> IndependenceReport:
     """Stack each receiver's desired images with its deduplicated interference
     basis and judge linear independence by the smallest singular value."""
-    _check_compatible(beamformers, channel)
     out = []
     for rx in range(beamformers.num_rx):
         stack, num_desired = receiver_stack(beamformers, channel, rx)

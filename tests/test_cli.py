@@ -2,10 +2,20 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from acsalign.channel import dump_channel, sample_channel
+from acsalign.channel import (
+    ComplexChannelMatrix,
+    construct_special_channel,
+    dump_channel,
+    implicated_receiver,
+    load_channel,
+    sample_channel,
+)
 from acsalign.cli import ExperimentConfig, main
+from acsalign.schemes import build_scheme
+from acsalign.verify import independence_margin
 
 
 def run_cli(argv, capsys):
@@ -135,6 +145,44 @@ def test_sweep_on_an_infeasible_fixed_channel_skips_every_trial(tmp_path, capsys
     records = sweep_lines(out)
     assert [r["record"] for r in records] == ["skip", "skip"]
     assert all("infeasible" in r["reason"] for r in records)
+
+
+def nudged_violating_channel(idx: int, delta: float, path) -> None:
+    """Write acs-violating-idx moved delta off its degenerate set, through the
+    phase of the diagonal link its forced cross sum contains."""
+    chn = construct_special_channel(f"acs-violating-{idx}")
+    phase = np.array(chn.phase)
+    rx = implicated_receiver(idx - 1)
+    phase[rx, rx] += delta
+    dump_channel(ComplexChannelMatrix(np.array(chn.magnitude), phase), path)
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2])
+@pytest.mark.parametrize("idx", range(1, 7))
+def test_sweep_near_the_degenerate_set_skips_or_builds_independent(idx, delta, tmp_path, capsys):
+    path = tmp_path / "chan.txt"
+    nudged_violating_channel(idx, delta, path)
+    argv = ["sweep", "--scheme", "acs-ic3", "--trials", "1", "--channel-file", str(path)]
+    code, out = run_cli(argv, capsys)
+    record = json.loads(out.splitlines()[-1])
+    if record["record"] == "skip":
+        # A channel as far off the degenerate set as the sampler's margin builds.
+        assert code == 1 and delta < 1e-2
+        return
+    assert (record["record"], code) == ("dof", 0)
+    chn = load_channel(path)
+    statuses = [r.status for r in independence_margin(build_scheme("acs-ic3", chn, seed=0), chn).receivers]
+    assert statuses == ["independent"] * 3
+
+
+def test_verify_reports_an_indeterminate_receiver_near_the_degenerate_set(tmp_path, capsys):
+    path = tmp_path / "chan.txt"
+    nudged_violating_channel(1, 1e-8, path)
+    code, out = run_cli(["verify", "--scheme", "acs-ic3", "--channel-file", str(path)], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert payload["independence"]["receivers"][0]["status"] == "indeterminate"
 
 
 def test_closure_gated_sweep_skips_its_plain_random_draws(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from acsalign import rates
 from acsalign.channel import (
     ComplexChannelMatrix,
     construct_special_channel,
@@ -16,11 +17,13 @@ from acsalign.rates import (
     baseline_rate_profile,
     estimate_baseline_dof,
     estimate_dof,
+    rate_reports,
     sum_rate,
     validate_snr_grid,
     zf_receive,
 )
 from acsalign.schemes import (
+    SCHEME_TAGS,
     build_acs_ic3,
     build_phase_alignment,
     build_scheme,
@@ -79,12 +82,42 @@ def test_per_receiver_rates_sum_to_total():
     assert report.to_dict()["sum_rate"] == report.sum_rate
 
 
+# 60 to 110 dB in 2.5 dB steps, as linear SNRs.
+GRID_21 = tuple(10.0 ** ((60 + 2.5 * i) / 10.0) for i in range(21))
+
+
+@pytest.mark.parametrize("tag", SCHEME_TAGS)
+def test_rate_reports_solve_once_and_match_per_point_sum_rate(tag, monkeypatch):
+    if tag == "phase-align":
+        chn = construct_special_channel("phase-example")
+    else:
+        chn = sample_feasible_channel(tag, 3)
+    bf = build_scheme(tag, chn, seed=3)
+    calls = []
+    real_stack = rates.receiver_stack
+
+    def counting_stack(beamformers, channel, rx):
+        calls.append(rx)
+        return real_stack(beamformers, channel, rx)
+
+    monkeypatch.setattr(rates, "receiver_stack", counting_stack)
+    reports = rate_reports(bf, chn, GRID_21)
+    assert sorted(calls) == list(range(bf.num_rx))
+    monkeypatch.undo()
+    assert reports == tuple(sum_rate(bf, chn, snr) for snr in GRID_21)
+
+
 def test_invalid_snr_is_rejected():
     chn = sample_feasible_channel("acs-ic3", 0)
     bf = build_acs_ic3(chn, seed=0)
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             sum_rate(bf, chn, bad)
+        for pos in (0, 3, 5):
+            grid = [1e6, 1e7, 1e8, 1e9, 1e10, 1e11]
+            grid[pos] = bad
+            with pytest.raises(ValueError, match="positive and finite"):
+                rate_reports(bf, chn, grid)
 
 
 @pytest.mark.parametrize("idx,rx", [(1, 0), (4, 1), (6, 2)])

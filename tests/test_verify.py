@@ -6,6 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from acsalign.channel import construct_special_channel, sample_channel
+from acsalign.rates import sum_rate, zf_receive
 from acsalign.schemes import BeamformerSet, build_acs_ic3, build_scheme
 from acsalign.verify import (
     CONDITION_SETS,
@@ -91,6 +92,16 @@ def test_wrong_shape_is_an_error():
         check_conditions(sample_channel(0, 2, 2), "acs-ic3")
     with pytest.raises(ValueError):
         check_conditions(sample_channel(0, 3, 3), "uplinks")
+
+
+def test_beamformers_and_channel_must_agree_on_dimensions():
+    bf = build_acs_ic3(sample_channel(7, 3, 3), seed=0)
+    for chn, what in ((sample_channel(0, 2, 3), "transmitters"), (sample_channel(0, 3, 2), "receivers")):
+        for probe in (alignment_residual, independence_margin, zf_receive):
+            with pytest.raises(ValueError, match=what):
+                probe(bf, chn)
+        with pytest.raises(ValueError, match=what):
+            sum_rate(bf, chn, 1e6)
 
 
 def test_fresh_build_has_rounding_level_residual():
