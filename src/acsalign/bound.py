@@ -108,16 +108,17 @@ def check_allocation(profile: AllocationProfile) -> AllocationCheck:
     return AllocationCheck(not violations, tuple(violations))
 
 
-def iter_feasible_profiles(
-    extension: int,
-    d_max: int | None = None,
-    profile_limit: int = DEFAULT_PROFILE_LIMIT,
-) -> Iterator[AllocationProfile]:
-    """Yield every feasible profile in lexicographic (d1, d2, d3, d12, d23, d31) order.
+def _feasible_runs(
+    extension: int, d_max: int | None, profile_limit: int
+) -> Iterator[tuple[tuple[int, int, int], int, int, int, int]]:
+    """Yield (streams, d12, d23, lo, hi) in lexicographic order: every d31 in
+    lo..hi completes a feasible profile, and no run is empty.
 
     Loop bounds encode the constraints exactly, so nothing feasible is
     skipped and nothing infeasible is yielded.  Work is metered against
-    profile_limit; exceeding it raises instead of truncating silently.
+    profile_limit, one step per (d1, d2, d3) triple plus one per profile; a
+    run that would pass the limit is cut to the profiles within it, and then
+    the enumeration raises instead of truncating silently.
     """
     if extension < 1:
         raise ValueError("extension must be at least 1")
@@ -126,6 +127,7 @@ def iter_feasible_profiles(
     if d_max < 2 * extension:
         raise ValueError("d_max below 2S would bind the search; use at least 2S")
     two_s = 2 * extension
+    overflow = SearchSpaceError(f"enumeration for S={extension} exceeds {profile_limit} steps")
     work = 0
     for d1 in range(d_max + 1):
         for d2 in range(d_max + 1):
@@ -135,16 +137,37 @@ def iter_feasible_profiles(
                 lo = max(0, total - two_s)  # receiver bounds floor every overlap
                 for d12 in range(lo, min(d1, d2) + 1):
                     for d23 in range(lo, min(d2 - d12, d3) + 1):
-                        y_hi = min(d1 - d12, d3 - d23)
-                        for d31 in range(lo, y_hi + 1):
-                            work += 1
-                            if work > profile_limit:
-                                raise SearchSpaceError(
-                                    f"enumeration for S={extension} exceeds {profile_limit} steps"
-                                )
-                            yield AllocationProfile(extension, (d1, d2, d3), (d12, d23, d31))
+                        hi = min(d1 - d12, d3 - d23)
+                        if hi < lo:
+                            continue
+                        work += hi - lo + 1
+                        if work > profile_limit:
+                            hi -= work - profile_limit
+                            if hi >= lo:
+                                yield (d1, d2, d3), d12, d23, lo, hi
+                            raise overflow
+                        yield (d1, d2, d3), d12, d23, lo, hi
     if work > profile_limit:
-        raise SearchSpaceError(f"enumeration for S={extension} exceeds {profile_limit} steps")
+        raise overflow
+
+
+def _profiles(extension: int, runs) -> Iterator[AllocationProfile]:
+    for streams, d12, d23, lo, hi in runs:
+        for d31 in range(lo, hi + 1):
+            yield AllocationProfile(extension, streams, (d12, d23, d31))
+
+
+def iter_feasible_profiles(
+    extension: int,
+    d_max: int | None = None,
+    profile_limit: int = DEFAULT_PROFILE_LIMIT,
+) -> Iterator[AllocationProfile]:
+    """Yield every feasible profile in lexicographic (d1, d2, d3, d12, d23, d31) order.
+
+    Exceeding profile_limit raises SearchSpaceError after the profiles
+    within the limit.
+    """
+    return _profiles(extension, _feasible_runs(extension, d_max, profile_limit))
 
 
 @dataclass(frozen=True)
@@ -169,18 +192,21 @@ def max_dof(
     profile_limit: int = DEFAULT_PROFILE_LIMIT,
 ) -> BoundResult:
     """Exact maximum of (d1+d2+d3)/(2S) over all feasible profiles, with every
-    maximizing profile reported."""
+    maximizing profile reported.  Runs are counted, not expanded: only the
+    maximizers become AllocationProfiles."""
     best_total = -1
-    argmax: list[AllocationProfile] = []
+    best_runs: list[tuple] = []
     count = 0
-    for profile in iter_feasible_profiles(extension, d_max, profile_limit):
-        count += 1
-        total = sum(profile.streams)
+    for run in _feasible_runs(extension, d_max, profile_limit):
+        streams, _, _, lo, hi = run
+        count += hi - lo + 1
+        total = sum(streams)
         if total > best_total:
             best_total = total
-            argmax = [profile]
+            best_runs = [run]
         elif total == best_total:
-            argmax.append(profile)
+            best_runs.append(run)
     if best_total < 0:
         raise RuntimeError("enumeration yielded no profiles; d_max too small?")
-    return BoundResult(extension, Fraction(best_total, 2 * extension), tuple(argmax), count)
+    argmax = tuple(_profiles(extension, best_runs))
+    return BoundResult(extension, Fraction(best_total, 2 * extension), argmax, count)

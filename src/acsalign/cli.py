@@ -86,6 +86,11 @@ class ExperimentConfig:
             raise ValueError("--channel-seed, --special and --channel-file are mutually exclusive")
         if self.subcommand == "bound" and not (1 <= self.s_min <= self.s_max):
             raise ValueError("need 1 <= --s-min <= --s-max")
+        if self.subcommand == "bound" and self.d_max is not None and self.d_max < 2 * self.s_max:
+            raise ValueError(
+                f"--d-max {self.d_max} is below 2 * --s-max = {2 * self.s_max}; "
+                "a cap under 2S would bind the search"
+            )
         validate_snr_grid(self.snr_grid_db)
 
 
@@ -187,10 +192,11 @@ def run_verify(config: ExperimentConfig) -> int:
     spec = scheme_spec(scheme)
     channel = _resolve_channel(config, spec.shape)
     report = check_conditions(channel, spec.feasibility)
-    payload: dict = {"scheme": scheme, "conditions": report.to_dict()}
+    failed = spec.gate_failures(channel)
+    payload: dict = {"scheme": scheme, "conditions": report.to_dict(), "failed_conditions": list(failed)}
     if channel.magnitude.shape == (3, 3):
         payload["singularity"] = check_conditions(channel, "singularity").to_dict()
-    ok = report.all_satisfied
+    ok = not failed
     if ok:
         # The gate's conditions were just checked, and independence is judged
         # below, so the build must not raise on a poorly conditioned channel.

@@ -91,6 +91,13 @@ class SchemeSpec:
     sampleable: bool = True          # random draws can pass the gate
     needs_connected: bool = False    # the gate also wants every link gain nonzero
 
+    def gate_failures(self, channel: ComplexChannelMatrix) -> tuple[str, ...]:
+        """The feasibility conditions `channel` fails for this scheme; a
+        disconnected channel fails on connectivity alone."""
+        if self.needs_connected and not channel.fully_connected:
+            return ("fully-connected",)
+        return check_conditions(channel, self.feasibility).failed
+
     def sample(self, seed: int) -> ComplexChannelMatrix:
         """The random channel of one sweep trial.
 
@@ -301,9 +308,7 @@ def _build(
             f"{spec.tag} needs a {spec.shape[0]}x{spec.shape[1]} channel (receivers x transmitters), "
             f"got {channel.num_rx}x{channel.num_tx}"
         )
-    if check and spec.needs_connected and not channel.fully_connected:
-        raise InfeasibleChannelError(spec.tag, ("fully-connected",))
-    failed = check_conditions(channel, spec.feasibility).failed if check else ()
+    failed = spec.gate_failures(channel) if check else ()
     if failed:
         raise InfeasibleChannelError(spec.tag, failed)
     if draws < 1:

@@ -160,6 +160,7 @@ def check_conditions(channel: ComplexChannelMatrix, which: str) -> ConditionRepo
     "phase-align"  closure sum must hit 0 mod pi, three separation sums must not
     "acs-ic3"      all six cross sums must stay away from 0 mod pi
     "singularity"  the six known rank-one traps: phase sum 0 mod 2pi AND gain ratio 1
+                   (a ratio left undefined by a zero link gain is reported without one)
     "x-channel"    the 2x2 cross-phase sum must stay away from 0 mod pi
     "uplinks"      both per-receiver cross-phase sums on a 2x4 channel
     """
@@ -192,9 +193,14 @@ def check_conditions(channel: ComplexChannelMatrix, which: str) -> ConditionRepo
         records = []
         for k in range(NUM_CROSS_SUMS):
             value = cross_phase_sum(channel, k)
-            ratio = cross_gain_ratio(channel, k)
             dist = mod_distance(value, TWO_PI)
-            ok = dist <= PHASE_TOL and abs(ratio - 1.0) <= RATIO_TOL
+            # Shape and index are valid here, so the ratio raises only on a
+            # zero link gain in its denominator; an undefined ratio is no trap.
+            try:
+                ratio = cross_gain_ratio(channel, k)
+            except ValueError:
+                ratio = None
+            ok = ratio is not None and dist <= PHASE_TOL and abs(ratio - 1.0) <= RATIO_TOL
             records.append(
                 ConditionRecord(
                     _CROSS_IDS[k], float(value), float(TWO_PI), dist, "zero", ok,

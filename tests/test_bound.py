@@ -148,3 +148,41 @@ def test_narrow_stream_cap_is_rejected():
 def test_search_budget_is_enforced():
     with pytest.raises(SearchSpaceError):
         max_dof(3, profile_limit=10)
+
+
+@pytest.mark.parametrize("extension", range(1, 7))
+def test_max_dof_agrees_with_the_profile_iterator(extension):
+    for d_max in (2 * extension, 3 * extension, 3 * extension + 2):
+        profiles = list(iter_feasible_profiles(extension, d_max))
+        result = max_dof(extension, d_max)
+        assert result.num_feasible == len(profiles)
+        best = max(sum(p.streams) for p in profiles)
+        assert result.best_ratio == Fraction(best, 2 * extension)
+        assert result.argmax == tuple(p for p in profiles if sum(p.streams) == best)
+
+
+def test_search_budget_counts_triples_and_profiles():
+    # S=1 with the default cap 3S: 4**3 (d1, d2, d3) triples plus 13 profiles.
+    assert max_dof(1, profile_limit=77).num_feasible == 13
+    assert len(list(iter_feasible_profiles(1, profile_limit=77))) == 13
+    with pytest.raises(SearchSpaceError, match="exceeds 76 steps"):
+        max_dof(1, profile_limit=76)
+    with pytest.raises(SearchSpaceError, match="exceeds 76 steps"):
+        list(iter_feasible_profiles(1, profile_limit=76))
+
+
+def test_search_budget_yields_the_profiles_within_it():
+    # Profile i (0-based) is reached after i + 1 profile steps plus one step
+    # for each stream triple up to its own, in lexicographic order.
+    extension, side = 2, 7
+    full = list(iter_feasible_profiles(extension))
+    steps = [
+        i + 1 + (d1 * side + d2) * side + d3 + 1
+        for i, (d1, d2, d3) in enumerate(p.streams for p in full)
+    ]
+    for limit in range(1, steps[-1], 3):
+        seen = []
+        with pytest.raises(SearchSpaceError):
+            for profile in iter_feasible_profiles(extension, profile_limit=limit):
+                seen.append(profile)
+        assert seen == full[:sum(step <= limit for step in steps)]

@@ -67,6 +67,40 @@ def test_verify_missing_channel_file_is_a_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def _reject_nonfinite(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
+@pytest.fixture
+def zero_link_file(tmp_path):
+    """Channel seed 7 with the (2, 3) link gain set to zero."""
+    chn = sample_channel(7, 3, 3)
+    magnitude = np.array(chn.magnitude)
+    magnitude[1, 2] = 0.0
+    path = tmp_path / "zero-link.txt"
+    dump_channel(ComplexChannelMatrix(magnitude, np.array(chn.phase)), path)
+    return path
+
+
+@pytest.mark.parametrize("scheme,failed", [("acs-ic3", ["fully-connected"]), ("phase-align", ["closure"])])
+def test_verify_reports_a_zero_link_channel_as_failed(scheme, failed, zero_link_file, capsys):
+    code, out = run_cli(["verify", "--scheme", scheme, "--channel-file", str(zero_link_file)], capsys)
+    assert code == 1
+    payload = json.loads(out, parse_constant=_reject_nonfinite)
+    assert payload["pass"] is False
+    assert payload["failed_conditions"] == failed
+    assert "descriptor" not in payload
+    singularity = payload["singularity"]["conditions"]
+    assert not any(rec["satisfied"] for rec in singularity if "magnitude_ratio" not in rec)
+
+
+def test_sweep_skips_the_same_zero_link_channel(zero_link_file, capsys):
+    code, out = run_cli(["sweep", "--scheme", "acs-ic3", "--trials", "1",
+                         "--channel-file", str(zero_link_file)], capsys)
+    assert code == 1
+    assert json.loads(out)["reason"].endswith("failed conditions: fully-connected")
+
+
 def sweep_lines(path):
     lines = path.read_text().splitlines()
     return [json.loads(ln) for ln in lines]
@@ -232,6 +266,13 @@ def test_usage_errors_exit_with_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--s-min", "3", "--s-max", "2"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--s-max", "3", "--d-max", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--d-max 4 is below 2 * --s-max = 6" in captured.err
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--scheme", "nonsense", "--channel-seed", "0"])
     assert exc.value.code == 2

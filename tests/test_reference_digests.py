@@ -1,9 +1,11 @@
-"""Sweep bytes stay those of the recorded reference.
+"""Sweep bytes and bound rows stay those of the recorded reference.
 
 perfbench/reference.json holds a sha256 prefix of every trial's output lines
 for the benchmark's sweep commands.  Re-running the first trials of each with
 the same arguments must reproduce them exactly, so a refactor that moves a
 last digit anywhere in the numerical stack fails here, not in a benchmark.
+It also holds each `bound --s-max 12` row's best ratio, feasible-profile count
+and number of maximizers, which the bound run must match.
 """
 
 import hashlib
@@ -59,3 +61,15 @@ def test_first_trials_match_the_reference_digests(scheme, reference, tmp_path, c
     else:
         seeds = [json.loads(line)["seed"] for line in lines]
     assert _trial_digests(lines, seeds) == reference["digests"][scheme][:TRIALS]
+
+
+def test_bound_rows_match_the_reference(reference, capsys):
+    assert main(["bound", "--s-max", "12"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["extension"] for row in rows] == list(range(1, 13))
+    for row in rows:
+        expected = reference["bound"][str(row["extension"])]
+        assert row["best_ratio"] == expected["best_ratio"]
+        assert row["num_feasible"] == expected["num_feasible"]
+        assert len(row["argmax"]) == expected["argmax"]
+    assert rows[4]["best_ratio"] == rows[9]["best_ratio"] == "6/5"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from acsalign.channel import construct_special_channel, sample_channel
+from acsalign.channel import ComplexChannelMatrix, construct_special_channel, sample_channel
 from acsalign.rates import sum_rate, zf_receive
 from acsalign.schemes import BeamformerSet, build_acs_ic3, build_scheme
 from acsalign.verify import (
@@ -67,6 +67,18 @@ def test_singularity_conditions():
         # The singular channel trips the matching feasibility condition too.
         acs = check_conditions(construct_special_channel(f"singular-{idx}"), "acs-ic3")
         assert report.satisfied_ids == (acs.failed[0],)
+
+
+def test_singularity_with_a_zero_link_marks_undefined_ratios_unsatisfied():
+    ones = construct_special_channel("all-ones")
+    magnitude = np.array(ones.magnitude)
+    magnitude[1, 2] = 0.0
+    chn = ComplexChannelMatrix(magnitude, np.array(ones.phase))
+    records = check_conditions(chn, "singularity").to_dict()["conditions"]
+    undefined = [r for r in records if "magnitude_ratio" not in r]
+    assert undefined and not any(r["satisfied"] for r in undefined)
+    # Sums that avoid the dead link are still the all-ones traps.
+    assert any(r["satisfied"] for r in records)
 
 
 def test_violating_channel_fails_only_its_condition():
