@@ -94,7 +94,13 @@ class ExtendedRotation:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.kron(np.eye(self.extension), rotation_matrix(self.phase))
+        # The entries of kron(eye(S), rotation_matrix(phase)), block by block.
+        s = self.extension
+        blocks = np.zeros((s, 2, s, 2))
+        diag = np.arange(s)
+        blocks[diag, :, diag, :] = rotation_matrix(self.phase)
+        blocks.setflags(write=False)
+        return blocks.reshape(2 * s, 2 * s)
 
 
 def extend_rotation(phi: float, extension: int) -> ExtendedRotation:
@@ -153,9 +159,16 @@ class ComplexChannelMatrix:
         c = np.asarray(coeffs, dtype=complex)
         return cls(np.abs(c), np.mod(np.angle(c), TWO_PI))
 
-    def rotation(self, rx: int, tx: int, extension: int = 1) -> ExtendedRotation:
-        """The lifted rotation of the (rx, tx) link for a given slot extension."""
-        return extend_rotation(float(self.phase[rx, tx]), extension)
+    def link_rotations(self, extension: int) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Lifted link rotations for `extension` slots: entry [rx][tx] is the
+        (rx, tx) link's 2S x 2S matrix.  Built on first use for each extension
+        and kept with the channel (rotation matrices are read-only)."""
+        lifted = self.__dict__.setdefault("_lifted_rotations", {})
+        if extension not in lifted:
+            lifted[extension] = tuple(
+                tuple(extend_rotation(ph, extension).matrix for ph in row) for row in self.phase
+            )
+        return lifted[extension]
 
 
 def sample_channel(seed, num_tx: int, num_rx: int) -> ComplexChannelMatrix:

@@ -264,8 +264,10 @@ def run_sweep(config: ExperimentConfig) -> int:
         (scheme, i, config.master_seed + i, grid, fixed)
         for i in range(config.trials)
     ]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # A fork-started pool launches every worker up front: no more than one per trial.
+    workers = min(config.workers, config.trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_trial, payloads))
     else:
         results = [_sweep_trial(p) for p in payloads]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -240,25 +241,22 @@ def _orthonormal_columns(rng: np.random.Generator, dim: int, cols: int) -> np.nd
     return q * signs
 
 
-def _derive_columns(spec: SchemeSpec, phase: np.ndarray, columns: dict) -> None:
-    """Fill in every dropped column of `columns` from its kept partner.
+def _derivations(spec: SchemeSpec, phase: np.ndarray) -> list[tuple[np.ndarray, list[AlignmentPair]]]:
+    """Each derivation rotation p[rx, kept_tx] - p[rx, dropped_tx], built once,
+    with the run of consecutive alignment pairs that shares it."""
+    pairs = (pair for pair in spec.alignments if not pair.up_to_sign)
+    return [
+        (extend_rotation(phase[rx, ktx] - phase[rx, dtx], spec.extension).matrix, list(group))
+        for (rx, ktx, dtx), group in groupby(pairs, key=lambda p: (p.rx, p.kept[0], p.dropped[0]))
+    ]
 
-    The kept column rotated by p[rx, kept_tx] - p[rx, dropped_tx] lands on the
-    same receive image at rx.  Consecutive pairs sharing one rotation go
-    through a single matmul and a lone pair through a matvec: the built bits,
-    and with them every sweep file, depend on that grouping.
-    """
-    groups: list[tuple[tuple[int, int, int], list[AlignmentPair]]] = []
-    for pair in spec.alignments:
-        if pair.up_to_sign:
-            continue
-        link = (pair.rx, pair.kept[0], pair.dropped[0])
-        if groups and groups[-1][0] == link:
-            groups[-1][1].append(pair)
-        else:
-            groups.append((link, [pair]))
-    for (rx, ktx, dtx), group in groups:
-        rot = extend_rotation(phase[rx, ktx] - phase[rx, dtx], spec.extension).matrix
+
+def _derive_columns(derivations: list[tuple[np.ndarray, list[AlignmentPair]]], columns: dict) -> None:
+    """Fill in every dropped column of `columns` by rotating its kept partner
+    onto the same receive image.  A run of pairs goes through a single matmul
+    and a lone pair through a matvec: the built bits, and with them every
+    sweep file, depend on that grouping."""
+    for rot, group in derivations:
         if len(group) == 1:
             columns[group[0].dropped] = rot @ columns[group[0].kept]
             continue
@@ -313,6 +311,7 @@ def _build(
         raise InfeasibleChannelError(spec.tag, failed)
     if draws < 1:
         raise ValueError("need at least one candidate draw")
+    derivations = _derivations(spec, channel.phase)
     rng = np.random.default_rng(seed)
     best = None
     best_score = -np.inf
@@ -322,7 +321,7 @@ def _build(
             block = _orthonormal_columns(rng, 2 * spec.extension, len(cols))
             for k, c in enumerate(cols):
                 columns[(tx, c)] = block[:, k]
-        _derive_columns(spec, channel.phase, columns)
+        _derive_columns(derivations, columns)
         candidate = _beamformer_set(spec, columns)
         score = min(
             np.linalg.svd(receiver_stack(candidate, channel, rx)[0], compute_uv=False).min()

@@ -19,7 +19,6 @@ from .channel import (
     ComplexChannelMatrix,
     cross_gain_ratio,
     cross_phase_sum,
-    extend_rotation,
     implicated_receiver,
     lift,
     mod_distance,
@@ -242,10 +241,10 @@ def receive_images(
             f"beamformer set targets {beamformers.num_rx} receivers, channel has {channel.num_rx}"
         )
     images = {}
+    links = channel.link_rotations(beamformers.extension)[rx]
     for t, m in enumerate(beamformers.matrices):
-        rot = channel.rotation(rx, t, beamformers.extension).matrix
         for c in range(m.shape[1]):
-            images[(t, c)] = rot @ m[:, c]
+            images[(t, c)] = links[t] @ m[:, c]
     return images
 
 
@@ -444,11 +443,11 @@ def demonstrate_containment(
     a_prime = c1 * a
     b_prime = c2 * b
 
-    rot = lambda phi: extend_rotation(phi, S).matrix
-    left = rot(p[0, 0]) @ lift(v1)
+    into_rx1 = channel.link_rotations(S)[0]
+    left = into_rx1[0] @ lift(v1)
     right = np.zeros(2 * S)
     for s in range(d):
-        right += a_prime[s] * (rot(p[0, 2]) @ lift(v3[:, s]))
-        right += b_prime[s] * (rot(p[0, 1]) @ lift(v2[:, s]))
+        right += a_prime[s] * (into_rx1[2] @ lift(v3[:, s]))
+        right += b_prime[s] * (into_rx1[1] @ lift(v2[:, s]))
     residual = float(np.linalg.norm(left - right))
     return ContainmentDemo(S, residual, c1, c2, a, b, a_prime, b_prime)

@@ -1,8 +1,10 @@
 """Rotation lift, channel sampling, special channels, file round trips."""
 
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from acsalign.channel import (
@@ -50,6 +52,40 @@ def test_extension_is_blockwise(phi, S):
     ext = extend_rotation(phi, S)
     assert np.allclose(ext.matrix, np.kron(np.eye(S), rotation_matrix(phi)))
     assert np.allclose(ext.matrix @ extend_rotation(-phi, S).matrix, np.eye(2 * S), atol=1e-12)
+
+
+@given(st.floats(min_value=-1e9, max_value=1e9, allow_nan=False), st.integers(min_value=1, max_value=8))
+@example(0.0, 1)
+@example(np.pi / 2, 5)
+@example(np.pi, 8)
+@example(-2.5, 3)
+@example(123456.789, 5)
+def test_extension_is_the_kron_lift_bit_for_bit(phi, S):
+    # array_equal counts -0.0 equal to 0.0: the off-block zeros may differ in sign.
+    assert np.array_equal(extend_rotation(phi, S).matrix, np.kron(np.eye(S), rotation_matrix(phi)))
+
+
+def test_link_rotations_are_built_once_and_read_only():
+    chn = sample_channel(11, 3, 2)
+    lifted = chn.link_rotations(4)
+    assert len(lifted) == 2 and all(len(row) == 3 for row in lifted)
+    for rx in range(2):
+        for tx in range(3):
+            assert np.array_equal(lifted[rx][tx], extend_rotation(chn.phase[rx, tx], 4).matrix)
+            assert not lifted[rx][tx].flags.writeable
+    assert chn.link_rotations(4) is lifted
+    assert chn.link_rotations(1)[1][2].shape == (2, 2)
+
+
+def test_channel_with_cached_rotations_pickles():
+    chn = sample_channel(5, 3, 3)
+    lifted = chn.link_rotations(5)
+    copy = pickle.loads(pickle.dumps(chn))
+    assert np.array_equal(copy.magnitude, chn.magnitude)
+    assert np.array_equal(copy.phase, chn.phase)
+    for row, copied_row in zip(lifted, copy.link_rotations(5)):
+        for m, copied in zip(row, copied_row):
+            assert np.array_equal(m, copied)
 
 
 @given(angles, angles)

@@ -140,6 +140,50 @@ def test_sweep_is_identical_serial_or_parallel(tmp_path, capsys):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_sweep_on_a_fixed_channel_is_identical_serial_or_parallel(tmp_path, capsys):
+    # The fixed channel is pickled into every worker's task.
+    serial = tmp_path / "serial.jsonl"
+    parallel = tmp_path / "parallel.jsonl"
+    base = ["sweep", "--scheme", "acs-ic3", "--channel-seed", "5", "--trials", "2"]
+    assert main(base + ["--out", str(serial), "--workers", "1"]) == 0
+    assert main(base + ["--out", str(parallel), "--workers", "2"]) == 0
+    capsys.readouterr()
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_sweep_pool_never_outnumbers_the_trials(tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor and maps in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def sweep(trials, workers):
+        out = tmp_path / f"{trials}-{workers}.jsonl"
+        argv = ["sweep", "--scheme", "x-channel", "--master-seed", "3", "--trials", str(trials),
+                "--workers", str(workers), "--out", str(out)]
+        assert main(argv) == 0
+        return out.read_bytes()
+
+    monkeypatch.setattr("acsalign.cli.ProcessPoolExecutor", RecordingPool)
+    assert sweep(2, 64) == sweep(2, 1)
+    assert pools == [2]
+    assert sweep(1, 8) == sweep(1, 1)
+    assert pools == [2]
+    capsys.readouterr()
+
+
 def test_sweep_csv_format(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main([

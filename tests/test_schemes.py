@@ -7,9 +7,11 @@ import pytest
 
 from acsalign.channel import (
     ComplexChannelMatrix,
+    ExtendedRotation,
     construct_special_channel,
     sample_channel,
 )
+from acsalign.rates import rate_reports
 from acsalign.schemes import (
     CANDIDATE_DRAWS,
     GENERIC_PHASE_MARGIN,
@@ -288,3 +290,29 @@ def test_phase_alignment_build_is_parameterless_and_exact():
     assert alignment_residual(bf, chn) < 1e-15
     # One coincidence per receiver, the closure-derived one only up to sign.
     assert tuple(p.up_to_sign for p in bf.alignments) == (False, False, True)
+
+
+@pytest.fixture
+def rotation_builds(monkeypatch):
+    """Every ExtendedRotation.matrix build made while the test runs."""
+    builds = []
+    build = ExtendedRotation.matrix.fget
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(ExtendedRotation, "matrix", property(counted))
+    return builds
+
+
+def test_each_rotation_is_built_once_per_channel(rotation_builds):
+    # acs-ic3: nine link rotations shared by the candidate scoring and the
+    # rates, and six derivation rotations shared by the candidate draws.
+    chn = sample_feasible_channel("acs-ic3", 4)
+    rate_reports(build_acs_ic3(chn, seed=4), chn, [1e6, 1e9])
+    assert len(rotation_builds) == 15
+    rotation_builds.clear()
+    # x-channel: four links and two derivation groups of two pairs each.
+    build_x_channel(sample_feasible_channel("x-channel", 4), seed=4)
+    assert len(rotation_builds) == 6
