@@ -108,12 +108,13 @@ def extend_rotation(phi: float, extension: int) -> ExtendedRotation:
     return ExtendedRotation(float(phi), int(extension))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexChannelMatrix:
     """Magnitude/phase grid of constant gains between every tx/rx pair.
 
     Entry (r, t) is the gain from transmitter t to receiver r.  Phases are
-    stored canonically in [0, 2*pi); magnitudes are nonnegative.
+    stored canonically in [0, 2*pi); magnitudes are nonnegative.  Two
+    channels are equal when both grids hold the same entries.
     """
 
     magnitude: np.ndarray
@@ -137,6 +138,24 @@ class ComplexChannelMatrix:
         ph.setflags(write=False)
         object.__setattr__(self, "magnitude", mag)
         object.__setattr__(self, "phase", ph)
+
+    def __eq__(self, other):
+        if not isinstance(other, ComplexChannelMatrix):
+            return NotImplemented
+        return np.array_equal(self.magnitude, other.magnitude) and np.array_equal(self.phase, other.phase)
+
+    def __hash__(self):
+        # Python hashes -0.0 like 0.0, so channels with equal entries hash equal.
+        return hash((self.magnitude.shape, *self.magnitude.ravel().tolist(), *self.phase.ravel().tolist()))
+
+    def __getstate__(self):
+        # Just the two grids: lifted rotations are rebuilt on first use.
+        return self.magnitude, self.phase
+
+    def __setstate__(self, state):
+        for name, grid in zip(("magnitude", "phase"), state):
+            grid.setflags(write=False)
+            object.__setattr__(self, name, grid)
 
     @property
     def num_rx(self) -> int:

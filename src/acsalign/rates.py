@@ -57,7 +57,7 @@ def _zf_solve(
     solved = {}
     for rx in range(beamformers.num_rx):
         stack, _ = receiver_stack(beamformers, channel, rx)
-        for j, key in enumerate(beamformers.desired_streams(rx)):
+        for j, key in enumerate(beamformers.spec.desired_streams(rx)):
             own = stack[:, j].copy()
             others = np.delete(stack, j, axis=1)
             coeffs, *_ = np.linalg.lstsq(others, own, rcond=None)
@@ -124,10 +124,11 @@ def rate_reports(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snrs
     if bad.size:
         raise ValueError(f"snr must be positive and finite, got {float(snrs[bad[0]])!r}")
     solved = _zf_solve(beamformers, channel)
-    S = beamformers.extension
-    streams = beamformers.streams()
+    spec = beamformers.spec
+    S = spec.extension
+    streams = spec.streams()
     gains = [solved[(t, c)][1] for t, c, _ in streams]
-    share = np.array([beamformers.power_share[t][c] for t, c, _ in streams])
+    share = np.array([1.0 / len(spec.stream_rx[t]) for t, _, _ in streams])
     link = np.array([channel.magnitude[rx, t] ** 2 for t, _, rx in streams])
     sinr = S * snrs[:, None] * share * link * np.array([g ** 2 for g in gains]) / NOISE_VAR_PER_REAL_DIM
     rate = 0.5 * np.log2(1.0 + sinr)
@@ -136,7 +137,7 @@ def rate_reports(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snrs
         per_rx_block[:, rx] += rate[:, k]
     return tuple(
         RateReport(
-            beamformers.scheme, float(snr), S,
+            spec.tag, float(snr), S,
             tuple(StreamRate(t, c, rx, g, float(sinr[i, k]), float(rate[i, k]))
                   for k, ((t, c, rx), g) in enumerate(zip(streams, gains))),
             tuple(float(x) / S for x in per_rx_block[i]),

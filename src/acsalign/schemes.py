@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
 
 from .channel import ComplexChannelMatrix, extend_rotation, sample_channel
-from .verify import SV_INDEPENDENT, InfeasibleChannelError, check_conditions, receiver_stack
+from .verify import SV_INDEPENDENT, InfeasibleChannelError, _require_shape, _stack, check_conditions
 
 __all__ = [
     "AlignmentPair",
@@ -75,8 +76,9 @@ class SchemeSpec:
     column c.  A randomized scheme draws each free block (tx, columns) as
     orthonormal columns, in order from one rng; a single-symbol scheme lists
     its ((tx, column), entries) as fixed_columns instead.  Every other column
-    is derived from its alignment pair.  removed_streams is as in
-    BeamformerSet.  An entry without streams (the per-symbol baseline) only
+    is derived from its alignment pair.  removed_streams lists (rx, tx,
+    column) triples whose interference a receiver cancels through side
+    information.  An entry without streams (the per-symbol baseline) only
     fixes the channel shape and sampler of its sweep.
     """
 
@@ -110,6 +112,35 @@ class SchemeSpec:
         num_rx, num_tx = self.shape
         return sample_channel(seed, num_tx, num_rx)
 
+    def streams(self) -> tuple[tuple[int, int, int], ...]:
+        """All (tx, column, rx) stream triples in transmitter-major order."""
+        return tuple((t, c, rx) for t, rxs in enumerate(self.stream_rx) for c, rx in enumerate(rxs))
+
+    @cached_property
+    def _layout(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Per receiver, its desired (tx, column) pairs and its stack keys: the
+        desired pairs, then the interference basis.  Worked out once per spec."""
+        layout = []
+        for rx in range(self.shape[0]):
+            skip = {p.dropped for p in self.alignments if p.rx == rx}
+            skip |= {(t, c) for r, t, c in self.removed_streams if r == rx}
+            desired = tuple((t, c) for t, c, r in self.streams() if r == rx)
+            basis = tuple((t, c) for t, c, r in self.streams() if r != rx and (t, c) not in skip)
+            layout.append((desired, desired + basis))
+        return tuple(layout)
+
+    def desired_streams(self, rx: int) -> tuple[tuple[int, int], ...]:
+        return self._layout[rx][0]
+
+    def interference_basis(self, rx: int) -> tuple[tuple[int, int], ...]:
+        """Interfering (tx, column) pairs at rx, deduplicated and genie-filtered.
+
+        Aligned duplicates land on a kept column's image, so dropping them
+        loses nothing; removed_streams never enter at all.
+        """
+        desired, keys = self._layout[rx]
+        return keys[len(desired):]
+
 
 @dataclass(frozen=True)
 class SchemeDescriptor:
@@ -129,53 +160,45 @@ class SchemeDescriptor:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeamformerSet:
     """Unit-norm transmit columns for every stream of a scheme.
 
-    matrices[t] is (2S, d_t) with one column per stream of transmitter t;
-    stream_rx[t][c] is the receiver that stream is meant for; power_share[t][c]
-    is its fraction of the transmitter's block power budget (the budget itself
-    is S times the operating SNR).  removed_streams lists (rx, tx, column)
-    triples whose interference a receiver cancels through side information.
+    spec is the scheme's table entry and fixes the stream layout: matrices[t]
+    is (2S, d_t) with one column per entry of spec.stream_rx[t].  Each
+    transmitter splits its block power budget (S times the operating SNR)
+    evenly over its streams.  Two sets are equal when their specs are and
+    their matrices hold the same entries.
     """
 
-    scheme: str
-    extension: int
+    spec: SchemeSpec
     matrices: tuple[np.ndarray, ...]
-    stream_rx: tuple[tuple[int, ...], ...]
-    power_share: tuple[np.ndarray, ...]
-    alignments: tuple[AlignmentPair, ...]
-    removed_streams: frozenset[tuple[int, int, int]] = frozenset()
 
     def __post_init__(self):
-        if self.extension < 1:
-            raise ValueError("extension must be at least 1")
-        if not (len(self.matrices) == len(self.stream_rx) == len(self.power_share)):
-            raise ValueError("per-transmitter field lengths disagree")
-        mats = []
-        shares = []
-        for t, (m, rxs, sh) in enumerate(zip(self.matrices, self.stream_rx, self.power_share)):
+        spec, rows, mats = self.spec, 2 * self.spec.extension, []
+        if len(self.matrices) != len(spec.stream_rx):
+            raise ValueError(f"{spec.tag} has {len(spec.stream_rx)} transmitters, not {len(self.matrices)}")
+        for t, (m, rxs) in enumerate(zip(self.matrices, spec.stream_rx)):
             m = np.array(m, dtype=float)
-            sh = np.array(sh, dtype=float)
-            if m.ndim != 2 or m.shape[0] != 2 * self.extension:
-                raise ValueError(f"transmitter {t}: expected a (2S, d) column matrix")
-            if m.shape[1] != len(rxs) or sh.shape != (m.shape[1],):
-                raise ValueError(f"transmitter {t}: per-stream metadata does not match columns")
+            if m.shape != (rows, len(rxs)):
+                raise ValueError(f"transmitter {t}: expected a {rows}x{len(rxs)} column matrix, got {m.shape}")
             norms = np.linalg.norm(m, axis=0)
             if not np.allclose(norms, 1.0, atol=1e-12):
                 raise ValueError(f"transmitter {t}: columns must be unit norm")
             if np.linalg.svd(m, compute_uv=False).min() <= 1e-9:
                 raise ValueError(f"transmitter {t}: columns are linearly dependent")
-            if np.any(sh < 0) or sh.sum() > 1.0 + 1e-12:
-                raise ValueError(f"transmitter {t}: power shares must be nonnegative, summing to at most 1")
             m.setflags(write=False)
-            sh.setflags(write=False)
             mats.append(m)
-            shares.append(sh)
         object.__setattr__(self, "matrices", tuple(mats))
-        object.__setattr__(self, "power_share", tuple(shares))
-        object.__setattr__(self, "stream_rx", tuple(tuple(int(r) for r in rxs) for rxs in self.stream_rx))
+
+    def __eq__(self, other):
+        if not isinstance(other, BeamformerSet):
+            return NotImplemented
+        return self.spec == other.spec and all(map(np.array_equal, self.matrices, other.matrices))
+
+    def __hash__(self):
+        # Python hashes -0.0 like 0.0, so sets with equal entries hash equal.
+        return hash((self.spec, *(tuple(m.ravel().tolist()) for m in self.matrices)))
 
     @property
     def num_tx(self) -> int:
@@ -183,7 +206,7 @@ class BeamformerSet:
 
     @property
     def num_rx(self) -> int:
-        return max(max(rxs) for rxs in self.stream_rx) + 1
+        return self.spec.shape[0]
 
     @property
     def streams_per_tx(self) -> tuple[int, ...]:
@@ -196,40 +219,15 @@ class BeamformerSet:
     @property
     def descriptor(self) -> SchemeDescriptor:
         return SchemeDescriptor(
-            self.scheme,
-            self.extension,
+            self.spec.tag,
+            self.spec.extension,
             self.streams_per_tx,
-            Fraction(self.total_streams, 2 * self.extension),
-            SCHEMES[self.scheme].feasibility,
+            Fraction(self.total_streams, 2 * self.spec.extension),
+            self.spec.feasibility,
         )
 
     def column(self, tx: int, col: int) -> np.ndarray:
         return self.matrices[tx][:, col]
-
-    def streams(self) -> tuple[tuple[int, int, int], ...]:
-        """All (tx, column, rx) stream triples in transmitter-major order."""
-        return tuple(
-            (t, c, self.stream_rx[t][c])
-            for t in range(self.num_tx)
-            for c in range(self.matrices[t].shape[1])
-        )
-
-    def desired_streams(self, rx: int) -> tuple[tuple[int, int], ...]:
-        return tuple((t, c) for t, c, r in self.streams() if r == rx)
-
-    def interference_basis(self, rx: int) -> tuple[tuple[int, int], ...]:
-        """Interfering (tx, column) pairs at rx, deduplicated and genie-filtered.
-
-        Aligned duplicates land on a kept column's image, so dropping them
-        loses nothing; removed_streams never enter at all.
-        """
-        dropped = {p.dropped for p in self.alignments if p.rx == rx}
-        removed = {(t, c) for r, t, c in self.removed_streams if r == rx}
-        return tuple(
-            (t, c)
-            for t, c, r in self.streams()
-            if r != rx and (t, c) not in dropped and (t, c) not in removed
-        )
 
 
 def _orthonormal_columns(rng: np.random.Generator, dim: int, cols: int) -> np.ndarray:
@@ -265,22 +263,6 @@ def _derive_columns(derivations: list[tuple[np.ndarray, list[AlignmentPair]]], c
             columns[pair.dropped] = block[:, k]
 
 
-def _beamformer_set(spec: SchemeSpec, columns: dict) -> BeamformerSet:
-    """Assemble the spec's streams from their columns, power split evenly per transmitter."""
-    return BeamformerSet(
-        scheme=spec.tag,
-        extension=spec.extension,
-        matrices=tuple(
-            np.column_stack([columns[(t, c)] for c in range(len(rxs))])
-            for t, rxs in enumerate(spec.stream_rx)
-        ),
-        stream_rx=spec.stream_rx,
-        power_share=tuple(np.full(len(rxs), 1.0 / len(rxs)) for rxs in spec.stream_rx),
-        alignments=spec.alignments,
-        removed_streams=spec.removed_streams,
-    )
-
-
 def _build(
     spec: SchemeSpec,
     channel: ComplexChannelMatrix,
@@ -295,23 +277,21 @@ def _build(
     draw the free blocks from one sequential rng and the best conditioned is
     kept.  The score is the smallest singular value of any receiver's stacked
     desired and interference images; a channel so close to the degenerate set
-    that the best score does not clear SV_INDEPENDENT fails the gate.  The
-    result is deterministic in (channel, seed) and the first candidate
-    reproduces a single plain draw.
+    that the best score does not clear SV_INDEPENDENT fails the gate.
+    Candidates are scored as raw columns and only the winner becomes a
+    (validated) BeamformerSet.  The result is deterministic in (channel,
+    seed) and the first candidate reproduces a single plain draw.
     """
     if not spec.stream_rx:
         raise ValueError(f"{spec.tag!r} sends no beamformed streams; only its rates can be swept")
-    if channel.magnitude.shape != spec.shape:
-        raise ValueError(
-            f"{spec.tag} needs a {spec.shape[0]}x{spec.shape[1]} channel (receivers x transmitters), "
-            f"got {channel.num_rx}x{channel.num_tx}"
-        )
+    _require_shape(channel, spec.shape, spec.tag)
     failed = spec.gate_failures(channel) if check else ()
     if failed:
         raise InfeasibleChannelError(spec.tag, failed)
     if draws < 1:
         raise ValueError("need at least one candidate draw")
     derivations = _derivations(spec, channel.phase)
+    links = channel.link_rotations(spec.extension)
     rng = np.random.default_rng(seed)
     best = None
     best_score = -np.inf
@@ -322,19 +302,20 @@ def _build(
             for k, c in enumerate(cols):
                 columns[(tx, c)] = block[:, k]
         _derive_columns(derivations, columns)
-        candidate = _beamformer_set(spec, columns)
         score = min(
-            np.linalg.svd(receiver_stack(candidate, channel, rx)[0], compute_uv=False).min()
-            for rx in range(candidate.num_rx)
+            np.linalg.svd(_stack(lambda t, c: columns[t, c], links[rx], keys), compute_uv=False).min()
+            for rx, (_, keys) in enumerate(spec._layout)
         )
         if score > best_score:
-            best, best_score = candidate, score
+            best, best_score = columns, score
     if check and best_score <= SV_INDEPENDENT:
         raise InfeasibleChannelError(
             spec.tag, ("conditioning",),
             f"smallest receive singular value {best_score:.3g} <= {SV_INDEPENDENT:g}",
         )
-    return best
+    return BeamformerSet(spec, tuple(
+        np.column_stack([best[t, c] for c in range(len(rxs))]) for t, rxs in enumerate(spec.stream_rx)
+    ))
 
 
 SCHEMES: dict[str, SchemeSpec] = {spec.tag: spec for spec in (

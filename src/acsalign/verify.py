@@ -142,10 +142,10 @@ def _nonzero_record(cid: str, value: float, rx: int | None = None) -> ConditionR
     return ConditionRecord(cid, float(value), float(np.pi), dist, "nonzero", dist > PHASE_TOL, rx=rx)
 
 
-def _require_shape(channel: ComplexChannelMatrix, shape: tuple[int, int], which: str) -> None:
+def _require_shape(channel: ComplexChannelMatrix, shape: tuple[int, int], who: str) -> None:
     if channel.magnitude.shape != shape:
         raise ValueError(
-            f"{which} conditions need a {shape[0]}x{shape[1]} channel, "
+            f"{who} needs a {shape[0]}x{shape[1]} channel (receivers x transmitters), "
             f"got {channel.num_rx}x{channel.num_tx}"
         )
 
@@ -165,7 +165,7 @@ def check_conditions(channel: ComplexChannelMatrix, which: str) -> ConditionRepo
     """
     p = channel.phase
     if which == "phase-align":
-        _require_shape(channel, (3, 3), which)
+        _require_shape(channel, (3, 3), f"{which} condition set")
         closure = p[2, 1] + p[1, 0] + p[0, 2] - p[0, 1] - p[1, 2] - p[2, 0]
         dist = mod_distance(closure, np.pi)
         records = [
@@ -180,7 +180,7 @@ def check_conditions(channel: ComplexChannelMatrix, which: str) -> ConditionRepo
         return ConditionReport(which, tuple(records))
 
     if which == "acs-ic3":
-        _require_shape(channel, (3, 3), which)
+        _require_shape(channel, (3, 3), f"{which} condition set")
         records = [
             _nonzero_record(_CROSS_IDS[k], cross_phase_sum(channel, k), implicated_receiver(k))
             for k in range(NUM_CROSS_SUMS)
@@ -188,7 +188,7 @@ def check_conditions(channel: ComplexChannelMatrix, which: str) -> ConditionRepo
         return ConditionReport(which, tuple(records))
 
     if which == "singularity":
-        _require_shape(channel, (3, 3), which)
+        _require_shape(channel, (3, 3), f"{which} condition set")
         records = []
         for k in range(NUM_CROSS_SUMS):
             value = cross_phase_sum(channel, k)
@@ -209,12 +209,12 @@ def check_conditions(channel: ComplexChannelMatrix, which: str) -> ConditionRepo
         return ConditionReport(which, tuple(records))
 
     if which == "x-channel":
-        _require_shape(channel, (2, 2), which)
+        _require_shape(channel, (2, 2), f"{which} condition set")
         value = p[0, 0] + p[1, 1] - p[1, 0] - p[0, 1]
         return ConditionReport(which, (_nonzero_record("cross-phase", value),))
 
     if which == "uplinks":
-        _require_shape(channel, (2, 4), which)
+        _require_shape(channel, (2, 4), f"{which} condition set")
         records = (
             _nonzero_record("cell1-cross-phase", p[0, 0] + p[1, 1] - p[1, 0] - p[0, 1], 0),
             _nonzero_record("cell2-cross-phase", p[1, 2] + p[0, 3] - p[0, 2] - p[1, 3], 1),
@@ -224,28 +224,26 @@ def check_conditions(channel: ComplexChannelMatrix, which: str) -> ConditionRepo
     raise ValueError(f"unknown condition set {which!r}; expected one of {CONDITION_SETS}")
 
 
+def _links(beamformers: "BeamformerSet", channel: ComplexChannelMatrix, rx: int) -> tuple[np.ndarray, ...]:
+    """Receiver rx's link rotations, once the channel is checked against the set."""
+    _require_shape(channel, beamformers.spec.shape, beamformers.spec.tag)
+    return channel.link_rotations(beamformers.spec.extension)[rx]
+
+
+def _stack(column, links: tuple[np.ndarray, ...], keys) -> np.ndarray:
+    """The receive images of the (tx, c) streams `keys` as columns of one matrix,
+    one matvec of links[tx] with column(tx, c) each: every caller, candidate
+    scoring included, sees the same bits for the same image."""
+    return np.column_stack([links[t] @ column(t, c) for t, c in keys])
+
+
 def receive_images(
     beamformers: "BeamformerSet", channel: ComplexChannelMatrix, rx: int
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Every stream's image at receiver rx, keyed (tx, column).
-
-    One matvec per stream with the (rx, tx) link rotation, so each caller
-    sees the same bits for the same image.
-    """
-    if channel.num_tx != beamformers.num_tx:
-        raise ValueError(
-            f"beamformer set has {beamformers.num_tx} transmitters, channel has {channel.num_tx}"
-        )
-    if channel.num_rx != beamformers.num_rx:
-        raise ValueError(
-            f"beamformer set targets {beamformers.num_rx} receivers, channel has {channel.num_rx}"
-        )
-    images = {}
-    links = channel.link_rotations(beamformers.extension)[rx]
-    for t, m in enumerate(beamformers.matrices):
-        for c in range(m.shape[1]):
-            images[(t, c)] = links[t] @ m[:, c]
-    return images
+    """Every stream's image at receiver rx, keyed (tx, column)."""
+    keys = [(t, c) for t, c, _ in beamformers.spec.streams()]
+    stack = _stack(beamformers.column, _links(beamformers, channel, rx), keys)
+    return {key: stack[:, j] for j, key in enumerate(keys)}
 
 
 def receiver_stack(
@@ -253,10 +251,8 @@ def receiver_stack(
 ) -> tuple[np.ndarray, int]:
     """Receiver rx's desired images, then its deduplicated interference basis,
     as columns of one matrix; also how many columns are desired."""
-    images = receive_images(beamformers, channel, rx)
-    desired = beamformers.desired_streams(rx)
-    keys = desired + beamformers.interference_basis(rx)
-    return np.column_stack([images[k] for k in keys]), len(desired)
+    desired, keys = beamformers.spec._layout[rx]
+    return _stack(beamformers.column, _links(beamformers, channel, rx), keys), len(desired)
 
 
 def alignment_residual(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> float:
@@ -268,7 +264,7 @@ def alignment_residual(beamformers: "BeamformerSet", channel: ComplexChannelMatr
     """
     images = [receive_images(beamformers, channel, rx) for rx in range(beamformers.num_rx)]
     worst = 0.0
-    for pair in beamformers.alignments:
+    for pair in beamformers.spec.alignments:
         left = images[pair.rx][pair.kept]
         right = images[pair.rx][pair.dropped]
         d = float(np.linalg.norm(left - right))
@@ -343,7 +339,7 @@ def independence_margin(beamformers: "BeamformerSet", channel: ComplexChannelMat
         out.append(
             ReceiverIndependence(rx, stack.shape[0], stack.shape[1], np.sort(svals)[::-1], angle, status)
         )
-    return IndependenceReport(beamformers.scheme, tuple(out))
+    return IndependenceReport(beamformers.spec.tag, tuple(out))
 
 
 def solve_phasor_pair(alpha: float, beta: float) -> tuple[float, float]:

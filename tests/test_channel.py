@@ -79,13 +79,34 @@ def test_link_rotations_are_built_once_and_read_only():
 
 def test_channel_with_cached_rotations_pickles():
     chn = sample_channel(5, 3, 3)
+    fresh = len(pickle.dumps(sample_channel(5, 3, 3)))
     lifted = chn.link_rotations(5)
-    copy = pickle.loads(pickle.dumps(chn))
+    data = pickle.dumps(chn)
+    # Only the two grids travel: the cached rotations are rebuilt on first use.
+    assert len(data) == fresh
+    copy = pickle.loads(data)
+    assert copy == chn
     assert np.array_equal(copy.magnitude, chn.magnitude)
     assert np.array_equal(copy.phase, chn.phase)
+    assert not copy.magnitude.flags.writeable and not copy.phase.flags.writeable
     for row, copied_row in zip(lifted, copy.link_rotations(5)):
         for m, copied in zip(row, copied_row):
             assert np.array_equal(m, copied)
+            assert not copied.flags.writeable
+
+
+def test_channels_compare_and_hash_by_value():
+    a, b = sample_channel(1, 3, 3), sample_channel(1, 3, 3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    other = sample_channel(2, 3, 3)
+    assert a != other and a != sample_channel(1, 2, 3)
+    assert a != "channel"
+    assert {a, b, other} == {a, other}
+    assert len({a, b, other}) == 2
+    # A negative zero is the same gain as zero.
+    zero = ComplexChannelMatrix(np.zeros((2, 2)), np.zeros((2, 2)))
+    negative_zero = ComplexChannelMatrix(np.full((2, 2), -0.0), np.zeros((2, 2)))
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
 
 
 @given(angles, angles)

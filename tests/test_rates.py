@@ -56,11 +56,11 @@ def test_combiners_null_every_other_stream_image():
     chn = sample_feasible_channel("acs-ic3", 0)
     bf = build_acs_ic3(chn, seed=0)
     combiners = zf_receive(bf, chn)
-    S = bf.extension
-    for t, c, rx in bf.streams():
+    S = bf.spec.extension
+    for t, c, rx in bf.spec.streams():
         w = combiners[(t, c)]
         assert abs(np.linalg.norm(w) - 1.0) < 1e-12
-        for t2, c2, _ in bf.streams():
+        for t2, c2, _ in bf.spec.streams():
             if (t2, c2) == (t, c):
                 continue
             image = extend_rotation(chn.phase[rx, t2], S).matrix @ bf.column(t2, c2)

@@ -1,5 +1,6 @@
 """Beamformer builders: geometry, feasibility gating, determinism, validation."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from acsalign.schemes import (
     CANDIDATE_DRAWS,
     GENERIC_PHASE_MARGIN,
     SCHEME_TAGS,
+    SCHEMES,
     AlignmentPair,
     BeamformerSet,
     build_acs_ic3,
@@ -164,22 +166,22 @@ def test_interference_basis_deduplicates_aligned_streams():
     chn = sample_feasible_channel("acs-ic3", 2)
     bf = build_acs_ic3(chn, seed=2)
     for rx in range(3):
-        assert len(bf.desired_streams(rx)) == 4
+        assert len(bf.spec.desired_streams(rx)) == 4
         # Eight interfering streams collapse onto six distinct directions.
-        assert len(bf.interference_basis(rx)) == 6
+        assert len(bf.spec.interference_basis(rx)) == 6
 
 
 def test_cognitive_side_information_empties_one_basis():
     chn = sample_feasible_channel("cognitive-x", 1)
     bf = build_cognitive_x(chn)
-    assert bf.interference_basis(1) == ()
-    assert bf.interference_basis(0) == ((0, 1),)
+    assert bf.spec.interference_basis(1) == ()
+    assert bf.spec.interference_basis(0) == ((0, 1),)
 
 
 def test_streams_enumerates_in_transmitter_major_order():
     chn = sample_feasible_channel("uplinks", 3)
     bf = build_uplinks(chn, seed=3)
-    triples = bf.streams()
+    triples = bf.spec.streams()
     assert len(triples) == 8
     assert triples[0] == (0, 0, 0)
     assert triples[-1] == (3, 1, 1)
@@ -196,46 +198,71 @@ def test_unknown_scheme_tag_raises():
         build_scheme("baseline", sample_channel(0, 3, 3))
 
 
-def _tiny_set(matrix, shares=(0.5, 0.5), rxs=(0, 1)):
-    return BeamformerSet(
-        scheme="x-channel",
-        extension=1,
-        matrices=(matrix, np.eye(2)),
-        stream_rx=(rxs, (0, 1)),
-        power_share=(np.asarray(shares, dtype=float), np.array([0.5, 0.5])),
-        alignments=(),
-    )
-
-
 def test_beamformer_validation_rejects_bad_inputs():
+    # x-channel: two transmitters, four streams each, over 3 slots (6 real rows).
+    spec = scheme_spec("x-channel")
+    good = np.eye(6)[:, :4]
+    BeamformerSet(spec, (good, good))
+    with pytest.raises(ValueError, match="has 2 transmitters, not 1"):
+        BeamformerSet(spec, (good,))
+    with pytest.raises(ValueError, match="expected a 6x4 column matrix"):
+        BeamformerSet(spec, (good, good[:, :3]))
+    with pytest.raises(ValueError, match="expected a 6x4 column matrix"):
+        BeamformerSet(spec, (good, np.eye(4)))
     with pytest.raises(ValueError, match="unit norm"):
-        _tiny_set(np.eye(2) * 2.0)
+        BeamformerSet(spec, (good, good * 2.0))
     with pytest.raises(ValueError, match="linearly dependent"):
-        _tiny_set(np.column_stack([[1.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError, match="metadata"):
-        _tiny_set(np.eye(2), rxs=(0, 1, 0))
-    with pytest.raises(ValueError, match="power shares"):
-        _tiny_set(np.eye(2), shares=(0.9, 0.9))
-    with pytest.raises(ValueError, match="power shares"):
-        _tiny_set(np.eye(2), shares=(-0.1, 0.5))
-    with pytest.raises(ValueError, match="extension"):
-        BeamformerSet(
-            scheme="x-channel",
-            extension=0,
-            matrices=(np.eye(2),),
-            stream_rx=((0, 1),),
-            power_share=(np.array([0.5, 0.5]),),
-            alignments=(),
-        )
-    with pytest.raises(ValueError, match="lengths disagree"):
-        BeamformerSet(
-            scheme="x-channel",
-            extension=1,
-            matrices=(np.eye(2),),
-            stream_rx=((0, 1), (0, 1)),
-            power_share=(np.array([0.5, 0.5]),),
-            alignments=(),
-        )
+        BeamformerSet(spec, (good, np.column_stack([good[:, :3], good[:, 0]])))
+
+
+@pytest.mark.parametrize("tag", SCHEME_TAGS)
+def test_scheme_entry_is_a_complete_recipe(tag):
+    spec = SCHEMES[tag]
+    num_rx, num_tx = spec.shape
+    assert len(spec.stream_rx) == num_tx
+    assert all(0 <= rx < num_rx for rxs in spec.stream_rx for rx in rxs)
+    streams = {(t, c) for t, c, _ in spec.streams()}
+    # Every stream comes from exactly one source, and a pair derives only
+    # from a column that already exists.
+    made = [(tx, c) for tx, cols in spec.free_blocks for c in cols]
+    made += [key for key, _ in spec.fixed_columns]
+    for pair in spec.alignments:
+        for side in (pair.kept, pair.dropped):
+            assert side in streams
+            assert spec.stream_rx[side[0]][side[1]] != pair.rx
+        if not pair.up_to_sign:
+            assert pair.kept in made
+            made.append(pair.dropped)
+    assert sorted(made) == sorted(streams)
+    # Each receiver stacks its desired images and its interference basis in
+    # its 2S real dimensions.
+    for rx in range(num_rx):
+        assert len(spec.desired_streams(rx)) + len(spec.interference_basis(rx)) <= 2 * spec.extension
+
+
+def test_build_validates_only_the_winner(monkeypatch):
+    validated = []
+    post_init = BeamformerSet.__post_init__
+
+    def counted(self):
+        validated.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BeamformerSet, "__post_init__", counted)
+    bf = build_acs_ic3(sample_feasible_channel("acs-ic3", 0), seed=0, draws=8)
+    assert len(validated) == 1 and validated[0] is bf
+
+
+def test_beamformer_sets_compare_and_hash_by_value():
+    chn = sample_feasible_channel("x-channel", 0)
+    a, b = build_x_channel(chn, seed=0), build_x_channel(chn, seed=0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    other = build_x_channel(chn, seed=1)
+    assert a != other and len({a, b, other}) == 2
+    assert BeamformerSet(scheme_spec("x-channel"), a.matrices) == a
+    # Equal columns under another spec are another set.
+    assert BeamformerSet(replace(a.spec, tag="x-channel-copy"), a.matrices) != a
+    assert a != "x-channel"
 
 
 def test_beamformer_matrices_are_frozen():
@@ -289,7 +316,7 @@ def test_phase_alignment_build_is_parameterless_and_exact():
     assert np.allclose(bf.matrices[0][:, 0], [1.0, 0.0])
     assert alignment_residual(bf, chn) < 1e-15
     # One coincidence per receiver, the closure-derived one only up to sign.
-    assert tuple(p.up_to_sign for p in bf.alignments) == (False, False, True)
+    assert tuple(p.up_to_sign for p in bf.spec.alignments) == (False, False, True)
 
 
 @pytest.fixture

@@ -108,7 +108,8 @@ def test_wrong_shape_is_an_error():
 
 def test_beamformers_and_channel_must_agree_on_dimensions():
     bf = build_acs_ic3(sample_channel(7, 3, 3), seed=0)
-    for chn, what in ((sample_channel(0, 2, 3), "transmitters"), (sample_channel(0, 3, 2), "receivers")):
+    for chn, what in ((sample_channel(0, 2, 3), r"acs-ic3 needs a 3x3 channel \(receivers x transmitters\), got 3x2"),
+                      (sample_channel(0, 3, 2), r"acs-ic3 needs a 3x3 channel \(receivers x transmitters\), got 2x3")):
         for probe in (alignment_residual, independence_margin, zf_receive):
             with pytest.raises(ValueError, match=what):
                 probe(bf, chn)
@@ -130,14 +131,7 @@ def test_perturbed_column_shows_up_in_residual():
     bump[0] = 1e-3
     mats[1][:, 2] = mats[1][:, 2] + bump
     mats[1][:, 2] /= np.linalg.norm(mats[1][:, 2])
-    perturbed = BeamformerSet(
-        scheme=bf.scheme,
-        extension=bf.extension,
-        matrices=tuple(mats),
-        stream_rx=bf.stream_rx,
-        power_share=bf.power_share,
-        alignments=bf.alignments,
-    )
+    perturbed = BeamformerSet(bf.spec, tuple(mats))
     residual = alignment_residual(perturbed, chn)
     assert 1e-4 < residual < 1e-2
 
