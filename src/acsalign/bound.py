@@ -109,29 +109,27 @@ def check_allocation(profile: AllocationProfile) -> AllocationCheck:
 
 
 def _feasible_runs(
-    extension: int, d_max: int | None, profile_limit: int
+    extension: int, profile_limit: int
 ) -> Iterator[tuple[tuple[int, int, int], int, int, int, int]]:
     """Yield (streams, d12, d23, lo, hi) in lexicographic order: every d31 in
     lo..hi completes a feasible profile, and no run is empty.
 
     Loop bounds encode the constraints exactly, so nothing feasible is
-    skipped and nothing infeasible is yielded.  Work is metered against
+    skipped and nothing infeasible is yielded.  Each d_i runs to 2S only:
+    receiver 1 alone needs d1 + max(d2, d3) <= 2S, since its interferers
+    share at most min(d2, d3) dimensions.  Work is metered against
     profile_limit, one step per (d1, d2, d3) triple plus one per profile; a
     run that would pass the limit is cut to the profiles within it, and then
     the enumeration raises instead of truncating silently.
     """
     if extension < 1:
         raise ValueError("extension must be at least 1")
-    if d_max is None:
-        d_max = 3 * extension
-    if d_max < 2 * extension:
-        raise ValueError("d_max below 2S would bind the search; use at least 2S")
     two_s = 2 * extension
     overflow = SearchSpaceError(f"enumeration for S={extension} exceeds {profile_limit} steps")
     work = 0
-    for d1 in range(d_max + 1):
-        for d2 in range(d_max + 1):
-            for d3 in range(d_max + 1):
+    for d1 in range(two_s + 1):
+        for d2 in range(two_s + 1):
+            for d3 in range(two_s + 1):
                 work += 1
                 total = d1 + d2 + d3
                 lo = max(0, total - two_s)  # receiver bounds floor every overlap
@@ -159,7 +157,6 @@ def _profiles(extension: int, runs) -> Iterator[AllocationProfile]:
 
 def iter_feasible_profiles(
     extension: int,
-    d_max: int | None = None,
     profile_limit: int = DEFAULT_PROFILE_LIMIT,
 ) -> Iterator[AllocationProfile]:
     """Yield every feasible profile in lexicographic (d1, d2, d3, d12, d23, d31) order.
@@ -167,7 +164,7 @@ def iter_feasible_profiles(
     Exceeding profile_limit raises SearchSpaceError after the profiles
     within the limit.
     """
-    return _profiles(extension, _feasible_runs(extension, d_max, profile_limit))
+    return _profiles(extension, _feasible_runs(extension, profile_limit))
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,6 @@ class BoundResult:
 
 def max_dof(
     extension: int,
-    d_max: int | None = None,
     profile_limit: int = DEFAULT_PROFILE_LIMIT,
 ) -> BoundResult:
     """Exact maximum of (d1+d2+d3)/(2S) over all feasible profiles, with every
@@ -197,7 +193,7 @@ def max_dof(
     best_total = -1
     best_runs: list[tuple] = []
     count = 0
-    for run in _feasible_runs(extension, d_max, profile_limit):
+    for run in _feasible_runs(extension, profile_limit):
         streams, _, _, lo, hi = run
         count += hi - lo + 1
         total = sum(streams)
@@ -206,7 +202,5 @@ def max_dof(
             best_runs = [run]
         elif total == best_total:
             best_runs.append(run)
-    if best_total < 0:
-        raise RuntimeError("enumeration yielded no profiles; d_max too small?")
     argmax = tuple(_profiles(extension, best_runs))
     return BoundResult(extension, Fraction(best_total, 2 * extension), argmax, count)

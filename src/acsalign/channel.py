@@ -134,6 +134,8 @@ class ComplexChannelMatrix:
         if np.any(mag < 0):
             raise ValueError("magnitudes must be nonnegative")
         ph = np.mod(ph, TWO_PI)
+        # np.mod rounds a tiny negative phase up to the modulus itself.
+        ph[ph == TWO_PI] = 0.0
         mag.setflags(write=False)
         ph.setflags(write=False)
         object.__setattr__(self, "magnitude", mag)
@@ -176,7 +178,7 @@ class ComplexChannelMatrix:
     @classmethod
     def from_coefficients(cls, coeffs) -> "ComplexChannelMatrix":
         c = np.asarray(coeffs, dtype=complex)
-        return cls(np.abs(c), np.mod(np.angle(c), TWO_PI))
+        return cls(np.abs(c), np.angle(c))
 
     def link_rotations(self, extension: int) -> tuple[tuple[np.ndarray, ...], ...]:
         """Lifted link rotations for `extension` slots: entry [rx][tx] is the
@@ -203,7 +205,7 @@ def sample_channel(seed, num_tx: int, num_rx: int) -> ComplexChannelMatrix:
     re = rng.standard_normal((num_rx, num_tx))
     im = rng.standard_normal((num_rx, num_tx))
     g = (re + 1j * im) / np.sqrt(2.0)
-    return ComplexChannelMatrix(np.abs(g), np.mod(np.angle(g), TWO_PI))
+    return ComplexChannelMatrix(np.abs(g), np.angle(g))
 
 
 # The six cyclic phase sums that govern cross-receiver separability in the
@@ -223,31 +225,43 @@ _CROSS_TERMS: tuple[tuple[tuple[tuple[int, int], int], ...], ...] = (
 NUM_CROSS_SUMS = len(_CROSS_TERMS)
 
 
-def cross_phase_sum(channel: ComplexChannelMatrix, index: int) -> float:
-    """Signed phase sum number `index` (0..5) of a 3x3 channel."""
-    if channel.magnitude.shape != (3, 3):
-        raise ValueError("cross phase sums are defined for 3x3 channels")
-    if not 0 <= index < NUM_CROSS_SUMS:
-        raise ValueError(f"index must be in 0..{NUM_CROSS_SUMS - 1}")
-    return float(sum(sign * channel.phase[rt] for rt, sign in _CROSS_TERMS[index]))
+def _signed_phase_sum(channel: ComplexChannelMatrix, terms) -> float:
+    """Sum of sign * phase over ((rx, tx), sign) terms, added in the order given."""
+    return float(sum(sign * channel.phase[rt] for rt, sign in terms))
 
 
-def cross_gain_ratio(channel: ComplexChannelMatrix, index: int) -> float:
-    """Magnitude ratio paired with cross_phase_sum: positive links over negative."""
-    if channel.magnitude.shape != (3, 3):
-        raise ValueError("cross gain ratios are defined for 3x3 channels")
-    if not 0 <= index < NUM_CROSS_SUMS:
-        raise ValueError(f"index must be in 0..{NUM_CROSS_SUMS - 1}")
+def _signed_gain_ratio(channel: ComplexChannelMatrix, terms) -> float | None:
+    """Product of the positive terms' link magnitudes over the product of the
+    negative terms', in the order given; None when a denominator link is zero."""
     num = 1.0
     den = 1.0
-    for rt, sign in _CROSS_TERMS[index]:
+    for rt, sign in terms:
         if sign > 0:
             num *= channel.magnitude[rt]
         else:
             den *= channel.magnitude[rt]
-    if den == 0.0:
+    return None if den == 0.0 else float(num / den)
+
+
+def _cross_terms(channel: ComplexChannelMatrix, index: int, what: str):
+    if channel.magnitude.shape != (3, 3):
+        raise ValueError(f"cross {what} are defined for 3x3 channels")
+    if not 0 <= index < NUM_CROSS_SUMS:
+        raise ValueError(f"index must be in 0..{NUM_CROSS_SUMS - 1}")
+    return _CROSS_TERMS[index]
+
+
+def cross_phase_sum(channel: ComplexChannelMatrix, index: int) -> float:
+    """Signed phase sum number `index` (0..5) of a 3x3 channel."""
+    return _signed_phase_sum(channel, _cross_terms(channel, index, "phase sums"))
+
+
+def cross_gain_ratio(channel: ComplexChannelMatrix, index: int) -> float:
+    """Magnitude ratio paired with cross_phase_sum: positive links over negative."""
+    ratio = _signed_gain_ratio(channel, _cross_terms(channel, index, "gain ratios"))
+    if ratio is None:
         raise ValueError("gain ratio undefined: zero magnitude in denominator")
-    return float(num / den)
+    return ratio
 
 
 def implicated_receiver(index: int) -> int:
@@ -309,20 +323,11 @@ def construct_special_channel(kind: str) -> ComplexChannelMatrix:
             base = _generic_base()
             mag = np.array(base.magnitude)
             ph = np.array(base.phase)
-            terms = _CROSS_TERMS[index]
-            diag_rt = terms[-1][0]
+            *rest, (diag_rt, _) = _CROSS_TERMS[index]
             # Force the sum to zero by solving for the diagonal phase it contains.
-            target = sum(sign * ph[rt] for rt, sign in terms[:-1])
-            ph[diag_rt] = np.mod(target, TWO_PI)
+            ph[diag_rt] = _signed_phase_sum(base, rest)
             if prefix == "singular-":
-                num = 1.0
-                den = 1.0
-                for rt, sign in terms[:-1]:
-                    if sign > 0:
-                        num *= mag[rt]
-                    else:
-                        den *= mag[rt]
-                mag[diag_rt] = num / den
+                mag[diag_rt] = _signed_gain_ratio(base, rest)
             return ComplexChannelMatrix(mag, ph)
 
     raise ValueError(f"unknown special channel kind {kind!r}")

@@ -25,7 +25,14 @@ from .channel import (
     sample_channel,
     special_channel_kinds,
 )
-from .rates import DEFAULT_SNR_GRID_DB, baseline_rate_profile, fit_dof, rate_reports, validate_snr_grid
+from .rates import (
+    DEFAULT_SNR_GRID_DB,
+    _db_to_linear,
+    baseline_rate_profile,
+    fit_dof,
+    rate_reports,
+    validate_snr_grid,
+)
 from .schemes import SCHEME_TAGS, SCHEMES, build_scheme, scheme_spec
 from .verify import (
     DegenerateAnglesError,
@@ -71,7 +78,6 @@ class ExperimentConfig:
     workers: int = 1
     s_min: int = 1
     s_max: int = 1
-    d_max: int | None = None
     profile_limit: int = DEFAULT_PROFILE_LIMIT
 
     def __post_init__(self):
@@ -86,11 +92,6 @@ class ExperimentConfig:
             raise ValueError("--channel-seed, --special and --channel-file are mutually exclusive")
         if self.subcommand == "bound" and not (1 <= self.s_min <= self.s_max):
             raise ValueError("need 1 <= --s-min <= --s-max")
-        if self.subcommand == "bound" and self.d_max is not None and self.d_max < 2 * self.s_max:
-            raise ValueError(
-                f"--d-max {self.d_max} is below 2 * --s-max = {2 * self.s_max}; "
-                "a cap under 2S would bind the search"
-            )
         validate_snr_grid(self.snr_grid_db)
 
 
@@ -222,7 +223,7 @@ def _record(scheme: str, seed: int, kind: str, snr_db, total, per_user, **fields
 
 def _trial_records(scheme: str, channel: ComplexChannelMatrix, trial_seed: int, grid) -> list[dict]:
     """One rate record per grid point and a closing dof record fitted to them."""
-    snrs = [10.0 ** (db / 10.0) for db in grid]
+    snrs = _db_to_linear(grid)
     if scheme == "baseline":
         profiles = [baseline_rate_profile(channel, snr) for snr in snrs]
         rates = [(float(p.sum()), [float(r) for r in p]) for p in profiles]
@@ -283,7 +284,7 @@ def run_sweep(config: ExperimentConfig) -> int:
 def run_bound(config: ExperimentConfig) -> int:
     lines = []
     for extension in range(config.s_min, config.s_max + 1):
-        result = max_dof(extension, config.d_max, config.profile_limit)
+        result = max_dof(extension, config.profile_limit)
         payload = result.to_dict()
         payload["ratio_float"] = float(result.best_ratio)
         lines.append(_json_object(payload))
@@ -365,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     bound = sub.add_parser("bound", help="exhaustive allocation bound per extension length")
     bound.add_argument("--s-min", type=_positive_int, default=1)
     bound.add_argument("--s-max", type=_positive_int, required=True)
-    bound.add_argument("--d-max", type=_positive_int, default=None,
-                       help="cap per-user stream counts (default 3S)")
     bound.add_argument("--profile-limit", type=_positive_int, default=DEFAULT_PROFILE_LIMIT)
 
     demo = sub.add_parser("demo-containment",
@@ -381,7 +380,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     fields = {}
     for name in ("scheme", "channel_seed", "special", "channel_file", "seed",
                  "trials", "master_seed", "out", "format", "workers",
-                 "s_min", "s_max", "d_max", "profile_limit"):
+                 "s_min", "s_max", "profile_limit"):
         if hasattr(args, name) and getattr(args, name) is not None:
             fields[name] = getattr(args, name)
     if hasattr(args, "snr_grid") and args.snr_grid is not None:

@@ -190,6 +190,11 @@ def validate_snr_grid(snr_grid_db) -> np.ndarray:
     return grid
 
 
+def _db_to_linear(grid_db) -> list[float]:
+    # Point by point: numpy's vectorized power can differ in the last bit.
+    return [10.0 ** (db / 10.0) for db in grid_db]
+
+
 def fit_dof(snr_grid_db, sum_rates) -> DofEstimate:
     """Least-squares line through sum rates against log2(snr); the slope is
     the DoF estimate.  The grid is taken as already validated."""
@@ -216,8 +221,7 @@ def estimate_dof(
     """
     grid = validate_snr_grid(snr_grid_db)
     beamformers = builder(channel, seed)
-    # Converted point by point: numpy's vectorized power can differ in the last bit.
-    reports = rate_reports(beamformers, channel, [10.0 ** (db / 10.0) for db in grid])
+    reports = rate_reports(beamformers, channel, _db_to_linear(grid))
     return fit_dof(grid, [r.sum_rate for r in reports])
 
 
@@ -263,5 +267,5 @@ def baseline_best_sum_rate(channel: ComplexChannelMatrix, snr: float) -> float:
 
 def estimate_baseline_dof(channel: ComplexChannelMatrix, snr_grid_db=DEFAULT_SNR_GRID_DB) -> DofEstimate:
     grid = validate_snr_grid(snr_grid_db)
-    rates = [baseline_best_sum_rate(channel, 10.0 ** (db / 10.0)) for db in grid]
+    rates = [baseline_best_sum_rate(channel, snr) for snr in _db_to_linear(grid)]
     return fit_dof(grid, rates)

@@ -19,7 +19,7 @@ from itertools import groupby
 import numpy as np
 
 from .channel import ComplexChannelMatrix, extend_rotation, sample_channel
-from .verify import SV_INDEPENDENT, InfeasibleChannelError, _require_shape, _stack, check_conditions
+from .verify import _GATES, SV_INDEPENDENT, InfeasibleChannelError, _require_shape, _stack, check_conditions
 
 __all__ = [
     "AlignmentPair",
@@ -71,8 +71,8 @@ class AlignmentPair:
 class SchemeSpec:
     """Everything the package knows about one scheme.
 
-    shape is (num_rx, num_tx); feasibility names the condition set that gates
-    building and sampling; stream_rx[t][c] is the receiver of transmitter t's
+    feasibility names the condition set that gates building and sampling, and
+    fixes the channel shape; stream_rx[t][c] is the receiver of transmitter t's
     column c.  A randomized scheme draws each free block (tx, columns) as
     orthonormal columns, in order from one rng; a single-symbol scheme lists
     its ((tx, column), entries) as fixed_columns instead.  Every other column
@@ -83,7 +83,6 @@ class SchemeSpec:
     """
 
     tag: str
-    shape: tuple[int, int]
     feasibility: str
     extension: int = 1
     stream_rx: tuple[tuple[int, ...], ...] = ()
@@ -91,8 +90,18 @@ class SchemeSpec:
     fixed_columns: tuple[tuple[tuple[int, int], tuple[float, ...]], ...] = ()
     alignments: tuple[AlignmentPair, ...] = ()
     removed_streams: frozenset[tuple[int, int, int]] = frozenset()
-    sampleable: bool = True          # random draws can pass the gate
     needs_connected: bool = False    # the gate also wants every link gain nonzero
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(num_rx, num_tx): the channel shape the gate reads."""
+        return _GATES[self.feasibility].shape
+
+    @property
+    def sampleable(self) -> bool:
+        """Whether random draws can pass the gate: not if it has a "zero"
+        condition, which a random draw misses almost surely."""
+        return all(requires == "nonzero" for *_, requires in _GATES[self.feasibility].conditions)
 
     def gate_failures(self, channel: ComplexChannelMatrix) -> tuple[str, ...]:
         """The feasibility conditions `channel` fails for this scheme; a
@@ -324,7 +333,7 @@ SCHEMES: dict[str, SchemeSpec] = {spec.tag: spec for spec in (
     # every unit vector is an eigenvector of the loop rotation: a fixed one
     # and two chained link rotations align both interferers at every receiver.
     SchemeSpec(
-        "phase-align", (3, 3), "phase-align",
+        "phase-align", "phase-align",
         stream_rx=((0,), (1,), (2,)),
         fixed_columns=(((0, 0), (1.0, 0.0)),),
         alignments=(
@@ -333,13 +342,12 @@ SCHEMES: dict[str, SchemeSpec] = {spec.tag: spec for spec in (
             # The third coincidence follows from closure, which only fixes the line.
             AlignmentPair(rx=2, kept=(0, 0), dropped=(1, 0), up_to_sign=True),
         ),
-        sampleable=False,
     ),
     # Four streams per user over five slots (12/10): each transmitter draws two
     # columns and copies one free column of each other transmitter, so the
     # eight interfering streams at every receiver occupy six directions.
     SchemeSpec(
-        "acs-ic3", (3, 3), "acs-ic3", extension=5,
+        "acs-ic3", "acs-ic3", extension=5,
         stream_rx=((0,) * 4, (1,) * 4, (2,) * 4),
         free_blocks=((0, (0, 1)), (1, (0, 1)), (2, (0, 1))),
         alignments=(
@@ -355,7 +363,7 @@ SCHEMES: dict[str, SchemeSpec] = {spec.tag: spec for spec in (
     # Crossed messages over three slots (8/6): transmitter 2's block for each
     # receiver copies transmitter 1's, coinciding at the other receiver.
     SchemeSpec(
-        "x-channel", (2, 2), "x-channel", extension=3,
+        "x-channel", "x-channel", extension=3,
         stream_rx=((0, 0, 1, 1), (0, 0, 1, 1)),
         free_blocks=((0, (0, 1)), (0, (2, 3))),
         alignments=(
@@ -371,7 +379,7 @@ SCHEMES: dict[str, SchemeSpec] = {spec.tag: spec for spec in (
     # with its side information.  The gate is the 2x2 cross-phase one: the two
     # cross streams separate at receiver 2 under the same sum.
     SchemeSpec(
-        "cognitive-x", (2, 2), "x-channel",
+        "cognitive-x", "x-channel",
         stream_rx=((0, 1), (1,)),
         fixed_columns=(((0, 0), (np.cos(np.pi / 2), np.sin(np.pi / 2))), ((0, 1), (1.0, 0.0))),
         alignments=(AlignmentPair(rx=0, kept=(0, 1), dropped=(1, 0)),),
@@ -381,7 +389,7 @@ SCHEMES: dict[str, SchemeSpec] = {spec.tag: spec for spec in (
     # cell the second transmitter copies the first, coinciding at the other
     # cell's receiver.
     SchemeSpec(
-        "uplinks", (2, 4), "uplinks", extension=3,
+        "uplinks", "uplinks", extension=3,
         stream_rx=((0, 0), (0, 0), (1, 1), (1, 1)),
         free_blocks=((0, (0, 1)), (2, (0, 1))),
         alignments=(
@@ -393,7 +401,7 @@ SCHEMES: dict[str, SchemeSpec] = {spec.tag: spec for spec in (
     ),
     # The per-symbol baseline sends no beamformed streams; it is swept on the
     # channels the three-user scheme draws.
-    SchemeSpec("baseline", (3, 3), "acs-ic3"),
+    SchemeSpec("baseline", "acs-ic3"),
 )}
 
 # Tags that build beamformers, in table order.

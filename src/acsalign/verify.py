@@ -8,17 +8,17 @@ keeping full rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .channel import (
-    NUM_CROSS_SUMS,
+    _CROSS_TERMS,
     TWO_PI,
     ComplexChannelMatrix,
-    cross_gain_ratio,
-    cross_phase_sum,
+    _signed_gain_ratio,
+    _signed_phase_sum,
     implicated_receiver,
     lift,
     mod_distance,
@@ -59,8 +59,6 @@ RATIO_TOL = 1e-9
 # dependent, in between the verdict is left open.
 SV_INDEPENDENT = 1e-6
 SV_DEPENDENT = 1e-10
-
-CONDITION_SETS = ("phase-align", "acs-ic3", "singularity", "x-channel", "uplinks")
 
 
 class InfeasibleChannelError(Exception):
@@ -137,11 +135,6 @@ class ConditionReport:
         }
 
 
-def _nonzero_record(cid: str, value: float, rx: int | None = None) -> ConditionRecord:
-    dist = mod_distance(value, np.pi)
-    return ConditionRecord(cid, float(value), float(np.pi), dist, "nonzero", dist > PHASE_TOL, rx=rx)
-
-
 def _require_shape(channel: ComplexChannelMatrix, shape: tuple[int, int], who: str) -> None:
     if channel.magnitude.shape != shape:
         raise ValueError(
@@ -150,7 +143,44 @@ def _require_shape(channel: ComplexChannelMatrix, shape: tuple[int, int], who: s
         )
 
 
-_CROSS_IDS = ("rx1-a", "rx1-b", "rx2-a", "rx2-b", "rx3-a", "rx3-b")
+class _Gate(NamedTuple):
+    """One condition set: the (num_rx, num_tx) channel shape it reads and its
+    conditions in report order.  A condition is (id, ((rx, tx), sign) phase
+    terms summed in the order listed, implicated receiver or None, "zero" when
+    the sum must hit a multiple of pi or "nonzero" when it must stay away).
+    with_ratio marks the rank-one traps, where the signed product of the link
+    gains is 1: the sum hits a multiple of 2pi and the gain ratio is 1."""
+
+    shape: tuple[int, int]
+    conditions: tuple[tuple[str, tuple, int | None, str], ...]
+    with_ratio: bool = False
+
+
+_CROSS = tuple(
+    (cid, _CROSS_TERMS[k], implicated_receiver(k))
+    for k, cid in enumerate(("rx1-a", "rx1-b", "rx2-a", "rx2-b", "rx3-a", "rx3-b"))
+)
+
+_GATES = {
+    "phase-align": _Gate((3, 3), (
+        ("closure", (((2, 1), +1), ((1, 0), +1), ((0, 2), +1), ((0, 1), -1), ((1, 2), -1), ((2, 0), -1)),
+         None, "zero"),
+        ("rx1-separation", (((1, 0), +1), ((1, 2), -1), ((0, 2), +1), ((0, 0), -1)), 0, "nonzero"),
+        ("rx2-separation", (((1, 1), +1), ((0, 2), +1), ((0, 1), -1), ((1, 2), -1)), 1, "nonzero"),
+        ("rx3-separation", (((2, 2), +1), ((1, 0), +1), ((1, 2), -1), ((2, 0), -1)), 2, "nonzero"),
+    )),
+    "acs-ic3": _Gate((3, 3), tuple((cid, terms, rx, "nonzero") for cid, terms, rx in _CROSS)),
+    "singularity": _Gate((3, 3), tuple((cid, terms, rx, "zero") for cid, terms, rx in _CROSS), with_ratio=True),
+    "x-channel": _Gate((2, 2), (
+        ("cross-phase", (((0, 0), +1), ((1, 1), +1), ((1, 0), -1), ((0, 1), -1)), None, "nonzero"),
+    )),
+    "uplinks": _Gate((2, 4), (
+        ("cell1-cross-phase", (((0, 0), +1), ((1, 1), +1), ((1, 0), -1), ((0, 1), -1)), 0, "nonzero"),
+        ("cell2-cross-phase", (((1, 2), +1), ((0, 3), +1), ((0, 2), -1), ((1, 3), -1)), 1, "nonzero"),
+    )),
+}
+
+CONDITION_SETS = tuple(_GATES)
 
 
 def check_conditions(channel: ComplexChannelMatrix, which: str) -> ConditionReport:
@@ -163,65 +193,23 @@ def check_conditions(channel: ComplexChannelMatrix, which: str) -> ConditionRepo
     "x-channel"    the 2x2 cross-phase sum must stay away from 0 mod pi
     "uplinks"      both per-receiver cross-phase sums on a 2x4 channel
     """
-    p = channel.phase
-    if which == "phase-align":
-        _require_shape(channel, (3, 3), f"{which} condition set")
-        closure = p[2, 1] + p[1, 0] + p[0, 2] - p[0, 1] - p[1, 2] - p[2, 0]
-        dist = mod_distance(closure, np.pi)
-        records = [
-            ConditionRecord("closure", float(closure), float(np.pi), dist, "zero", dist <= PHASE_TOL)
-        ]
-        separations = (
-            ("rx1-separation", p[1, 0] - p[1, 2] + p[0, 2] - p[0, 0], 0),
-            ("rx2-separation", p[1, 1] + p[0, 2] - p[0, 1] - p[1, 2], 1),
-            ("rx3-separation", p[2, 2] + p[1, 0] - p[1, 2] - p[2, 0], 2),
-        )
-        records += [_nonzero_record(cid, val, rx) for cid, val, rx in separations]
-        return ConditionReport(which, tuple(records))
-
-    if which == "acs-ic3":
-        _require_shape(channel, (3, 3), f"{which} condition set")
-        records = [
-            _nonzero_record(_CROSS_IDS[k], cross_phase_sum(channel, k), implicated_receiver(k))
-            for k in range(NUM_CROSS_SUMS)
-        ]
-        return ConditionReport(which, tuple(records))
-
-    if which == "singularity":
-        _require_shape(channel, (3, 3), f"{which} condition set")
-        records = []
-        for k in range(NUM_CROSS_SUMS):
-            value = cross_phase_sum(channel, k)
-            dist = mod_distance(value, TWO_PI)
-            # Shape and index are valid here, so the ratio raises only on a
-            # zero link gain in its denominator; an undefined ratio is no trap.
-            try:
-                ratio = cross_gain_ratio(channel, k)
-            except ValueError:
-                ratio = None
-            ok = ratio is not None and dist <= PHASE_TOL and abs(ratio - 1.0) <= RATIO_TOL
-            records.append(
-                ConditionRecord(
-                    _CROSS_IDS[k], float(value), float(TWO_PI), dist, "zero", ok,
-                    magnitude_ratio=ratio, rx=implicated_receiver(k),
-                )
-            )
-        return ConditionReport(which, tuple(records))
-
-    if which == "x-channel":
-        _require_shape(channel, (2, 2), f"{which} condition set")
-        value = p[0, 0] + p[1, 1] - p[1, 0] - p[0, 1]
-        return ConditionReport(which, (_nonzero_record("cross-phase", value),))
-
-    if which == "uplinks":
-        _require_shape(channel, (2, 4), f"{which} condition set")
-        records = (
-            _nonzero_record("cell1-cross-phase", p[0, 0] + p[1, 1] - p[1, 0] - p[0, 1], 0),
-            _nonzero_record("cell2-cross-phase", p[1, 2] + p[0, 3] - p[0, 2] - p[1, 3], 1),
-        )
-        return ConditionReport(which, records)
-
-    raise ValueError(f"unknown condition set {which!r}; expected one of {CONDITION_SETS}")
+    if which not in _GATES:
+        raise ValueError(f"unknown condition set {which!r}; expected one of {CONDITION_SETS}")
+    gate = _GATES[which]
+    _require_shape(channel, gate.shape, f"{which} condition set")
+    modulus = TWO_PI if gate.with_ratio else np.pi
+    records = []
+    for cid, terms, rx, requires in gate.conditions:
+        value = _signed_phase_sum(channel, terms)
+        dist = mod_distance(value, modulus)
+        hit = dist <= PHASE_TOL
+        ratio = None
+        if gate.with_ratio:
+            ratio = _signed_gain_ratio(channel, terms)
+            hit = hit and ratio is not None and abs(ratio - 1.0) <= RATIO_TOL
+        satisfied = hit if requires == "zero" else not hit
+        records.append(ConditionRecord(cid, value, modulus, dist, requires, satisfied, ratio, rx))
+    return ConditionReport(which, tuple(records))
 
 
 def _links(beamformers: "BeamformerSet", channel: ComplexChannelMatrix, rx: int) -> tuple[np.ndarray, ...]:

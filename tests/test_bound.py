@@ -138,11 +138,11 @@ def test_feasibility_is_permutation_invariant(extension, streams, overlaps, perm
     assert check_allocation(base).feasible == check_allocation(relabeled).feasible
 
 
-def test_narrow_stream_cap_is_rejected():
-    with pytest.raises(ValueError):
-        list(iter_feasible_profiles(2, d_max=3))
+def test_nonpositive_extension_is_rejected():
     with pytest.raises(ValueError):
         list(iter_feasible_profiles(0))
+    with pytest.raises(ValueError):
+        max_dof(0)
 
 
 def test_search_budget_is_enforced():
@@ -152,29 +152,28 @@ def test_search_budget_is_enforced():
 
 @pytest.mark.parametrize("extension", range(1, 7))
 def test_max_dof_agrees_with_the_profile_iterator(extension):
-    for d_max in (2 * extension, 3 * extension, 3 * extension + 2):
-        profiles = list(iter_feasible_profiles(extension, d_max))
-        result = max_dof(extension, d_max)
-        assert result.num_feasible == len(profiles)
-        best = max(sum(p.streams) for p in profiles)
-        assert result.best_ratio == Fraction(best, 2 * extension)
-        assert result.argmax == tuple(p for p in profiles if sum(p.streams) == best)
+    profiles = list(iter_feasible_profiles(extension))
+    result = max_dof(extension)
+    assert result.num_feasible == len(profiles)
+    best = max(sum(p.streams) for p in profiles)
+    assert result.best_ratio == Fraction(best, 2 * extension)
+    assert result.argmax == tuple(p for p in profiles if sum(p.streams) == best)
 
 
 def test_search_budget_counts_triples_and_profiles():
-    # S=1 with the default cap 3S: 4**3 (d1, d2, d3) triples plus 13 profiles.
-    assert max_dof(1, profile_limit=77).num_feasible == 13
-    assert len(list(iter_feasible_profiles(1, profile_limit=77))) == 13
-    with pytest.raises(SearchSpaceError, match="exceeds 76 steps"):
-        max_dof(1, profile_limit=76)
-    with pytest.raises(SearchSpaceError, match="exceeds 76 steps"):
-        list(iter_feasible_profiles(1, profile_limit=76))
+    # S=1, every d_i up to 2S: 3**3 (d1, d2, d3) triples plus 13 profiles.
+    assert max_dof(1, profile_limit=40).num_feasible == 13
+    assert len(list(iter_feasible_profiles(1, profile_limit=40))) == 13
+    with pytest.raises(SearchSpaceError, match="exceeds 39 steps"):
+        max_dof(1, profile_limit=39)
+    with pytest.raises(SearchSpaceError, match="exceeds 39 steps"):
+        list(iter_feasible_profiles(1, profile_limit=39))
 
 
 def test_search_budget_yields_the_profiles_within_it():
     # Profile i (0-based) is reached after i + 1 profile steps plus one step
     # for each stream triple up to its own, in lexicographic order.
-    extension, side = 2, 7
+    extension, side = 2, 5
     full = list(iter_feasible_profiles(extension))
     steps = [
         i + 1 + (d1 * side + d2) * side + d3 + 1

@@ -152,6 +152,16 @@ def test_mod_distance_known_values():
     assert np.isclose(mod_distance(-0.1, TWO_PI), 0.1)
 
 
+@given(st.floats(min_value=-1e3, max_value=1e3))
+@example(-1e-17)
+@example(-5e-324)
+@example(-TWO_PI)
+def test_stored_phases_lie_in_zero_to_two_pi(phi):
+    # np.mod alone rounds a tiny negative phase up to 2pi itself.
+    phase = ComplexChannelMatrix(np.ones((1, 1)), [[phi]]).phase[0, 0]
+    assert 0.0 <= phase < TWO_PI
+
+
 def test_sampling_is_deterministic():
     a = sample_channel(42, 3, 3)
     b = sample_channel(42, 3, 3)

@@ -300,6 +300,8 @@ def test_feasible_sampler_is_deterministic_and_usually_plain():
 def test_feasible_sampler_rejects_the_closure_gated_scheme():
     with pytest.raises(ValueError):
         sample_feasible_channel("phase-align", 0)
+    # Only the closure gate has a sum that must hit the degenerate set.
+    assert [tag for tag, spec in SCHEMES.items() if not spec.sampleable] == ["phase-align"]
 
 
 def test_feasible_sampler_margin_bounds():

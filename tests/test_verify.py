@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from acsalign.channel import ComplexChannelMatrix, construct_special_channel, sample_channel
+from acsalign.channel import (
+    ComplexChannelMatrix,
+    construct_special_channel,
+    cross_phase_sum,
+    sample_channel,
+    special_channel_kinds,
+)
 from acsalign.rates import sum_rate, zf_receive
 from acsalign.schemes import BeamformerSet, build_acs_ic3, build_scheme
 from acsalign.verify import (
@@ -24,6 +30,61 @@ def test_condition_sets_are_registered():
     assert set(CONDITION_SETS) == {"phase-align", "acs-ic3", "singularity", "x-channel", "uplinks"}
     with pytest.raises(ValueError):
         check_conditions(sample_channel(0, 3, 3), "nonsense")
+
+
+def _reference_formulas(chn: ComplexChannelMatrix) -> tuple[dict, list | None]:
+    """Each condition set's phase sums on this channel's shape as hand-written
+    expressions in report order, and the singularity gain ratios (3x3 only)."""
+    p, m = chn.phase, chn.magnitude
+    if chn.magnitude.shape == (2, 2):
+        return {"x-channel": [p[0, 0] + p[1, 1] - p[1, 0] - p[0, 1]]}, None
+    if chn.magnitude.shape == (2, 4):
+        return {"uplinks": [p[0, 0] + p[1, 1] - p[1, 0] - p[0, 1], p[1, 2] + p[0, 3] - p[0, 2] - p[1, 3]]}, None
+    cross = [
+        p[0, 2] + p[1, 0] - p[1, 2] - p[0, 0],
+        p[0, 1] + p[2, 0] - p[2, 1] - p[0, 0],
+        p[1, 0] + p[2, 1] - p[2, 0] - p[1, 1],
+        p[1, 2] + p[0, 1] - p[0, 2] - p[1, 1],
+        p[2, 1] + p[0, 2] - p[0, 1] - p[2, 2],
+        p[2, 0] + p[1, 2] - p[1, 0] - p[2, 2],
+    ]
+    assert [cross_phase_sum(chn, k) for k in range(6)] == cross
+    ratios = [
+        (m[0, 2] * m[1, 0]) / (m[1, 2] * m[0, 0]),
+        (m[0, 1] * m[2, 0]) / (m[2, 1] * m[0, 0]),
+        (m[1, 0] * m[2, 1]) / (m[2, 0] * m[1, 1]),
+        (m[1, 2] * m[0, 1]) / (m[0, 2] * m[1, 1]),
+        (m[2, 1] * m[0, 2]) / (m[0, 1] * m[2, 2]),
+        (m[2, 0] * m[1, 2]) / (m[1, 0] * m[2, 2]),
+    ]
+    return {
+        "phase-align": [
+            p[2, 1] + p[1, 0] + p[0, 2] - p[0, 1] - p[1, 2] - p[2, 0],
+            p[1, 0] - p[1, 2] + p[0, 2] - p[0, 0],
+            p[1, 1] + p[0, 2] - p[0, 1] - p[1, 2],
+            p[2, 2] + p[1, 0] - p[1, 2] - p[2, 0],
+        ],
+        "acs-ic3": cross,
+        "singularity": cross,
+    }, ratios
+
+
+REFERENCE_CHANNELS = (
+    [sample_channel(s, 3, 3) for s in range(8)]
+    + [construct_special_channel(kind) for kind in special_channel_kinds()]
+    + [sample_channel(s, 2, 2) for s in range(4)] + [ComplexChannelMatrix(np.ones((2, 2)), np.zeros((2, 2)))]
+    + [sample_channel(s, 4, 2) for s in range(4)] + [ComplexChannelMatrix(np.ones((2, 4)), np.zeros((2, 4)))]
+)
+
+
+@pytest.mark.parametrize("chn", REFERENCE_CHANNELS)
+def test_condition_values_match_the_reference_formulas(chn):
+    sums, ratios = _reference_formulas(chn)
+    for which, values in sums.items():
+        report = check_conditions(chn, which)
+        assert [rec.value for rec in report.records] == values
+    if ratios is not None:
+        assert [rec.magnitude_ratio for rec in check_conditions(chn, "singularity").records] == ratios
 
 
 def test_acs_conditions_on_phase_example():
