@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .bound import DEFAULT_PROFILE_LIMIT, SearchSpaceError, max_dof
 from .channel import (
@@ -44,7 +43,6 @@ from .verify import (
 )
 
 __all__ = [
-    "ExperimentConfig",
     "run_verify",
     "run_sweep",
     "run_bound",
@@ -60,49 +58,14 @@ VERIFY_RESIDUAL_PASS = 1e-9
 DEMO_RESIDUAL_PASS = 1e-10
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything one subcommand run needs, normalized and validated."""
-
-    subcommand: str
-    scheme: str | None = None
-    channel_seed: int | None = None
-    special: str | None = None
-    channel_file: str | None = None
-    seed: int = 0
-    snr_grid_db: tuple[float, ...] = DEFAULT_SNR_GRID_DB
-    trials: int = 1
-    master_seed: int = 0
-    out: str | None = None
-    format: str = "jsonl"
-    workers: int = 1
-    s_min: int = 1
-    s_max: int = 1
-    profile_limit: int = DEFAULT_PROFILE_LIMIT
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trial count must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.format not in ("jsonl", "csv"):
-            raise ValueError(f"format must be 'jsonl' or 'csv', got {self.format!r}")
-        sources = sum(s is not None for s in (self.channel_seed, self.special, self.channel_file))
-        if sources > 1:
-            raise ValueError("--channel-seed, --special and --channel-file are mutually exclusive")
-        if self.subcommand == "bound" and not (1 <= self.s_min <= self.s_max):
-            raise ValueError("need 1 <= --s-min <= --s-max")
-        validate_snr_grid(self.snr_grid_db)
-
-
-def _resolve_channel(config: ExperimentConfig, shape: tuple[int, int]) -> ComplexChannelMatrix:
+def _resolve_channel(args: argparse.Namespace, shape: tuple[int, int]) -> ComplexChannelMatrix:
     """Turn the channel-source flags into a channel; `shape` is (num_rx, num_tx)
     and only steers the random draw, fixed sources keep their own shape."""
-    if config.special is not None:
-        return construct_special_channel(config.special)
-    if config.channel_file is not None:
-        return load_channel(config.channel_file)
-    seed = config.channel_seed if config.channel_seed is not None else 0
+    if args.special is not None:
+        return construct_special_channel(args.special)
+    if args.channel_file is not None:
+        return load_channel(args.channel_file)
+    seed = args.channel_seed if args.channel_seed is not None else 0
     num_rx, num_tx = shape
     return sample_channel(seed, num_tx, num_rx)
 
@@ -188,12 +151,11 @@ def _emit(text: str, out: str | None) -> None:
 
 # -- verify -------------------------------------------------------------------
 
-def run_verify(config: ExperimentConfig) -> int:
-    scheme = config.scheme
+def run_verify(args: argparse.Namespace) -> int:
+    scheme = args.scheme
     spec = scheme_spec(scheme)
-    channel = _resolve_channel(config, spec.shape)
-    report = check_conditions(channel, spec.feasibility)
-    failed = spec.gate_failures(channel)
+    channel = _resolve_channel(args, spec.shape)
+    report, failed = spec.gate(channel)
     payload: dict = {"scheme": scheme, "conditions": report.to_dict(), "failed_conditions": list(failed)}
     if channel.magnitude.shape == (3, 3):
         payload["singularity"] = check_conditions(channel, "singularity").to_dict()
@@ -201,7 +163,7 @@ def run_verify(config: ExperimentConfig) -> int:
     if ok:
         # The gate's conditions were just checked, and independence is judged
         # below, so the build must not raise on a poorly conditioned channel.
-        beamformers = build_scheme(scheme, channel, seed=config.seed, check=False)
+        beamformers = build_scheme(scheme, channel, seed=args.seed, check=False)
         residual = alignment_residual(beamformers, channel)
         independence = independence_margin(beamformers, channel)
         payload["descriptor"] = beamformers.descriptor.to_dict()
@@ -254,19 +216,17 @@ def _sweep_trial(args) -> tuple[int, list[dict]]:
     return trial_index, records
 
 
-def run_sweep(config: ExperimentConfig) -> int:
-    scheme = config.scheme
-    shape = scheme_spec(scheme).shape
-    grid = tuple(float(x) for x in validate_snr_grid(config.snr_grid_db))
+def run_sweep(args: argparse.Namespace) -> int:
+    scheme = args.scheme
     fixed = None
-    if config.special is not None or config.channel_file is not None or config.channel_seed is not None:
-        fixed = _resolve_channel(config, shape)
+    if args.special is not None or args.channel_file is not None or args.channel_seed is not None:
+        fixed = _resolve_channel(args, scheme_spec(scheme).shape)
     payloads = [
-        (scheme, i, config.master_seed + i, grid, fixed)
-        for i in range(config.trials)
+        (scheme, i, args.master_seed + i, args.snr_grid, fixed)
+        for i in range(args.trials)
     ]
     # A fork-started pool launches every worker up front: no more than one per trial.
-    workers = min(config.workers, config.trials)
+    workers = min(args.workers, args.trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_trial, payloads))
@@ -274,17 +234,17 @@ def run_sweep(config: ExperimentConfig) -> int:
         results = [_sweep_trial(p) for p in payloads]
     results.sort(key=lambda pair: pair[0])
     records = [record for _, trial_records in results for record in trial_records]
-    _emit(_render_records(records, config.format), config.out)
+    _emit(_render_records(records, args.format), args.out)
     produced = any(r["record"] == "dof" for r in records)
     return 0 if produced else 1
 
 
 # -- bound --------------------------------------------------------------------
 
-def run_bound(config: ExperimentConfig) -> int:
+def run_bound(args: argparse.Namespace) -> int:
     lines = []
-    for extension in range(config.s_min, config.s_max + 1):
-        result = max_dof(extension, config.profile_limit)
+    for extension in range(args.s_min, args.s_max + 1):
+        result = max_dof(extension, args.profile_limit)
         payload = result.to_dict()
         payload["ratio_float"] = float(result.best_ratio)
         lines.append(_json_object(payload))
@@ -294,10 +254,10 @@ def run_bound(config: ExperimentConfig) -> int:
 
 # -- containment demo ---------------------------------------------------------
 
-def run_demo_containment(config: ExperimentConfig) -> int:
-    channel = _resolve_channel(config, (3, 3))
+def run_demo_containment(args: argparse.Namespace) -> int:
+    channel = _resolve_channel(args, (3, 3))
     try:
-        demo = demonstrate_containment(channel, seed=config.seed)
+        demo = demonstrate_containment(channel, seed=args.seed)
     except DegenerateAnglesError as exc:
         print(json.dumps({"error": str(exc), "pass": False}, indent=2))
         return 1
@@ -324,8 +284,10 @@ def _grid_arg(text: str) -> tuple[float, ...]:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of dB values") from None
-    if not values:
-        raise argparse.ArgumentTypeError("snr grid is empty")
+    try:
+        validate_snr_grid(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return values
 
 
@@ -340,6 +302,8 @@ def _add_channel_source(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The acsalign parser.  Each subcommand's `run` default is its run_*
+    function as the module holds it when the parser is built."""
     parser = argparse.ArgumentParser(
         prog="acsalign",
         description="Construct, verify and rate-sweep rotation-based alignment schemes.",
@@ -350,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--scheme", required=True, choices=SCHEME_TAGS)
     _add_channel_source(verify)
     verify.add_argument("--seed", type=int, default=0, help="seed for the free beamformer columns")
+    verify.set_defaults(run=run_verify)
 
     sweep = sub.add_parser("sweep", help="rate sweeps over trials and an SNR grid")
     sweep.add_argument("--scheme", required=True, choices=tuple(SCHEMES))
@@ -362,47 +327,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"output file (relative paths resolve under ${OUT_DIR_ENV}); stdout if omitted")
     sweep.add_argument("--workers", type=_positive_int, default=1)
     _add_channel_source(sweep)
+    sweep.set_defaults(run=run_sweep)
 
     bound = sub.add_parser("bound", help="exhaustive allocation bound per extension length")
     bound.add_argument("--s-min", type=_positive_int, default=1)
     bound.add_argument("--s-max", type=_positive_int, required=True)
     bound.add_argument("--profile-limit", type=_positive_int, default=DEFAULT_PROFILE_LIMIT)
+    bound.set_defaults(run=run_bound)
 
     demo = sub.add_parser("demo-containment",
                           help="show a doubly-aligned column is trapped at its own receiver")
     _add_channel_source(demo)
     demo.add_argument("--seed", type=int, default=0, help="seed for the demo's random blocks")
+    demo.set_defaults(run=run_demo_containment)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    fields = {}
-    for name in ("scheme", "channel_seed", "special", "channel_file", "seed",
-                 "trials", "master_seed", "out", "format", "workers",
-                 "s_min", "s_max", "profile_limit"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
-    if hasattr(args, "snr_grid") and args.snr_grid is not None:
-        fields["snr_grid_db"] = tuple(args.snr_grid)
-    return ExperimentConfig(subcommand=args.subcommand, **fields)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The one cross-flag check argparse cannot express.
+    if args.subcommand == "bound" and args.s_min > args.s_max:
+        parser.error("need 1 <= --s-min <= --s-max")
     try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        if config.subcommand == "verify":
-            return run_verify(config)
-        if config.subcommand == "sweep":
-            return run_sweep(config)
-        if config.subcommand == "bound":
-            return run_bound(config)
-        return run_demo_containment(config)
+        return args.run(args)
     except SearchSpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

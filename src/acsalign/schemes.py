@@ -19,7 +19,15 @@ from itertools import groupby
 import numpy as np
 
 from .channel import ComplexChannelMatrix, extend_rotation, sample_channel
-from .verify import _GATES, SV_INDEPENDENT, InfeasibleChannelError, _require_shape, _stack, check_conditions
+from .verify import (
+    _GATES,
+    SV_INDEPENDENT,
+    ConditionReport,
+    InfeasibleChannelError,
+    _require_shape,
+    _stack,
+    check_conditions,
+)
 
 __all__ = [
     "AlignmentPair",
@@ -49,6 +57,9 @@ CANDIDATE_DRAWS = 8
 # arbitrarily small margins are still feasible but condition the construction
 # badly; the receive-side singular values shrink roughly with this distance.
 GENERIC_PHASE_MARGIN = 1e-2
+
+# How many seeded draws sample_feasible_channel tries before giving up.
+_SAMPLE_ATTEMPTS = 64
 
 
 @dataclass(frozen=True)
@@ -103,12 +114,12 @@ class SchemeSpec:
         condition, which a random draw misses almost surely."""
         return all(requires == "nonzero" for *_, requires in _GATES[self.feasibility].conditions)
 
-    def gate_failures(self, channel: ComplexChannelMatrix) -> tuple[str, ...]:
-        """The feasibility conditions `channel` fails for this scheme; a
-        disconnected channel fails on connectivity alone."""
-        if self.needs_connected and not channel.fully_connected:
-            return ("fully-connected",)
-        return check_conditions(channel, self.feasibility).failed
+    def gate(self, channel: ComplexChannelMatrix) -> tuple[ConditionReport, tuple[str, ...]]:
+        """This scheme's feasibility report on `channel` and the conditions it
+        fails; a disconnected channel fails on connectivity alone."""
+        report = check_conditions(channel, self.feasibility)
+        disconnected = self.needs_connected and not channel.fully_connected
+        return report, ("fully-connected",) if disconnected else report.failed
 
     def sample(self, seed: int) -> ComplexChannelMatrix:
         """The random channel of one sweep trial.
@@ -272,19 +283,13 @@ def _derive_columns(derivations: list[tuple[np.ndarray, list[AlignmentPair]]], c
             columns[pair.dropped] = block[:, k]
 
 
-def _build(
-    spec: SchemeSpec,
-    channel: ComplexChannelMatrix,
-    seed: int = 0,
-    check: bool = True,
-    draws: int = CANDIDATE_DRAWS,
-) -> BeamformerSet:
+def _build(spec: SchemeSpec, channel: ComplexChannelMatrix, seed: int = 0, check: bool = True) -> BeamformerSet:
     """Build a scheme from its spec; `check=False` skips the feasibility and
     conditioning gates, to probe what happens on channels that violate them.
 
-    A spec with fixed columns is built once.  Otherwise `draws` candidates
-    draw the free blocks from one sequential rng and the best conditioned is
-    kept.  The score is the smallest singular value of any receiver's stacked
+    A spec with fixed columns is built once.  Otherwise CANDIDATE_DRAWS
+    candidates draw the free blocks from one sequential rng and the best
+    conditioned is kept.  The score is the smallest singular value of any receiver's stacked
     desired and interference images; a channel so close to the degenerate set
     that the best score does not clear SV_INDEPENDENT fails the gate.
     Candidates are scored as raw columns and only the winner becomes a
@@ -294,17 +299,15 @@ def _build(
     if not spec.stream_rx:
         raise ValueError(f"{spec.tag!r} sends no beamformed streams; only its rates can be swept")
     _require_shape(channel, spec.shape, spec.tag)
-    failed = spec.gate_failures(channel) if check else ()
+    failed = spec.gate(channel)[1] if check else ()
     if failed:
         raise InfeasibleChannelError(spec.tag, failed)
-    if draws < 1:
-        raise ValueError("need at least one candidate draw")
     derivations = _derivations(spec, channel.phase)
     links = channel.link_rotations(spec.extension)
     rng = np.random.default_rng(seed)
     best = None
     best_score = -np.inf
-    for _ in range(draws if spec.free_blocks else 1):
+    for _ in range(CANDIDATE_DRAWS if spec.free_blocks else 1):
         columns = {key: np.array(col) for key, col in spec.fixed_columns}
         for tx, cols in spec.free_blocks:
             block = _orthonormal_columns(rng, 2 * spec.extension, len(cols))
@@ -415,20 +418,16 @@ def scheme_spec(tag: str) -> SchemeSpec:
         raise ValueError(f"unknown scheme {tag!r}; expected one of {tuple(SCHEMES)}") from None
 
 
-def sample_feasible_channel(
-    scheme: str,
-    seed: int,
-    min_margin: float = GENERIC_PHASE_MARGIN,
-    max_attempts: int = 64,
-) -> ComplexChannelMatrix:
+def sample_feasible_channel(scheme: str, seed: int) -> ComplexChannelMatrix:
     """Draw a random channel for `scheme` with a safe feasibility margin.
 
-    A draw whose gating phase sums come within `min_margin` radians of a
-    multiple of pi is redrawn (deterministically: attempt k reseeds with
-    (seed, k)).  Attempt 0 is the plain sample_channel draw, so channels that
-    were already safe come back unchanged.  Only schemes whose feasibility is
-    an open condition can be sampled; the closure-gated scheme needs specially
-    constructed channels instead.
+    A draw whose gating phase sums come within GENERIC_PHASE_MARGIN radians of
+    a multiple of pi is redrawn, up to _SAMPLE_ATTEMPTS times
+    (deterministically: attempt k reseeds with (seed, k)).  Attempt 0 is the
+    plain sample_channel draw, so channels that were already safe come back
+    unchanged.  Only schemes whose feasibility is an open condition can be
+    sampled; the closure-gated scheme needs specially constructed channels
+    instead.
     """
     spec = scheme_spec(scheme)
     if not spec.sampleable:
@@ -436,19 +435,17 @@ def sample_feasible_channel(
             "random channels fail the closure condition almost surely; "
             "use construct_special_channel('phase-example') or a channel file"
         )
-    if min_margin < 0:
-        raise ValueError("min_margin must be nonnegative")
     num_rx, num_tx = spec.shape
-    for attempt in range(max_attempts):
+    for attempt in range(_SAMPLE_ATTEMPTS):
         entropy = seed if attempt == 0 else [seed, attempt]
         chn = sample_channel(entropy, num_tx, num_rx)
         report = check_conditions(chn, spec.feasibility)
-        if min(rec.distance for rec in report.records) >= min_margin:
+        if min(rec.distance for rec in report.records) >= GENERIC_PHASE_MARGIN:
             return chn
     raise InfeasibleChannelError(
         scheme,
         ("margin",),
-        f"no draw with margin >= {min_margin} within {max_attempts} attempts",
+        f"no draw with margin >= {GENERIC_PHASE_MARGIN} within {_SAMPLE_ATTEMPTS} attempts",
     )
 
 
@@ -457,24 +454,14 @@ def build_phase_alignment(channel: ComplexChannelMatrix) -> BeamformerSet:
     return _build(SCHEMES["phase-align"], channel)
 
 
-def build_acs_ic3(
-    channel: ComplexChannelMatrix,
-    seed: int,
-    check: bool = True,
-    draws: int = CANDIDATE_DRAWS,
-) -> BeamformerSet:
+def build_acs_ic3(channel: ComplexChannelMatrix, seed: int, check: bool = True) -> BeamformerSet:
     """Five-slot scheme for the 3-user channel: four streams per user (12/10 total)."""
-    return _build(SCHEMES["acs-ic3"], channel, seed, check, draws)
+    return _build(SCHEMES["acs-ic3"], channel, seed, check)
 
 
-def build_x_channel(
-    channel: ComplexChannelMatrix,
-    seed: int,
-    check: bool = True,
-    draws: int = CANDIDATE_DRAWS,
-) -> BeamformerSet:
+def build_x_channel(channel: ComplexChannelMatrix, seed: int, check: bool = True) -> BeamformerSet:
     """Three-slot scheme for 2x2 crossed messages: two streams per message (8/6 total)."""
-    return _build(SCHEMES["x-channel"], channel, seed, check, draws)
+    return _build(SCHEMES["x-channel"], channel, seed, check)
 
 
 def build_cognitive_x(channel: ComplexChannelMatrix) -> BeamformerSet:
@@ -482,14 +469,9 @@ def build_cognitive_x(channel: ComplexChannelMatrix) -> BeamformerSet:
     return _build(SCHEMES["cognitive-x"], channel)
 
 
-def build_uplinks(
-    channel: ComplexChannelMatrix,
-    seed: int,
-    check: bool = True,
-    draws: int = CANDIDATE_DRAWS,
-) -> BeamformerSet:
+def build_uplinks(channel: ComplexChannelMatrix, seed: int, check: bool = True) -> BeamformerSet:
     """Three-slot scheme for two interfering two-user uplinks (8/6 total)."""
-    return _build(SCHEMES["uplinks"], channel, seed, check, draws)
+    return _build(SCHEMES["uplinks"], channel, seed, check)
 
 
 def build_scheme(tag: str, channel: ComplexChannelMatrix, seed: int = 0, check: bool = True) -> BeamformerSet:

@@ -38,7 +38,6 @@ __all__ = [
     "ConditionRecord",
     "ConditionReport",
     "check_conditions",
-    "receive_images",
     "receiver_stack",
     "alignment_residual",
     "ReceiverIndependence",
@@ -225,15 +224,6 @@ def _stack(column, links: tuple[np.ndarray, ...], keys) -> np.ndarray:
     return np.column_stack([links[t] @ column(t, c) for t, c in keys])
 
 
-def receive_images(
-    beamformers: "BeamformerSet", channel: ComplexChannelMatrix, rx: int
-) -> dict[tuple[int, int], np.ndarray]:
-    """Every stream's image at receiver rx, keyed (tx, column)."""
-    keys = [(t, c) for t, c, _ in beamformers.spec.streams()]
-    stack = _stack(beamformers.column, _links(beamformers, channel, rx), keys)
-    return {key: stack[:, j] for j, key in enumerate(keys)}
-
-
 def receiver_stack(
     beamformers: "BeamformerSet", channel: ComplexChannelMatrix, rx: int
 ) -> tuple[np.ndarray, int]:
@@ -250,11 +240,10 @@ def alignment_residual(beamformers: "BeamformerSet", channel: ComplexChannelMatr
     to sign where only the line is pinned down).  Freshly built sets sit at
     rounding level; a perturbed column shows up at the perturbation scale.
     """
-    images = [receive_images(beamformers, channel, rx) for rx in range(beamformers.num_rx)]
     worst = 0.0
     for pair in beamformers.spec.alignments:
-        left = images[pair.rx][pair.kept]
-        right = images[pair.rx][pair.dropped]
+        links = _links(beamformers, channel, pair.rx)
+        left, right = (links[t] @ beamformers.column(t, c) for t, c in (pair.kept, pair.dropped))
         d = float(np.linalg.norm(left - right))
         if pair.up_to_sign:
             d = min(d, float(np.linalg.norm(left + right)))
@@ -378,27 +367,21 @@ class ContainmentDemo:
         }
 
 
-def demonstrate_containment(
-    channel: ComplexChannelMatrix,
-    seed: int,
-    extension: int = 3,
-    aligned_streams: int = 2,
-) -> ContainmentDemo:
+def demonstrate_containment(channel: ComplexChannelMatrix, seed: int) -> ContainmentDemo:
     """Build a transmitter-1 column aligned at receivers 2 and 3 and show its
-    receiver-1 image falls inside the interference span there.
+    receiver-1 image falls inside the interference span there.  The
+    construction runs over S = 3 slots with two aligned streams from each of
+    transmitters 2 and 3.
 
     Requires the cyclic phase sum (tx1->rx2->tx3 ... around the triangle) to
     stay away from multiples of pi.  Channels where that sum vanishes are
     exactly the ones the single-symbol phase-alignment scheme needs, and
     there the containment genuinely fails.
     """
-    if channel.magnitude.shape != (3, 3):
-        raise ValueError("containment demo needs a 3x3 channel")
-    if extension < 1 or aligned_streams < 1:
-        raise ValueError("extension and aligned_streams must be positive")
+    _require_shape(channel, (3, 3), "containment demo")
     p = channel.phase
-    alpha = p[0, 2] - p[1, 2] + p[1, 0] - p[0, 0]
-    beta = p[0, 1] - p[2, 1] + p[2, 0] - p[0, 0]
+    alpha = _signed_phase_sum(channel, (((0, 2), +1), ((1, 2), -1), ((1, 0), +1), ((0, 0), -1)))
+    beta = _signed_phase_sum(channel, (((0, 1), +1), ((2, 1), -1), ((2, 0), +1), ((0, 0), -1)))
     cyc = alpha - beta
     if mod_distance(cyc, np.pi) <= PHASE_TOL:
         raise DegenerateAnglesError(
@@ -406,22 +389,21 @@ def demonstrate_containment(
         )
 
     rng = np.random.default_rng(seed)
-    S, d = extension, aligned_streams
+    S = 3
 
     def complex_block(cols: int) -> np.ndarray:
         z = (rng.standard_normal((S, cols)) + 1j * rng.standard_normal((S, cols))) / np.sqrt(2.0)
         return z / np.linalg.norm(z, axis=0, keepdims=True)
 
-    v3 = complex_block(d)
-    a = rng.standard_normal(d)
+    v3 = complex_block(2)
+    a = rng.standard_normal(2)
     # Alignment at receiver 2 defines the column; alignment at receiver 3 is
     # then arranged by solving for the first tx-2 basis vector.
     v1 = np.exp(1j * (p[1, 2] - p[1, 0])) * (v3 @ a)
-    b = np.concatenate(([1.0], rng.standard_normal(d - 1))) if d > 1 else np.array([1.0])
-    v2 = np.empty((S, d), dtype=complex)
-    if d > 1:
-        v2[:, 1:] = complex_block(d - 1)
-    v2[:, 0] = np.exp(1j * (p[2, 0] - p[2, 1])) * v1 - (v2[:, 1:] @ b[1:] if d > 1 else 0.0)
+    b = np.concatenate(([1.0], rng.standard_normal(1)))
+    v2 = np.empty((S, 2), dtype=complex)
+    v2[:, 1:] = complex_block(1)
+    v2[:, 0] = np.exp(1j * (p[2, 0] - p[2, 1])) * v1 - v2[:, 1:] @ b[1:]
 
     c1, c2 = solve_phasor_pair(alpha, beta)
     a_prime = c1 * a
@@ -430,7 +412,7 @@ def demonstrate_containment(
     into_rx1 = channel.link_rotations(S)[0]
     left = into_rx1[0] @ lift(v1)
     right = np.zeros(2 * S)
-    for s in range(d):
+    for s in range(2):
         right += a_prime[s] * (into_rx1[2] @ lift(v3[:, s]))
         right += b_prime[s] * (into_rx1[1] @ lift(v2[:, s]))
     residual = float(np.linalg.norm(left - right))

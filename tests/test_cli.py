@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from acsalign import cli, schemes
 from acsalign.channel import (
     ComplexChannelMatrix,
     construct_special_channel,
@@ -13,9 +14,9 @@ from acsalign.channel import (
     load_channel,
     sample_channel,
 )
-from acsalign.cli import ExperimentConfig, main
+from acsalign.cli import main
 from acsalign.schemes import build_scheme
-from acsalign.verify import independence_margin
+from acsalign.verify import check_conditions, independence_margin
 
 
 def run_cli(argv, capsys):
@@ -317,17 +318,39 @@ def test_usage_errors_exit_with_two(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --d-max 4" in captured.err
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--scheme", "nonsense", "--channel-seed", "0"])
-    assert exc.value.code == 2
+    for argv in (["verify", "--scheme", "nonsense", "--channel-seed", "0"],
+                 ["sweep", "--scheme", "acs-ic3", "--trials", "0"],
+                 ["sweep", "--scheme", "acs-ic3", "--workers", "0"],
+                 ["sweep", "--scheme", "acs-ic3", "--format", "xml"],
+                 ["verify", "--scheme", "acs-ic3", "--channel-seed", "1", "--special", "all-ones"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--scheme", "acs-ic3", "--snr-grid", "60,70"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    assert "argument --snr-grid: snr grid needs at least 4 points" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--scheme", "baseline", "--snr-grid", "60,nan,80,90"])
     assert exc.value.code == 2
-    assert "snr grid values must be finite, got nan at position 2" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --snr-grid: snr grid values must be finite, got nan at position 2" in captured.err
+
+
+def test_verify_evaluates_each_condition_set_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(channel, which):
+        calls.append(which)
+        return check_conditions(channel, which)
+
+    for module in (cli, schemes):
+        monkeypatch.setattr(module, "check_conditions", counted)
+    code, _ = run_cli(["verify", "--scheme", "acs-ic3", "--channel-seed", "0"], capsys)
+    assert code == 0
+    assert sorted(calls) == ["acs-ic3", "singularity"]
 
 
 def test_demo_containment_exit_codes(capsys):
@@ -340,18 +363,3 @@ def test_demo_containment_exit_codes(capsys):
     code, out = run_cli(["demo-containment", "--special", "phase-example"], capsys)
     assert code == 1
     assert "error" in json.loads(out)
-
-
-def test_config_validation_stands_alone():
-    with pytest.raises(ValueError):
-        ExperimentConfig(subcommand="sweep", trials=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(subcommand="sweep", workers=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(subcommand="sweep", format="xml")
-    with pytest.raises(ValueError):
-        ExperimentConfig(subcommand="verify", channel_seed=1, special="all-ones")
-    with pytest.raises(ValueError):
-        ExperimentConfig(subcommand="bound", s_min=2, s_max=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(subcommand="sweep", snr_grid_db=(60.0, 70.0))

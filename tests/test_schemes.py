@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from acsalign import schemes
 from acsalign.channel import (
     ComplexChannelMatrix,
     ExtendedRotation,
@@ -14,7 +15,6 @@ from acsalign.channel import (
 )
 from acsalign.rates import rate_reports
 from acsalign.schemes import (
-    CANDIDATE_DRAWS,
     GENERIC_PHASE_MARGIN,
     SCHEME_TAGS,
     SCHEMES,
@@ -144,22 +144,17 @@ def test_builds_are_deterministic_in_the_seed(tag):
     assert any(not np.array_equal(ma, mc) for ma, mc in zip(a.matrices, c.matrices))
 
 
-def test_candidate_scoring_never_does_worse_than_one_draw():
+def test_candidate_scoring_never_does_worse_than_one_draw(monkeypatch):
     chn = sample_feasible_channel("acs-ic3", 86)
-    single = build_acs_ic3(chn, seed=86, draws=1)
-    best = build_acs_ic3(chn, seed=86, draws=CANDIDATE_DRAWS)
+    best = build_acs_ic3(chn, seed=86)
+    monkeypatch.setattr(schemes, "CANDIDATE_DRAWS", 1)
+    single = build_acs_ic3(chn, seed=86)
 
     def worst_sv(bf):
         report = independence_margin(bf, chn)
         return min(r.singular_values[-1] for r in report.receivers)
 
     assert worst_sv(best) >= worst_sv(single)
-
-
-def test_zero_draws_is_an_error():
-    chn = sample_feasible_channel("acs-ic3", 0)
-    with pytest.raises(ValueError):
-        build_acs_ic3(chn, seed=0, draws=0)
 
 
 def test_interference_basis_deduplicates_aligned_streams():
@@ -249,7 +244,7 @@ def test_build_validates_only_the_winner(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(BeamformerSet, "__post_init__", counted)
-    bf = build_acs_ic3(sample_feasible_channel("acs-ic3", 0), seed=0, draws=8)
+    bf = build_acs_ic3(sample_feasible_channel("acs-ic3", 0), seed=0)
     assert len(validated) == 1 and validated[0] is bf
 
 
@@ -304,12 +299,13 @@ def test_feasible_sampler_rejects_the_closure_gated_scheme():
     assert [tag for tag, spec in SCHEMES.items() if not spec.sampleable] == ["phase-align"]
 
 
-def test_feasible_sampler_margin_bounds():
-    with pytest.raises(ValueError):
-        sample_feasible_channel("acs-ic3", 0, min_margin=-1.0)
+def test_feasible_sampler_margin_bounds(monkeypatch):
+    monkeypatch.setattr(schemes, "GENERIC_PHASE_MARGIN", np.pi)
+    monkeypatch.setattr(schemes, "_SAMPLE_ATTEMPTS", 3)
     with pytest.raises(InfeasibleChannelError) as exc:
-        sample_feasible_channel("acs-ic3", 0, min_margin=np.pi, max_attempts=3)
+        sample_feasible_channel("acs-ic3", 0)
     assert exc.value.failed == ("margin",)
+    assert "within 3 attempts" in str(exc.value)
 
 
 def test_phase_alignment_build_is_parameterless_and_exact():

@@ -256,6 +256,11 @@ def test_containment_degenerates_exactly_where_single_symbol_alignment_lives():
         demonstrate_containment(construct_special_channel("phase-example"), seed=0)
 
 
+def test_containment_demo_needs_a_3x3_channel():
+    with pytest.raises(ValueError, match=r"containment demo needs a 3x3 channel \(receivers x transmitters\), got 2x2"):
+        demonstrate_containment(sample_channel(0, 2, 2), seed=0)
+
+
 def test_containment_demo_serializes():
     d = demonstrate_containment(sample_channel(1, 3, 3), seed=1).to_dict()
     assert d["residual"] < 1e-10
