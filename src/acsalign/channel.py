@@ -151,7 +151,7 @@ class ComplexChannelMatrix:
         return hash((self.magnitude.shape, *self.magnitude.ravel().tolist(), *self.phase.ravel().tolist()))
 
     def __getstate__(self):
-        # Just the two grids: lifted rotations are rebuilt on first use.
+        # Just the two grids: derived values are rebuilt on first use.
         return self.magnitude, self.phase
 
     def __setstate__(self, state):
@@ -180,16 +180,22 @@ class ComplexChannelMatrix:
         c = np.asarray(coeffs, dtype=complex)
         return cls(np.abs(c), np.angle(c))
 
+    def _derived(self, key, build):
+        """build() on the first request for `key`, then the kept result: the one
+        store for values that follow from the two grids alone, which pickling
+        leaves behind.  Kept values must be immutable."""
+        derived = self.__dict__.setdefault("_derived_values", {})
+        if key not in derived:
+            derived[key] = build()
+        return derived[key]
+
     def link_rotations(self, extension: int) -> tuple[tuple[np.ndarray, ...], ...]:
         """Lifted link rotations for `extension` slots: entry [rx][tx] is the
         (rx, tx) link's 2S x 2S matrix.  Built on first use for each extension
         and kept with the channel (rotation matrices are read-only)."""
-        lifted = self.__dict__.setdefault("_lifted_rotations", {})
-        if extension not in lifted:
-            lifted[extension] = tuple(
-                tuple(extend_rotation(ph, extension).matrix for ph in row) for row in self.phase
-            )
-        return lifted[extension]
+        return self._derived(("rotations", extension), lambda: tuple(
+            tuple(extend_rotation(ph, extension).matrix for ph in row) for row in self.phase
+        ))
 
 
 def sample_channel(seed, num_tx: int, num_rx: int) -> ComplexChannelMatrix:

@@ -250,13 +250,30 @@ class BeamformerSet:
         return self.matrices[tx][:, col]
 
 
-def _orthonormal_columns(rng: np.random.Generator, dim: int, cols: int) -> np.ndarray:
-    a = rng.standard_normal((dim, cols))
-    q, r = np.linalg.qr(a)
-    # Fix the QR sign convention so the draw is reproducible at the bit level.
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+def _free_columns(spec: SchemeSpec, rng: np.random.Generator, draws: int) -> dict:
+    """Every candidate's free columns, keyed (tx, column), each (draws, 2S).
+
+    One standard_normal call fills all free blocks candidate-major, so candidate
+    i's block (tx, columns) holds the normals a sequential (2S, k) draw per block
+    would.  The blocks of each width then go through one stacked QR, whose sign
+    is fixed so the draw is reproducible at the bit level; per matrix this is the
+    QR of that block on its own.
+    """
+    dim = 2 * spec.extension
+    sizes = [dim * len(cols) for _, cols in spec.free_blocks]
+    normals = np.split(rng.standard_normal((draws, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+    columns = {}
+    for width in {len(cols) for _, cols in spec.free_blocks}:
+        group = [b for b, (_, cols) in enumerate(spec.free_blocks) if len(cols) == width]
+        q, r = np.linalg.qr(np.stack([normals[b].reshape(draws, dim, width) for b in group], axis=1))
+        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+        signs[signs == 0] = 1.0
+        q = q * signs[..., None, :]
+        for j, b in enumerate(group):
+            tx, cols = spec.free_blocks[b]
+            for k, c in enumerate(cols):
+                columns[tx, c] = q[:, j, :, k]
+    return columns
 
 
 def _derivations(spec: SchemeSpec, phase: np.ndarray) -> list[tuple[np.ndarray, list[AlignmentPair]]]:
@@ -270,31 +287,52 @@ def _derivations(spec: SchemeSpec, phase: np.ndarray) -> list[tuple[np.ndarray, 
 
 
 def _derive_columns(derivations: list[tuple[np.ndarray, list[AlignmentPair]]], columns: dict) -> None:
-    """Fill in every dropped column of `columns` by rotating its kept partner
-    onto the same receive image.  A run of pairs goes through a single matmul
-    and a lone pair through a matvec: the built bits, and with them every
-    sweep file, depend on that grouping."""
+    """Fill in every dropped column of `columns`, each (draws, 2S), by rotating
+    its kept partner onto the same receive image.  A run of pairs goes through
+    one stacked matmul (a matrix product per candidate) and a lone pair through
+    a matvec per candidate: the built bits, and with them every sweep file,
+    depend on that grouping."""
     for rot, group in derivations:
         if len(group) == 1:
-            columns[group[0].dropped] = rot @ columns[group[0].kept]
+            columns[group[0].dropped] = np.matmul(rot, columns[group[0].kept][..., None])[..., 0]
             continue
-        block = rot @ np.column_stack([columns[p.kept] for p in group])
+        block = np.matmul(rot, np.stack([columns[p.kept] for p in group], axis=-1))
         for k, pair in enumerate(group):
-            columns[pair.dropped] = block[:, k]
+            columns[pair.dropped] = block[..., k]
+
+
+def _candidates(spec: SchemeSpec, channel: ComplexChannelMatrix, seed: int) -> tuple[dict, np.ndarray]:
+    """All candidate column sets of one build as one stacked batch, and their scores.
+
+    The columns are keyed (tx, column), each (candidates, 2S): CANDIDATE_DRAWS
+    draws of the free blocks from one rng seeded with `seed`, or the fixed
+    columns once.  A candidate's score is the smallest singular value of any
+    receiver's stacked desired and interference images.
+    """
+    draws = CANDIDATE_DRAWS if spec.free_blocks else 1
+    columns = {key: np.tile(col, (draws, 1)) for key, col in spec.fixed_columns}
+    columns.update(_free_columns(spec, np.random.default_rng(seed), draws))
+    _derive_columns(_derivations(spec, channel.phase), columns)
+    links = channel.link_rotations(spec.extension)
+    scores = np.min([
+        np.linalg.svd(_stack(lambda t, c: columns[t, c], links[rx], keys), compute_uv=False).min(axis=-1)
+        for rx, (_, keys) in enumerate(spec._layout)
+    ], axis=0)
+    return columns, scores
 
 
 def _build(spec: SchemeSpec, channel: ComplexChannelMatrix, seed: int = 0, check: bool = True) -> BeamformerSet:
     """Build a scheme from its spec; `check=False` skips the feasibility and
     conditioning gates, to probe what happens on channels that violate them.
 
-    A spec with fixed columns is built once.  Otherwise CANDIDATE_DRAWS
-    candidates draw the free blocks from one sequential rng and the best
-    conditioned is kept.  The score is the smallest singular value of any receiver's stacked
-    desired and interference images; a channel so close to the degenerate set
-    that the best score does not clear SV_INDEPENDENT fails the gate.
-    Candidates are scored as raw columns and only the winner becomes a
-    (validated) BeamformerSet.  The result is deterministic in (channel,
-    seed) and the first candidate reproduces a single plain draw.
+    All candidates are drawn, derived and scored as one stacked batch (see
+    _candidates) and the first best scored one is kept; a spec with fixed
+    columns has a single candidate.  A channel so close to the degenerate set
+    that the best score does not clear SV_INDEPENDENT fails the gate.  Only the
+    winner becomes a (validated) BeamformerSet.  The result is deterministic in
+    (channel, seed), and equals, bit for bit, drawing, deriving and scoring the
+    candidates one at a time from a sequential rng; the first candidate
+    reproduces a single plain draw.
     """
     if not spec.stream_rx:
         raise ValueError(f"{spec.tag!r} sends no beamformed streams; only its rates can be swept")
@@ -302,31 +340,15 @@ def _build(spec: SchemeSpec, channel: ComplexChannelMatrix, seed: int = 0, check
     failed = spec.gate(channel)[1] if check else ()
     if failed:
         raise InfeasibleChannelError(spec.tag, failed)
-    derivations = _derivations(spec, channel.phase)
-    links = channel.link_rotations(spec.extension)
-    rng = np.random.default_rng(seed)
-    best = None
-    best_score = -np.inf
-    for _ in range(CANDIDATE_DRAWS if spec.free_blocks else 1):
-        columns = {key: np.array(col) for key, col in spec.fixed_columns}
-        for tx, cols in spec.free_blocks:
-            block = _orthonormal_columns(rng, 2 * spec.extension, len(cols))
-            for k, c in enumerate(cols):
-                columns[(tx, c)] = block[:, k]
-        _derive_columns(derivations, columns)
-        score = min(
-            np.linalg.svd(_stack(lambda t, c: columns[t, c], links[rx], keys), compute_uv=False).min()
-            for rx, (_, keys) in enumerate(spec._layout)
-        )
-        if score > best_score:
-            best, best_score = columns, score
-    if check and best_score <= SV_INDEPENDENT:
+    columns, scores = _candidates(spec, channel, seed)
+    best = int(np.argmax(scores))
+    if check and scores[best] <= SV_INDEPENDENT:
         raise InfeasibleChannelError(
             spec.tag, ("conditioning",),
-            f"smallest receive singular value {best_score:.3g} <= {SV_INDEPENDENT:g}",
+            f"smallest receive singular value {scores[best]:.3g} <= {SV_INDEPENDENT:g}",
         )
     return BeamformerSet(spec, tuple(
-        np.column_stack([best[t, c] for c in range(len(rxs))]) for t, rxs in enumerate(spec.stream_rx)
+        np.column_stack([columns[t, c][best] for c in range(len(rxs))]) for t, rxs in enumerate(spec.stream_rx)
     ))
 
 

@@ -191,11 +191,18 @@ def check_conditions(channel: ComplexChannelMatrix, which: str) -> ConditionRepo
                    (a ratio left undefined by a zero link gain is reported without one)
     "x-channel"    the 2x2 cross-phase sum must stay away from 0 mod pi
     "uplinks"      both per-receiver cross-phase sums on a 2x4 channel
+
+    Each set is evaluated once per channel and its report kept with the channel,
+    so the sampler's check and the builder's gate read one evaluation.
     """
     if which not in _GATES:
         raise ValueError(f"unknown condition set {which!r}; expected one of {CONDITION_SETS}")
     gate = _GATES[which]
     _require_shape(channel, gate.shape, f"{which} condition set")
+    return channel._derived(("conditions", which), lambda: _evaluate(channel, which, gate))
+
+
+def _evaluate(channel: ComplexChannelMatrix, which: str, gate: _Gate) -> ConditionReport:
     modulus = TWO_PI if gate.with_ratio else np.pi
     records = []
     for cid, terms, rx, requires in gate.conditions:
@@ -218,10 +225,16 @@ def _links(beamformers: "BeamformerSet", channel: ComplexChannelMatrix, rx: int)
 
 
 def _stack(column, links: tuple[np.ndarray, ...], keys) -> np.ndarray:
-    """The receive images of the (tx, c) streams `keys` as columns of one matrix,
-    one matvec of links[tx] with column(tx, c) each: every caller, candidate
-    scoring included, sees the same bits for the same image."""
-    return np.column_stack([links[t] @ column(t, c) for t, c in keys])
+    """The receive images of the (tx, c) streams `keys` as the columns of one
+    C-contiguous matrix.  column(tx, c) may carry a leading candidate axis,
+    which the result then carries too.  Every image is links[tx] times the
+    column, one matvec each, all made by a single stacked matmul: an image has
+    the same bits with or without the candidate axis, so candidate scoring and
+    every later reader of the built set agree."""
+    rotations = np.stack([links[t] for t, _ in keys])
+    columns = np.stack([column(t, c) for t, c in keys], axis=-2)
+    images = np.matmul(rotations, columns[..., None])[..., 0]
+    return np.ascontiguousarray(np.swapaxes(images, -1, -2))
 
 
 def receiver_stack(

@@ -25,6 +25,7 @@ from acsalign.channel import (
     special_channel_kinds,
     unlift,
 )
+from acsalign.verify import check_conditions
 
 angles = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
@@ -81,8 +82,10 @@ def test_channel_with_cached_rotations_pickles():
     chn = sample_channel(5, 3, 3)
     fresh = len(pickle.dumps(sample_channel(5, 3, 3)))
     lifted = chn.link_rotations(5)
+    check_conditions(chn, "acs-ic3")
     data = pickle.dumps(chn)
-    # Only the two grids travel: the cached rotations are rebuilt on first use.
+    # Only the two grids travel: cached rotations and condition reports are
+    # rebuilt on first use.
     assert len(data) == fresh
     copy = pickle.loads(data)
     assert copy == chn

@@ -2,8 +2,9 @@
 
 perfbench/reference.json holds a sha256 prefix of every trial's output lines
 for the benchmark's sweep commands.  Re-running the first trials of each with
-the same arguments must reproduce them exactly, so a refactor that moves a
-last digit anywhere in the numerical stack fails here, not in a benchmark.
+the same arguments must reproduce them exactly, and so must one-trial sweeps
+at every 25th recorded master seed, so a refactor that moves a last digit
+anywhere in the numerical stack fails here, not in a benchmark.
 It also holds each `bound --s-max 12` row's best ratio, feasible-profile count
 and number of maximizers, which the bound run must match.
 """
@@ -18,6 +19,7 @@ from acsalign.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 TRIALS = 3
+SEED_STRIDE = 25
 GRID_21 = ",".join(f"{60 + 2.5 * i:g}" for i in range(21))
 
 # The benchmark's arguments per scheme: acs-ic3 as JSON lines on the default
@@ -61,6 +63,22 @@ def test_first_trials_match_the_reference_digests(scheme, reference, tmp_path, c
     else:
         seeds = [json.loads(line)["seed"] for line in lines]
     assert _trial_digests(lines, seeds) == reference["digests"][scheme][:TRIALS]
+
+
+@pytest.mark.parametrize("scheme", sorted(SWEEPS))
+def test_every_25th_recorded_seed_matches_its_reference_digest(scheme, reference, tmp_path, capsys):
+    # One-trial sweeps spread over the whole recorded range, not just its start.
+    out = tmp_path / "sweep.out"
+    expected = reference["digests"][scheme]
+    for seed in range(0, len(expected), SEED_STRIDE):
+        argv = ["sweep", "--scheme", scheme, "--trials", "1", "--master-seed", str(seed), "--out", str(out)]
+        assert main(argv + SWEEPS[scheme]) == 0
+        lines = out.read_text().splitlines()
+        if SWEEPS[scheme]:
+            assert lines[0] == reference["csv_header"]
+            lines = lines[1:]
+        assert _trial_digests(lines, [seed] * len(lines)) == [expected[seed]], f"master seed {seed}"
+    capsys.readouterr()
 
 
 def test_bound_rows_match_the_reference(reference, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from acsalign import schemes
+from acsalign import schemes, verify
 from acsalign.channel import (
     ComplexChannelMatrix,
     ExtendedRotation,
@@ -341,3 +341,33 @@ def test_each_rotation_is_built_once_per_channel(rotation_builds):
     # x-channel: four links and two derivation groups of two pairs each.
     build_x_channel(sample_feasible_channel("x-channel", 4), seed=4)
     assert len(rotation_builds) == 6
+
+
+def test_a_sampled_trial_evaluates_its_gate_once(monkeypatch):
+    sums = []
+    phase_sum = verify._signed_phase_sum
+
+    def counted(channel, terms):
+        sums.append(terms)
+        return phase_sum(channel, terms)
+
+    monkeypatch.setattr(verify, "_signed_phase_sum", counted)
+    spec = scheme_spec("acs-ic3")
+    chn = spec.sample(0)
+    schemes._build(spec, chn, seed=0)
+    # The sampler's accepted attempt and the builder's gate share one report.
+    assert len(sums) == 6
+    assert spec.gate(chn)[0] is check_conditions(chn, "acs-ic3")
+    assert len(sums) == 6
+
+
+def test_sweep_trials_evaluate_one_gate_per_drawn_channel(monkeypatch):
+    drawn, evaluated = [], []
+    sample, evaluate = schemes.sample_channel, verify._evaluate
+    monkeypatch.setattr(schemes, "sample_channel", lambda *a: drawn.append(a) or sample(*a))
+    monkeypatch.setattr(verify, "_evaluate", lambda *a: evaluated.append(a) or evaluate(*a))
+    spec = scheme_spec("acs-ic3")
+    for seed in range(100):
+        schemes._build(spec, spec.sample(seed), seed)
+    # Some trials redraw, and each redraw is judged once.
+    assert len(drawn) > 100 and len(evaluated) == len(drawn)
