@@ -2,78 +2,40 @@
 complex channels: beamformer construction, feasibility verification, rate
 evaluation, and the exhaustive allocation bound."""
 
-from .bound import (
-    AllocationCheck,
-    AllocationProfile,
-    BoundResult,
-    SearchSpaceError,
-    check_allocation,
-    iter_feasible_profiles,
-    max_dof,
-)
-from .channel import (
-    ComplexChannelMatrix,
-    ExtendedRotation,
-    construct_special_channel,
-    dump_channel,
-    extend_rotation,
-    lift,
-    load_channel,
-    mod_distance,
-    rotation_matrix,
-    sample_channel,
-    special_channel_kinds,
-    unlift,
-)
-from .rates import (
-    DEFAULT_SNR_GRID_DB,
-    DofEstimate,
-    RankDeficientReceiverError,
-    RateReport,
-    StreamRate,
-    baseline_best_sum_rate,
-    baseline_circsym,
-    baseline_rate_profile,
-    estimate_baseline_dof,
-    estimate_dof,
-    fit_dof,
-    rate_reports,
-    sum_rate,
-    validate_snr_grid,
-    zf_receive,
-)
-from .schemes import (
-    CANDIDATE_DRAWS,
-    GENERIC_PHASE_MARGIN,
-    SCHEME_TAGS,
-    SCHEMES,
-    AlignmentPair,
-    BeamformerSet,
-    SchemeDescriptor,
-    SchemeSpec,
-    build_acs_ic3,
-    build_cognitive_x,
-    build_phase_alignment,
-    build_scheme,
-    build_uplinks,
-    build_x_channel,
-    sample_feasible_channel,
-    scheme_spec,
-)
-from .verify import (
-    ConditionRecord,
-    ConditionReport,
-    ContainmentDemo,
-    DegenerateAnglesError,
-    IndependenceReport,
-    InfeasibleChannelError,
-    ReceiverIndependence,
-    alignment_residual,
-    check_conditions,
-    demonstrate_containment,
-    independence_margin,
-    solve_phasor_pair,
-)
+import importlib
+
+# Each public name and the submodule that defines it.  `import acsalign` loads
+# none of them: a name is imported from its home module on first access, so
+# the pure-integer bound and the command line's help never pull in numpy.
+_HOMES = {name: home for home, names in (
+    ("bound", (
+        "AllocationCheck", "AllocationProfile", "BoundResult", "SearchSpaceError",
+        "check_allocation", "iter_feasible_profiles", "max_dof",
+    )),
+    ("channel", (
+        "ComplexChannelMatrix", "ExtendedRotation", "construct_special_channel",
+        "dump_channel", "extend_rotation", "lift", "load_channel", "mod_distance",
+        "rotation_matrix", "sample_channel", "special_channel_kinds", "unlift",
+    )),
+    ("rates", (
+        "DEFAULT_SNR_GRID_DB", "DofEstimate", "RankDeficientReceiverError",
+        "RateReport", "StreamRate", "baseline_best_sum_rate", "baseline_circsym",
+        "baseline_rate_profile", "estimate_baseline_dof", "estimate_dof", "fit_dof",
+        "rate_reports", "sum_rate", "validate_snr_grid", "zf_receive",
+    )),
+    ("schemes", (
+        "CANDIDATE_DRAWS", "GENERIC_PHASE_MARGIN", "SCHEME_TAGS", "SCHEMES",
+        "AlignmentPair", "BeamformerSet", "SchemeDescriptor", "SchemeSpec",
+        "build_acs_ic3", "build_cognitive_x", "build_phase_alignment", "build_scheme",
+        "build_uplinks", "build_x_channel", "sample_feasible_channel", "scheme_spec",
+    )),
+    ("verify", (
+        "ConditionRecord", "ConditionReport", "ContainmentDemo",
+        "DegenerateAnglesError", "IndependenceReport", "InfeasibleChannelError",
+        "ReceiverIndependence", "alignment_residual", "check_conditions",
+        "demonstrate_containment", "independence_margin", "solve_phasor_pair",
+    )),
+) for name in names}
 
 __version__ = "0.1.0"
 
@@ -141,3 +103,16 @@ __all__ = [
     "validate_snr_grid",
     "zf_receive",
 ]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOMES))

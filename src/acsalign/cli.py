@@ -15,32 +15,14 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import TYPE_CHECKING
 
+# Only the pure-integer bound is imported here: the numerical modules (and
+# numpy) load when a subcommand that needs them parses its arguments or runs.
 from .bound import DEFAULT_PROFILE_LIMIT, SearchSpaceError, max_dof
-from .channel import (
-    ComplexChannelMatrix,
-    construct_special_channel,
-    load_channel,
-    sample_channel,
-    special_channel_kinds,
-)
-from .rates import (
-    DEFAULT_SNR_GRID_DB,
-    _db_to_linear,
-    baseline_rate_profile,
-    fit_dof,
-    rate_reports,
-    validate_snr_grid,
-)
-from .schemes import SCHEME_TAGS, SCHEMES, build_scheme, scheme_spec
-from .verify import (
-    DegenerateAnglesError,
-    InfeasibleChannelError,
-    alignment_residual,
-    check_conditions,
-    demonstrate_containment,
-    independence_margin,
-)
+
+if TYPE_CHECKING:
+    from .channel import ComplexChannelMatrix
 
 __all__ = [
     "run_verify",
@@ -61,6 +43,8 @@ DEMO_RESIDUAL_PASS = 1e-10
 def _resolve_channel(args: argparse.Namespace, shape: tuple[int, int]) -> ComplexChannelMatrix:
     """Turn the channel-source flags into a channel; `shape` is (num_rx, num_tx)
     and only steers the random draw, fixed sources keep their own shape."""
+    from .channel import construct_special_channel, load_channel, sample_channel
+
     if args.special is not None:
         return construct_special_channel(args.special)
     if args.channel_file is not None:
@@ -152,6 +136,9 @@ def _emit(text: str, out: str | None) -> None:
 # -- verify -------------------------------------------------------------------
 
 def run_verify(args: argparse.Namespace) -> int:
+    from .schemes import build_scheme, scheme_spec
+    from .verify import alignment_residual, check_conditions, independence_margin
+
     scheme = args.scheme
     spec = scheme_spec(scheme)
     channel = _resolve_channel(args, spec.shape)
@@ -185,6 +172,9 @@ def _record(scheme: str, seed: int, kind: str, snr_db, total, per_user, **fields
 
 def _trial_records(scheme: str, channel: ComplexChannelMatrix, trial_seed: int, grid) -> list[dict]:
     """One rate record per grid point and a closing dof record fitted to them."""
+    from .rates import _db_to_linear, baseline_rate_profile, fit_dof, rate_reports
+    from .schemes import build_scheme
+
     snrs = _db_to_linear(grid)
     if scheme == "baseline":
         profiles = [baseline_rate_profile(channel, snr) for snr in snrs]
@@ -207,6 +197,9 @@ def _sweep_trial(args) -> tuple[int, list[dict]]:
     degenerate set for the randomized schemes) and reuses the same seed for
     the free beamformer columns.
     """
+    from .schemes import SCHEMES
+    from .verify import InfeasibleChannelError
+
     scheme, trial_index, trial_seed, grid, fixed = args
     try:
         channel = fixed if fixed is not None else SCHEMES[scheme].sample(trial_seed)
@@ -217,6 +210,12 @@ def _sweep_trial(args) -> tuple[int, list[dict]]:
 
 
 def run_sweep(args: argparse.Namespace) -> int:
+    # The trials' rate layer (and through it schemes, verify and channel) loads
+    # before the pool starts, so forked workers inherit it instead of each
+    # importing it.
+    from . import rates
+    from .schemes import scheme_spec
+
     scheme = args.scheme
     fixed = None
     if args.special is not None or args.channel_file is not None or args.channel_seed is not None:
@@ -255,6 +254,8 @@ def run_bound(args: argparse.Namespace) -> int:
 # -- containment demo ---------------------------------------------------------
 
 def run_demo_containment(args: argparse.Namespace) -> int:
+    from .verify import DegenerateAnglesError, demonstrate_containment
+
     channel = _resolve_channel(args, (3, 3))
     try:
         demo = demonstrate_containment(channel, seed=args.seed)
@@ -280,6 +281,8 @@ def _positive_int(text: str) -> int:
 
 
 def _grid_arg(text: str) -> tuple[float, ...]:
+    from .rates import validate_snr_grid
+
     try:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
@@ -291,7 +294,36 @@ def _grid_arg(text: str) -> tuple[float, ...]:
     return values
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand parser whose arguments `fill` adds the first time it parses
+    or formats its usage or help.  Choices such as the scheme tags come from
+    the numerical modules, so they load only for the subcommand that is used."""
+
+    def __init__(self, *args, fill, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def _fill_once(self) -> None:
+        fill, self._fill = self._fill, None
+        if fill is not None:
+            fill(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._fill_once()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._fill_once()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._fill_once()
+        return super().format_help()
+
+
 def _add_channel_source(sub: argparse.ArgumentParser) -> None:
+    from .channel import special_channel_kinds
+
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--channel-seed", type=int, default=None, metavar="N",
                        help="draw the channel from this seed (default 0)")
@@ -301,22 +333,18 @@ def _add_channel_source(sub: argparse.ArgumentParser) -> None:
                        help="load the channel from a text file (see README for the format)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The acsalign parser.  Each subcommand's `run` default is its run_*
-    function as the module holds it when the parser is built."""
-    parser = argparse.ArgumentParser(
-        prog="acsalign",
-        description="Construct, verify and rate-sweep rotation-based alignment schemes.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _verify_arguments(verify: argparse.ArgumentParser) -> None:
+    from .schemes import SCHEME_TAGS
 
-    verify = sub.add_parser("verify", help="check feasibility and build health on one channel")
     verify.add_argument("--scheme", required=True, choices=SCHEME_TAGS)
     _add_channel_source(verify)
     verify.add_argument("--seed", type=int, default=0, help="seed for the free beamformer columns")
-    verify.set_defaults(run=run_verify)
 
-    sweep = sub.add_parser("sweep", help="rate sweeps over trials and an SNR grid")
+
+def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
+    from .rates import DEFAULT_SNR_GRID_DB
+    from .schemes import SCHEMES
+
     sweep.add_argument("--scheme", required=True, choices=tuple(SCHEMES))
     sweep.add_argument("--trials", type=_positive_int, default=20)
     sweep.add_argument("--master-seed", type=int, default=0)
@@ -327,20 +355,35 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"output file (relative paths resolve under ${OUT_DIR_ENV}); stdout if omitted")
     sweep.add_argument("--workers", type=_positive_int, default=1)
     _add_channel_source(sweep)
-    sweep.set_defaults(run=run_sweep)
 
-    bound = sub.add_parser("bound", help="exhaustive allocation bound per extension length")
+
+def _bound_arguments(bound: argparse.ArgumentParser) -> None:
     bound.add_argument("--s-min", type=_positive_int, default=1)
     bound.add_argument("--s-max", type=_positive_int, required=True)
     bound.add_argument("--profile-limit", type=_positive_int, default=DEFAULT_PROFILE_LIMIT)
-    bound.set_defaults(run=run_bound)
 
-    demo = sub.add_parser("demo-containment",
-                          help="show a doubly-aligned column is trapped at its own receiver")
+
+def _demo_arguments(demo: argparse.ArgumentParser) -> None:
     _add_channel_source(demo)
     demo.add_argument("--seed", type=int, default=0, help="seed for the demo's random blocks")
-    demo.set_defaults(run=run_demo_containment)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """The acsalign parser.  Each subcommand's `run` default is its run_*
+    function as the module holds it when the parser is built."""
+    parser = argparse.ArgumentParser(
+        prog="acsalign",
+        description="Construct, verify and rate-sweep rotation-based alignment schemes.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_SubcommandParser)
+    for name, help_text, fill, run in (
+        ("verify", "check feasibility and build health on one channel", _verify_arguments, run_verify),
+        ("sweep", "rate sweeps over trials and an SNR grid", _sweep_arguments, run_sweep),
+        ("bound", "exhaustive allocation bound per extension length", _bound_arguments, run_bound),
+        ("demo-containment", "show a doubly-aligned column is trapped at its own receiver",
+         _demo_arguments, run_demo_containment),
+    ):
+        sub.add_parser(name, help=help_text, fill=fill).set_defaults(run=run)
     return parser
 
 

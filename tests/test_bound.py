@@ -185,3 +185,54 @@ def test_search_budget_yields_the_profiles_within_it():
             for profile in iter_feasible_profiles(extension, profile_limit=limit):
                 seen.append(profile)
         assert seen == full[:sum(step <= limit for step in steps)]
+
+
+# The six constraints of check_allocation as coefficient vectors over
+# (d1, d2, d3, d12, d23, d31) and a bound in units of S: row . x <= bound * S.
+CONSTRAINTS = {
+    "partition-user-1": ((-1, 0, 0, 1, 0, 1), 0),
+    "partition-user-2": ((0, -1, 0, 1, 1, 0), 0),
+    "partition-user-3": ((0, 0, -1, 0, 1, 1), 0),
+    "receiver-1": ((1, 1, 1, 0, -1, 0), 2),
+    "receiver-2": ((1, 1, 1, 0, 0, -1), 2),
+    "receiver-3": ((1, 1, 1, -1, 0, 0), 2),
+}
+
+
+@pytest.mark.parametrize("extension", [1, 2])
+def test_constraint_vectors_are_check_allocation(extension):
+    for x in itertools.product(range(2 * extension + 2), repeat=6):
+        profile = AllocationProfile(extension, x[:3], x[3:])
+        violated = tuple(label for label, (row, bound) in CONSTRAINTS.items()
+                         if sum(a * v for a, v in zip(row, x)) > bound * extension)
+        assert check_allocation(profile).violations == violated
+
+
+def test_six_fifths_certificate():
+    # Every receiver constraint plus half of every partition constraint is a
+    # nonnegative combination of valid inequalities, so 5T <= 12S holds for
+    # every feasible profile at every S.
+    multipliers = {label: Fraction(1) if label.startswith("receiver") else Fraction(1, 2)
+                   for label in CONSTRAINTS}
+    row = [sum(multipliers[label] * r[k] for label, (r, _) in CONSTRAINTS.items()) for k in range(6)]
+    bound = sum(multipliers[label] * b for label, (_, b) in CONSTRAINTS.items())
+    assert [2 * a for a in row] == [5, 5, 5, 0, 0, 0]
+    assert 2 * bound == 12
+
+
+@pytest.mark.parametrize("extension", range(1, 61))
+def test_six_fifths_is_reached_at_every_extension(extension):
+    # The constraints are homogeneous, so a feasible profile at S mod 5 plus
+    # S // 5 copies of the unique S=5 maximizer is feasible at S.
+    k, r = divmod(extension, 5)
+    base = max_dof(r).argmax[0] if r else AllocationProfile(1, (0, 0, 0), (0, 0, 0))
+    profile = AllocationProfile(
+        extension,
+        tuple(d + 4 * k for d in base.streams),
+        tuple(d + 2 * k for d in base.overlaps),
+    )
+    assert check_allocation(profile).feasible
+    total = sum(profile.streams)
+    assert total == 12 * extension // 5
+    if extension <= 12:
+        assert max_dof(extension).best_ratio == Fraction(total, 2 * extension)

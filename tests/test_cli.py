@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from acsalign import cli, schemes
+from acsalign import schemes, verify
 from acsalign.channel import (
     ComplexChannelMatrix,
     construct_special_channel,
@@ -13,9 +13,10 @@ from acsalign.channel import (
     implicated_receiver,
     load_channel,
     sample_channel,
+    special_channel_kinds,
 )
 from acsalign.cli import main
-from acsalign.schemes import build_scheme
+from acsalign.schemes import SCHEME_TAGS, SCHEMES, build_scheme
 from acsalign.verify import check_conditions, independence_margin
 
 
@@ -339,6 +340,45 @@ def test_usage_errors_exit_with_two(capsys):
     assert "argument --snr-grid: snr grid values must be finite, got nan at position 2" in captured.err
 
 
+def listed_choices(argv, capsys) -> tuple[str, ...]:
+    """The choices an "invalid choice" usage error lists."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+    listed = err.rstrip().rpartition("(choose from ")[2].removesuffix(")")
+    return tuple(choice.strip("'") for choice in listed.split(", "))
+
+
+def test_invalid_choices_list_the_library_names(capsys):
+    assert listed_choices(["sweep", "--scheme", "nonsense"], capsys) == tuple(SCHEMES)
+    assert listed_choices(["verify", "--scheme", "nonsense"], capsys) == SCHEME_TAGS
+    for sub in ("verify", "sweep", "demo-containment"):
+        argv = [sub, "--special", "nonsense"]
+        assert listed_choices(argv, capsys) == special_channel_kinds()
+
+
+def test_subcommand_help_names_the_choices(capsys):
+    def braced(names):
+        return "{" + ",".join(names) + "}"
+
+    expected = {
+        "verify": (braced(SCHEME_TAGS), braced(special_channel_kinds())),
+        "sweep": (braced(SCHEMES), braced(special_channel_kinds()), "--snr-grid DB,DB,..."),
+        "bound": ("--s-max S_MAX",),
+        "demo-containment": (braced(special_channel_kinds()),),
+    }
+    for sub, names in expected.items():
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: acsalign {sub} ")
+        for name in names:
+            assert name in out
+
+
 def test_verify_evaluates_each_condition_set_once(monkeypatch, capsys):
     calls = []
 
@@ -346,7 +386,9 @@ def test_verify_evaluates_each_condition_set_once(monkeypatch, capsys):
         calls.append(which)
         return check_conditions(channel, which)
 
-    for module in (cli, schemes):
+    # run_verify imports check_conditions from verify when it runs; the gate
+    # calls the name schemes holds.
+    for module in (verify, schemes):
         monkeypatch.setattr(module, "check_conditions", counted)
     code, _ = run_cli(["verify", "--scheme", "acs-ic3", "--channel-seed", "0"], capsys)
     assert code == 0
