@@ -19,9 +19,9 @@ _HOMES = {name: home for home, names in (
     )),
     ("rates", (
         "DEFAULT_SNR_GRID_DB", "DofEstimate", "RankDeficientReceiverError",
-        "RateReport", "StreamRate", "baseline_best_sum_rate", "baseline_circsym",
-        "baseline_rate_profile", "estimate_baseline_dof", "estimate_dof", "fit_dof",
-        "rate_reports", "sum_rate", "validate_snr_grid", "zf_receive",
+        "RateReport", "StreamRate", "baseline_circsym", "baseline_rate_profile",
+        "estimate_baseline_dof", "estimate_dof", "fit_dof", "rate_reports", "sum_rate",
+        "validate_snr_grid", "zf_receive",
     )),
     ("schemes", (
         "CANDIDATE_DRAWS", "GENERIC_PHASE_MARGIN", "SCHEME_TAGS", "SCHEMES",
@@ -39,70 +39,7 @@ _HOMES = {name: home for home, names in (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllocationCheck",
-    "AllocationProfile",
-    "AlignmentPair",
-    "BeamformerSet",
-    "BoundResult",
-    "CANDIDATE_DRAWS",
-    "ComplexChannelMatrix",
-    "ConditionRecord",
-    "ConditionReport",
-    "ContainmentDemo",
-    "DEFAULT_SNR_GRID_DB",
-    "GENERIC_PHASE_MARGIN",
-    "DegenerateAnglesError",
-    "DofEstimate",
-    "ExtendedRotation",
-    "IndependenceReport",
-    "InfeasibleChannelError",
-    "RankDeficientReceiverError",
-    "RateReport",
-    "ReceiverIndependence",
-    "SCHEME_TAGS",
-    "SCHEMES",
-    "SchemeDescriptor",
-    "SchemeSpec",
-    "SearchSpaceError",
-    "StreamRate",
-    "alignment_residual",
-    "baseline_best_sum_rate",
-    "baseline_circsym",
-    "baseline_rate_profile",
-    "build_acs_ic3",
-    "build_cognitive_x",
-    "build_phase_alignment",
-    "build_scheme",
-    "build_uplinks",
-    "build_x_channel",
-    "check_allocation",
-    "check_conditions",
-    "construct_special_channel",
-    "demonstrate_containment",
-    "dump_channel",
-    "estimate_baseline_dof",
-    "estimate_dof",
-    "extend_rotation",
-    "fit_dof",
-    "independence_margin",
-    "iter_feasible_profiles",
-    "lift",
-    "load_channel",
-    "max_dof",
-    "mod_distance",
-    "rate_reports",
-    "rotation_matrix",
-    "sample_channel",
-    "sample_feasible_channel",
-    "scheme_spec",
-    "solve_phasor_pair",
-    "special_channel_kinds",
-    "sum_rate",
-    "unlift",
-    "validate_snr_grid",
-    "zf_receive",
-]
+__all__ = list(_HOMES)
 
 
 def __getattr__(name: str):

@@ -27,8 +27,6 @@ __all__ = [
     "sample_channel",
     "construct_special_channel",
     "special_channel_kinds",
-    "cross_phase_sum",
-    "cross_gain_ratio",
     "implicated_receiver",
     "NUM_CROSS_SUMS",
     "load_channel",
@@ -249,27 +247,6 @@ def _signed_gain_ratio(channel: ComplexChannelMatrix, terms) -> float | None:
     return None if den == 0.0 else float(num / den)
 
 
-def _cross_terms(channel: ComplexChannelMatrix, index: int, what: str):
-    if channel.magnitude.shape != (3, 3):
-        raise ValueError(f"cross {what} are defined for 3x3 channels")
-    if not 0 <= index < NUM_CROSS_SUMS:
-        raise ValueError(f"index must be in 0..{NUM_CROSS_SUMS - 1}")
-    return _CROSS_TERMS[index]
-
-
-def cross_phase_sum(channel: ComplexChannelMatrix, index: int) -> float:
-    """Signed phase sum number `index` (0..5) of a 3x3 channel."""
-    return _signed_phase_sum(channel, _cross_terms(channel, index, "phase sums"))
-
-
-def cross_gain_ratio(channel: ComplexChannelMatrix, index: int) -> float:
-    """Magnitude ratio paired with cross_phase_sum: positive links over negative."""
-    ratio = _signed_gain_ratio(channel, _cross_terms(channel, index, "gain ratios"))
-    if ratio is None:
-        raise ValueError("gain ratio undefined: zero magnitude in denominator")
-    return ratio
-
-
 def implicated_receiver(index: int) -> int:
     """Receiver whose column stack collapses when cross sum `index` hits 0 mod pi."""
     if not 0 <= index < NUM_CROSS_SUMS:
@@ -362,8 +339,8 @@ def load_channel(path) -> ComplexChannelMatrix:
     if not rows:
         raise ValueError(f"channel file {path} is empty")
     header = rows[0].split()
-    if len(header) != 2:
-        raise ValueError("header must hold two integers: num_rx num_tx")
+    if len(header) != 2 or not all(tok.isdigit() and int(tok) > 0 for tok in header):
+        raise ValueError(f"{path}: header must hold two positive integers num_rx num_tx, got {rows[0]!r}")
     num_rx, num_tx = int(header[0]), int(header[1])
     expected = num_rx * num_tx
     if len(rows) - 1 != expected:
@@ -372,15 +349,16 @@ def load_channel(path) -> ComplexChannelMatrix:
     ph = np.zeros((num_rx, num_tx))
     seen = set()
     for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ValueError(f"bad link line: {ln!r}")
-        r, t = int(parts[0]) - 1, int(parts[1]) - 1
+        try:
+            rx, tx, magnitude, phase = ln.split()
+            r, t, m, p = int(rx) - 1, int(tx) - 1, float(magnitude), float(phase)
+        except ValueError:
+            raise ValueError(f"{path}: bad link line: {ln!r}") from None
         if not (0 <= r < num_rx and 0 <= t < num_tx):
             raise ValueError(f"link indices out of range: {ln!r}")
         if (r, t) in seen:
             raise ValueError(f"duplicate link ({r + 1}, {t + 1})")
         seen.add((r, t))
-        mag[r, t] = float(parts[2])
-        ph[r, t] = float(parts[3])
+        mag[r, t] = m
+        ph[r, t] = p
     return ComplexChannelMatrix(mag, ph)

@@ -171,7 +171,8 @@ def _record(scheme: str, seed: int, kind: str, snr_db, total, per_user, **fields
 
 
 def _trial_records(scheme: str, channel: ComplexChannelMatrix, trial_seed: int, grid) -> list[dict]:
-    """One rate record per grid point and a closing dof record fitted to them."""
+    """One rate record per grid point and a closing dof record fitted to them;
+    a fit that is not asymptotic says so in the dof record's reason."""
     from .rates import _db_to_linear, baseline_rate_profile, fit_dof, rate_reports
     from .schemes import build_scheme
 
@@ -185,12 +186,15 @@ def _trial_records(scheme: str, channel: ComplexChannelMatrix, trial_seed: int, 
     records = [_record(scheme, trial_seed, "rate", db, total, per_user)
                for db, (total, per_user) in zip(grid, rates)]
     estimate = fit_dof(grid, [total for total, _ in rates])
-    records.append(_record(scheme, trial_seed, "dof", None, None, None, slope=estimate.slope,
-                           intercept=estimate.intercept, rms_residual=estimate.rms_residual))
+    fit = {"slope": estimate.slope, "intercept": estimate.intercept, "rms_residual": estimate.rms_residual}
+    if not estimate.asymptotic:
+        fit["reason"] = (f"fit: slope {estimate.slope:.4f} strays from the top-grid secant "
+                         f"{estimate.secant:.4f}; the grid has not reached the asymptotic regime")
+    records.append(_record(scheme, trial_seed, "dof", None, None, None, **fit))
     return records
 
 
-def _sweep_trial(args) -> tuple[int, list[dict]]:
+def _sweep_trial(args) -> list[dict]:
     """One trial, module level so worker processes can unpickle it.
 
     Trial i draws its channel from seed master+i (redrawn away from the
@@ -200,13 +204,13 @@ def _sweep_trial(args) -> tuple[int, list[dict]]:
     from .schemes import SCHEMES
     from .verify import InfeasibleChannelError
 
-    scheme, trial_index, trial_seed, grid, fixed = args
+    scheme, trial_seed, grid, fixed = args
     try:
         channel = fixed if fixed is not None else SCHEMES[scheme].sample(trial_seed)
         records = _trial_records(scheme, channel, trial_seed, grid)
     except InfeasibleChannelError as exc:
         records = [_record(scheme, trial_seed, "skip", None, None, None, reason=str(exc))]
-    return trial_index, records
+    return records
 
 
 def run_sweep(args: argparse.Namespace) -> int:
@@ -220,10 +224,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     fixed = None
     if args.special is not None or args.channel_file is not None or args.channel_seed is not None:
         fixed = _resolve_channel(args, scheme_spec(scheme).shape)
-    payloads = [
-        (scheme, i, args.master_seed + i, args.snr_grid, fixed)
-        for i in range(args.trials)
-    ]
+    payloads = [(scheme, args.master_seed + i, args.snr_grid, fixed) for i in range(args.trials)]
     # A fork-started pool launches every worker up front: no more than one per trial.
     workers = min(args.workers, args.trials)
     if workers > 1:
@@ -231,8 +232,8 @@ def run_sweep(args: argparse.Namespace) -> int:
             results = list(pool.map(_sweep_trial, payloads))
     else:
         results = [_sweep_trial(p) for p in payloads]
-    results.sort(key=lambda pair: pair[0])
-    records = [record for _, trial_records in results for record in trial_records]
+    # pool.map, like the comprehension, yields results in payload order.
+    records = [record for trial_records in results for record in trial_records]
     _emit(_render_records(records, args.format), args.out)
     produced = any(r["record"] == "dof" for r in records)
     return 0 if produced else 1

@@ -31,13 +31,17 @@ __all__ = [
     "validate_snr_grid",
     "baseline_circsym",
     "baseline_rate_profile",
-    "baseline_best_sum_rate",
     "estimate_baseline_dof",
 ]
 
 DEFAULT_SNR_GRID_DB = (60.0, 70.0, 80.0, 90.0, 100.0, 110.0)
 
 NOISE_VAR_PER_REAL_DIM = 0.5
+
+# A fitted slope further than this from the secant over the top two grid points
+# was not fitted in the asymptotic regime: two thirds of the acceptance suite's
+# +-0.03 slope band, so a drift that could carry a slope out of it is flagged.
+FIT_GAP = 0.02
 
 
 class RankDeficientReceiverError(Exception):
@@ -159,6 +163,12 @@ class DofEstimate:
     slope: float
     intercept: float
     rms_residual: float
+    secant: float
+
+    @property
+    def asymptotic(self) -> bool:
+        """Whether the fitted slope agrees with the top-grid secant within FIT_GAP."""
+        return abs(self.secant - self.slope) <= FIT_GAP
 
     def to_dict(self) -> dict:
         return {
@@ -167,6 +177,7 @@ class DofEstimate:
             "slope": self.slope,
             "intercept": self.intercept,
             "rms_residual": self.rms_residual,
+            "secant": self.secant,
         }
 
 
@@ -197,15 +208,17 @@ def _db_to_linear(grid_db) -> list[float]:
 
 def fit_dof(snr_grid_db, sum_rates) -> DofEstimate:
     """Least-squares line through sum rates against log2(snr); the slope is
-    the DoF estimate.  The grid is taken as already validated."""
+    the DoF estimate.  The secant over the top two grid points comes along as
+    a check on it.  The grid is taken as already validated."""
     grid_db = np.asarray(snr_grid_db, dtype=float)
     x = grid_db / 10.0 * np.log2(10.0)
     y = np.asarray(sum_rates)
     slope, intercept = np.polyfit(x, y, 1)
     fit = slope * x + intercept
     rms = float(np.sqrt(np.mean((fit - y) ** 2)))
+    secant = float((y[-1] - y[-2]) / (x[-1] - x[-2]))
     return DofEstimate(tuple(float(g) for g in grid_db), tuple(float(r) for r in y),
-                       float(slope), float(intercept), rms)
+                       float(slope), float(intercept), rms, secant)
 
 
 def estimate_dof(
@@ -260,12 +273,7 @@ def baseline_rate_profile(channel: ComplexChannelMatrix, snr: float) -> np.ndarr
     return single if single.sum() > full.sum() else full
 
 
-def baseline_best_sum_rate(channel: ComplexChannelMatrix, snr: float) -> float:
-    """Best per-symbol baseline sum rate among full power and single-user modes."""
-    return float(baseline_rate_profile(channel, snr).sum())
-
-
 def estimate_baseline_dof(channel: ComplexChannelMatrix, snr_grid_db=DEFAULT_SNR_GRID_DB) -> DofEstimate:
     grid = validate_snr_grid(snr_grid_db)
-    rates = [baseline_best_sum_rate(channel, snr) for snr in _db_to_linear(grid)]
+    rates = [float(baseline_rate_profile(channel, snr).sum()) for snr in _db_to_linear(grid)]
     return fit_dof(grid, rates)

@@ -1,6 +1,7 @@
 """Rotation lift, channel sampling, special channels, file round trips."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from acsalign.channel import (
     TWO_PI,
     ComplexChannelMatrix,
     construct_special_channel,
-    cross_gain_ratio,
-    cross_phase_sum,
     dump_channel,
     extend_rotation,
     implicated_receiver,
@@ -240,19 +239,20 @@ def test_special_kind_listing_is_complete():
 @pytest.mark.parametrize("idx", range(1, NUM_CROSS_SUMS + 1))
 def test_violating_channel_zeroes_its_own_sum(idx):
     chn = construct_special_channel(f"acs-violating-{idx}")
-    assert mod_distance(cross_phase_sum(chn, idx - 1), TWO_PI) < 1e-12
+    records = check_conditions(chn, "acs-ic3").records
+    assert mod_distance(records[idx - 1].value, TWO_PI) < 1e-12
     # The construction only touches one diagonal phase, so the base draw keeps
     # the other five sums comfortably away from the degenerate set.
-    others = [mod_distance(cross_phase_sum(chn, k), np.pi)
+    others = [mod_distance(records[k].value, np.pi)
               for k in range(NUM_CROSS_SUMS) if k != idx - 1]
     assert min(others) > 0.5
 
 
 @pytest.mark.parametrize("idx", range(1, NUM_CROSS_SUMS + 1))
 def test_singular_channel_matches_phase_and_gain(idx):
-    chn = construct_special_channel(f"singular-{idx}")
-    assert mod_distance(cross_phase_sum(chn, idx - 1), TWO_PI) < 1e-12
-    assert abs(cross_gain_ratio(chn, idx - 1) - 1.0) < 1e-12
+    record = check_conditions(construct_special_channel(f"singular-{idx}"), "singularity").records[idx - 1]
+    assert mod_distance(record.value, TWO_PI) < 1e-12
+    assert abs(record.magnitude_ratio - 1.0) < 1e-12
 
 
 def test_implicated_receiver_pairs_up():
@@ -284,6 +284,14 @@ def test_load_rejects_malformed_files(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_channel(p)
+    for header in ("3 x", "-1 3"):
+        p.write_text(f"{header}\n1 1 1.0 0.0\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}: header must hold two positive integers"):
+            load_channel(p)
+    for line in ("1.5 1 1.0 0.0", "1 1 abc 0.0"):
+        p.write_text(f"1 1\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: bad link line: {line!r}")):
+            load_channel(p)
 
 
 def test_channel_arrays_are_read_only():

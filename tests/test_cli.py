@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: exit codes, report formats, determinism."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -212,6 +214,32 @@ def test_sweep_without_out_prints_to_stdout(capsys):
     assert len(records) == 5
     assert records[-1]["record"] == "dof"
     assert abs(records[-1]["slope"] - 1.5) < 0.03
+
+
+GRID_21 = ",".join(f"{60 + 2.5 * i:g}" for i in range(21))
+
+
+@pytest.mark.parametrize("scheme, seed, grid", [
+    ("acs-ic3", 952, None), ("x-channel", 951, GRID_21), ("cognitive-x", 951, GRID_21),
+])
+def test_sweep_flags_a_fit_short_of_the_asymptotic_regime(scheme, seed, grid, capsys):
+    argv = ["sweep", "--scheme", scheme, "--master-seed", str(seed), "--trials", "1"]
+    argv += ["--snr-grid", grid] if grid else []
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    dof = json.loads(out.splitlines()[-1])
+    assert dof["record"] == "dof" and dof["reason"].startswith("fit: slope ")
+    code, out = run_cli(argv + ["--format", "csv"], capsys)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[-1]["record"] == "dof" and rows[-1]["reason"] == dof["reason"]
+
+
+def test_sweep_leaves_an_asymptotic_fit_unflagged(capsys):
+    # Seed 247 has the widest slope-to-secant gap among the trials perfbench/reference.json pins.
+    code, out = run_cli(["sweep", "--scheme", "acs-ic3", "--master-seed", "247", "--trials", "1"], capsys)
+    assert code == 0
+    dof = json.loads(out.splitlines()[-1])
+    assert dof["record"] == "dof" and "reason" not in dof
 
 
 def test_sweep_on_an_infeasible_fixed_channel_skips_every_trial(tmp_path, capsys):

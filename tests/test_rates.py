@@ -12,11 +12,11 @@ from acsalign.channel import (
 from acsalign.rates import (
     DEFAULT_SNR_GRID_DB,
     RankDeficientReceiverError,
-    baseline_best_sum_rate,
     baseline_circsym,
     baseline_rate_profile,
     estimate_baseline_dof,
     estimate_dof,
+    fit_dof,
     rate_reports,
     sum_rate,
     validate_snr_grid,
@@ -157,9 +157,6 @@ def test_baseline_profile_modes():
     # Noise-limited regime: everybody transmitting beats one user alone.
     low = baseline_rate_profile(chn, 1e-3)
     assert np.count_nonzero(low) == 3
-    for snr in (1e-3, 1.0, 1e4, 1e8):
-        profile = baseline_rate_profile(chn, snr)
-        assert abs(profile.sum() - baseline_best_sum_rate(chn, snr)) < 1e-12
 
 
 def test_baseline_slope_saturates_at_one():
@@ -193,6 +190,13 @@ def test_slope_estimate_on_one_channel():
     assert len(est.sum_rates) == 6
     d = est.to_dict()
     assert d["slope"] == est.slope
+
+
+def test_fit_on_exactly_linear_rates_is_asymptotic():
+    est = fit_dof(DEFAULT_SNR_GRID_DB, [1.2 * db / 10.0 * np.log2(10.0) - 3.0 for db in DEFAULT_SNR_GRID_DB])
+    assert est.secant == pytest.approx(est.slope, abs=1e-12)
+    assert est.slope == pytest.approx(1.2, abs=1e-12)
+    assert est.asymptotic
 
 
 def test_slope_estimate_rejects_bad_grids():
