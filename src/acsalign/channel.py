@@ -344,7 +344,7 @@ def load_channel(path) -> ComplexChannelMatrix:
     num_rx, num_tx = int(header[0]), int(header[1])
     expected = num_rx * num_tx
     if len(rows) - 1 != expected:
-        raise ValueError(f"expected {expected} link lines, found {len(rows) - 1}")
+        raise ValueError(f"{path}: expected {expected} link lines, found {len(rows) - 1}")
     mag = np.zeros((num_rx, num_tx))
     ph = np.zeros((num_rx, num_tx))
     seen = set()
@@ -355,9 +355,9 @@ def load_channel(path) -> ComplexChannelMatrix:
         except ValueError:
             raise ValueError(f"{path}: bad link line: {ln!r}") from None
         if not (0 <= r < num_rx and 0 <= t < num_tx):
-            raise ValueError(f"link indices out of range: {ln!r}")
+            raise ValueError(f"{path}: link indices out of range: {ln!r}")
         if (r, t) in seen:
-            raise ValueError(f"duplicate link ({r + 1}, {t + 1})")
+            raise ValueError(f"{path}: duplicate link ({r + 1}, {t + 1})")
         seen.add((r, t))
         mag[r, t] = m
         ph[r, t] = p

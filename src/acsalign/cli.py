@@ -170,46 +170,37 @@ def _record(scheme: str, seed: int, kind: str, snr_db, total, per_user, **fields
             "per_user_rates": per_user, "record": kind, **fields}
 
 
-def _trial_records(scheme: str, channel: ComplexChannelMatrix, trial_seed: int, grid) -> list[dict]:
-    """One rate record per grid point and a closing dof record fitted to them;
-    a fit that is not asymptotic says so in the dof record's reason."""
-    from .rates import _db_to_linear, baseline_rate_profile, fit_dof, rate_reports
-    from .schemes import build_scheme
-
-    snrs = _db_to_linear(grid)
-    if scheme == "baseline":
-        profiles = [baseline_rate_profile(channel, snr) for snr in snrs]
-        rates = [(float(p.sum()), [float(r) for r in p]) for p in profiles]
-    else:
-        beamformers = build_scheme(scheme, channel, seed=trial_seed)
-        rates = [(r.sum_rate, list(r.per_receiver)) for r in rate_reports(beamformers, channel, snrs)]
-    records = [_record(scheme, trial_seed, "rate", db, total, per_user)
-               for db, (total, per_user) in zip(grid, rates)]
-    estimate = fit_dof(grid, [total for total, _ in rates])
-    fit = {"slope": estimate.slope, "intercept": estimate.intercept, "rms_residual": estimate.rms_residual}
-    if not estimate.asymptotic:
-        fit["reason"] = (f"fit: slope {estimate.slope:.4f} strays from the top-grid secant "
-                         f"{estimate.secant:.4f}; the grid has not reached the asymptotic regime")
-    records.append(_record(scheme, trial_seed, "dof", None, None, None, **fit))
-    return records
-
-
 def _sweep_trial(args) -> list[dict]:
     """One trial, module level so worker processes can unpickle it.
 
     Trial i draws its channel from seed master+i (redrawn away from the
     degenerate set for the randomized schemes) and reuses the same seed for
-    the free beamformer columns.
+    the free beamformer columns.  Its records are the library's estimate: one
+    rate record per grid point and a closing dof record; a fit that is not
+    asymptotic says so in the dof record's reason.
     """
-    from .schemes import SCHEMES
+    from functools import partial
+
+    from .rates import estimate_baseline_dof, estimate_dof
+    from .schemes import SCHEMES, build_scheme
     from .verify import InfeasibleChannelError
 
     scheme, trial_seed, grid, fixed = args
     try:
         channel = fixed if fixed is not None else SCHEMES[scheme].sample(trial_seed)
-        records = _trial_records(scheme, channel, trial_seed, grid)
+        if scheme == "baseline":
+            est = estimate_baseline_dof(channel, grid)
+        else:
+            est = estimate_dof(partial(build_scheme, scheme), channel, trial_seed, grid)
     except InfeasibleChannelError as exc:
-        records = [_record(scheme, trial_seed, "skip", None, None, None, reason=str(exc))]
+        return [_record(scheme, trial_seed, "skip", None, None, None, reason=str(exc))]
+    records = [_record(scheme, trial_seed, "rate", db, total, per_user)
+               for db, total, per_user in zip(est.snr_grid_db, est.sum_rates, est.per_user_rates)]
+    fit = {"slope": est.slope, "intercept": est.intercept, "rms_residual": est.rms_residual}
+    if not est.asymptotic:
+        fit["reason"] = (f"fit: slope {est.slope:.4f} strays from the top-grid secant "
+                         f"{est.secant:.4f}; the grid has not reached the asymptotic regime")
+    records.append(_record(scheme, trial_seed, "dof", None, None, None, **fit))
     return records
 
 

@@ -20,7 +20,6 @@ from .verify import receiver_stack
 __all__ = [
     "DEFAULT_SNR_GRID_DB",
     "RankDeficientReceiverError",
-    "StreamRate",
     "RateReport",
     "DofEstimate",
     "zf_receive",
@@ -86,21 +85,10 @@ def zf_receive(beamformers: BeamformerSet, channel: ComplexChannelMatrix) -> dic
 
 
 @dataclass(frozen=True)
-class StreamRate:
-    tx: int
-    column: int
-    rx: int
-    zf_gain: float
-    sinr: float
-    rate_per_block: float
-
-
-@dataclass(frozen=True)
 class RateReport:
     scheme: str
     snr: float
     extension: int
-    streams: tuple[StreamRate, ...]
     per_receiver: tuple[float, ...]
     sum_rate: float
 
@@ -140,13 +128,8 @@ def rate_reports(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snrs
     for k, (_, _, rx) in enumerate(streams):
         per_rx_block[:, rx] += rate[:, k]
     return tuple(
-        RateReport(
-            spec.tag, float(snr), S,
-            tuple(StreamRate(t, c, rx, g, float(sinr[i, k]), float(rate[i, k]))
-                  for k, ((t, c, rx), g) in enumerate(zip(streams, gains))),
-            tuple(float(x) / S for x in per_rx_block[i]),
-            float(per_rx_block[i].sum()) / S,
-        )
+        RateReport(spec.tag, float(snr), S, tuple(float(x) / S for x in per_rx_block[i]),
+                   float(per_rx_block[i].sum()) / S)
         for i, snr in enumerate(snrs)
     )
 
@@ -160,6 +143,7 @@ def sum_rate(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snr: flo
 class DofEstimate:
     snr_grid_db: tuple[float, ...]
     sum_rates: tuple[float, ...]
+    per_user_rates: tuple[tuple[float, ...], ...]
     slope: float
     intercept: float
     rms_residual: float
@@ -174,6 +158,7 @@ class DofEstimate:
         return {
             "snr_grid_db": list(self.snr_grid_db),
             "sum_rates": list(self.sum_rates),
+            "per_user_rates": [list(r) for r in self.per_user_rates],
             "slope": self.slope,
             "intercept": self.intercept,
             "rms_residual": self.rms_residual,
@@ -206,10 +191,12 @@ def _db_to_linear(grid_db) -> list[float]:
     return [10.0 ** (db / 10.0) for db in grid_db]
 
 
-def fit_dof(snr_grid_db, sum_rates) -> DofEstimate:
+def fit_dof(snr_grid_db, sum_rates, per_user_rates) -> DofEstimate:
     """Least-squares line through sum rates against log2(snr); the slope is
     the DoF estimate.  The secant over the top two grid points comes along as
-    a check on it.  The grid is taken as already validated."""
+    a check on it.  `per_user_rates` holds, per grid point, the per-user rates
+    whose sum is that point's sum rate; it is kept, not refitted.  The grid is
+    taken as already validated."""
     grid_db = np.asarray(snr_grid_db, dtype=float)
     x = grid_db / 10.0 * np.log2(10.0)
     y = np.asarray(sum_rates)
@@ -218,6 +205,7 @@ def fit_dof(snr_grid_db, sum_rates) -> DofEstimate:
     rms = float(np.sqrt(np.mean((fit - y) ** 2)))
     secant = float((y[-1] - y[-2]) / (x[-1] - x[-2]))
     return DofEstimate(tuple(float(g) for g in grid_db), tuple(float(r) for r in y),
+                       tuple(tuple(float(r) for r in row) for row in per_user_rates),
                        float(slope), float(intercept), rms, secant)
 
 
@@ -235,7 +223,7 @@ def estimate_dof(
     grid = validate_snr_grid(snr_grid_db)
     beamformers = builder(channel, seed)
     reports = rate_reports(beamformers, channel, _db_to_linear(grid))
-    return fit_dof(grid, [r.sum_rate for r in reports])
+    return fit_dof(grid, [r.sum_rate for r in reports], [r.per_receiver for r in reports])
 
 
 def baseline_circsym(channel: ComplexChannelMatrix, powers) -> np.ndarray:
@@ -246,8 +234,8 @@ def baseline_circsym(channel: ComplexChannelMatrix, powers) -> np.ndarray:
     p = np.asarray(powers, dtype=float)
     if p.shape != (channel.num_tx,):
         raise ValueError(f"expected {channel.num_tx} powers, got shape {p.shape}")
-    if np.any(p < 0):
-        raise ValueError("powers must be nonnegative")
+    if not np.all(np.isfinite(p) & (p >= 0)):
+        raise ValueError("powers must be nonnegative and finite")
     g = channel.magnitude ** 2
     rates = np.empty(channel.num_rx)
     for k in range(channel.num_rx):
@@ -262,8 +250,8 @@ def baseline_rate_profile(channel: ComplexChannelMatrix, snr: float) -> np.ndarr
     Compares everybody-at-full-power against the best single user operating
     alone, and returns the winning mode's rate vector.
     """
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    if not (np.isfinite(snr) and snr > 0):
+        raise ValueError(f"snr must be positive and finite, got {float(snr)!r}")
     k = channel.num_tx
     full = baseline_circsym(channel, np.full(k, snr))
     g = channel.magnitude ** 2
@@ -275,5 +263,5 @@ def baseline_rate_profile(channel: ComplexChannelMatrix, snr: float) -> np.ndarr
 
 def estimate_baseline_dof(channel: ComplexChannelMatrix, snr_grid_db=DEFAULT_SNR_GRID_DB) -> DofEstimate:
     grid = validate_snr_grid(snr_grid_db)
-    rates = [float(baseline_rate_profile(channel, snr).sum()) for snr in _db_to_linear(grid)]
-    return fit_dof(grid, rates)
+    profiles = [baseline_rate_profile(channel, snr) for snr in _db_to_linear(grid)]
+    return fit_dof(grid, [float(p.sum()) for p in profiles], profiles)

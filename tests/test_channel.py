@@ -273,13 +273,13 @@ def test_dump_load_round_trip(tmp_path):
 def test_load_rejects_malformed_files(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1 1\n1 1 1.0 0.0\n1 1 1.0 0.0\n")
-    with pytest.raises(ValueError, match="expected 1 link"):
+    with pytest.raises(ValueError, match=re.escape(f"{p}: expected 1 link")):
         load_channel(p)
     p.write_text("1 2\n1 1 1.0 0.0\n1 1 1.0 0.5\n")
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match=re.escape(f"{p}: duplicate link")):
         load_channel(p)
     p.write_text("1 1\n2 1 1.0 0.0\n")
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=re.escape(f"{p}: link indices out of range")):
         load_channel(p)
     p.write_text("")
     with pytest.raises(ValueError, match="empty"):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from acsalign.channel import (
     special_channel_kinds,
 )
 from acsalign.cli import main
+from acsalign.rates import estimate_baseline_dof, estimate_dof
 from acsalign.schemes import SCHEME_TAGS, SCHEMES, build_scheme
 from acsalign.verify import check_conditions, independence_margin
 
@@ -214,6 +216,28 @@ def test_sweep_without_out_prints_to_stdout(capsys):
     assert len(records) == 5
     assert records[-1]["record"] == "dof"
     assert abs(records[-1]["slope"] - 1.5) < 0.03
+
+
+@pytest.mark.parametrize("tag", tuple(SCHEMES))
+def test_sweep_records_are_the_library_estimate(tag, capsys):
+    argv = ["sweep", "--scheme", tag, "--trials", "2"]
+    argv += ["--special", "phase-example"] if tag == "phase-align" else []
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    records = [json.loads(ln) for ln in out.splitlines()]
+    assert [r["seed"] for r in records] == [0] * 7 + [1] * 7
+    for seed in (0, 1):
+        chn = construct_special_channel("phase-example") if tag == "phase-align" else SCHEMES[tag].sample(seed)
+        if tag == "baseline":
+            est = estimate_baseline_dof(chn)
+        else:
+            est = estimate_dof(partial(build_scheme, tag), chn, seed)
+        *rate, dof = records[7 * seed:7 * seed + 7]
+        fmt = "{:.12g}".format
+        assert [fmt(r["sum_rate_bpcu"]) for r in rate] == [fmt(x) for x in est.sum_rates]
+        assert [[fmt(x) for x in r["per_user_rates"]] for r in rate] == [
+            [fmt(x) for x in row] for row in est.per_user_rates]
+        assert dof["record"] == "dof" and fmt(dof["slope"]) == fmt(est.slope)
 
 
 GRID_21 = ",".join(f"{60 + 2.5 * i:g}" for i in range(21))

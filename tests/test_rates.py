@@ -36,11 +36,14 @@ def test_orthogonal_images_give_unit_gain_and_closed_form_sinr():
     bf = build_phase_alignment(chn)
     combiners = zf_receive(bf, chn)
     assert np.allclose(np.abs(combiners[(0, 0)]), [1.0, 0.0], atol=1e-12)
+    rotations = chn.link_rotations(1)
+    for (t, c), w in combiners.items():
+        rx = bf.spec.stream_rx[t][c]
+        assert abs(w @ (rotations[rx][t] @ bf.column(t, c)) - 1.0) < 1e-12
+    # One stream per receiver, so each receiver's rate is its stream's: SINR = 2*snr.
     snr = 100.0
-    report = sum_rate(bf, chn, snr)
-    for s in report.streams:
-        assert abs(s.zf_gain - 1.0) < 1e-12
-        assert abs(s.sinr - 2.0 * snr) < 1e-9
+    for rate in sum_rate(bf, chn, snr).per_receiver:
+        assert abs(rate - 0.5 * np.log2(1.0 + 2.0 * snr)) < 1e-9
 
 
 def test_phase_example_sum_rate_closed_form():
@@ -147,6 +150,12 @@ def test_baseline_input_validation():
         baseline_circsym(chn, [1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
         baseline_rate_profile(chn, 0.0)
+    for snr in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="snr must be positive and finite"):
+            baseline_rate_profile(chn, snr)
+    for powers in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="powers must be nonnegative and finite"):
+            baseline_circsym(chn, powers)
 
 
 def test_baseline_profile_modes():
@@ -193,7 +202,9 @@ def test_slope_estimate_on_one_channel():
 
 
 def test_fit_on_exactly_linear_rates_is_asymptotic():
-    est = fit_dof(DEFAULT_SNR_GRID_DB, [1.2 * db / 10.0 * np.log2(10.0) - 3.0 for db in DEFAULT_SNR_GRID_DB])
+    rates = [1.2 * db / 10.0 * np.log2(10.0) - 3.0 for db in DEFAULT_SNR_GRID_DB]
+    est = fit_dof(DEFAULT_SNR_GRID_DB, rates, [(r,) for r in rates])
+    assert est.per_user_rates == tuple((r,) for r in rates)
     assert est.secant == pytest.approx(est.slope, abs=1e-12)
     assert est.slope == pytest.approx(1.2, abs=1e-12)
     assert est.asymptotic
