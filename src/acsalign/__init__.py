@@ -25,7 +25,7 @@ _HOMES = {name: home for home, names in (
     )),
     ("schemes", (
         "CANDIDATE_DRAWS", "GENERIC_PHASE_MARGIN", "SCHEME_TAGS", "SCHEMES",
-        "AlignmentPair", "BeamformerSet", "SchemeDescriptor", "SchemeSpec",
+        "AlignmentPair", "BeamformerSet", "SchemeSpec",
         "build_acs_ic3", "build_cognitive_x", "build_phase_alignment", "build_scheme",
         "build_uplinks", "build_x_channel", "sample_feasible_channel", "scheme_spec",
     )),

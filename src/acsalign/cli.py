@@ -153,7 +153,7 @@ def run_verify(args: argparse.Namespace) -> int:
         beamformers = build_scheme(scheme, channel, seed=args.seed, check=False)
         residual = alignment_residual(beamformers, channel)
         independence = independence_margin(beamformers, channel)
-        payload["descriptor"] = beamformers.descriptor.to_dict()
+        payload["descriptor"] = beamformers.spec.descriptor()
         payload["alignment_residual"] = residual
         payload["independence"] = independence.to_dict()
         ok = residual <= VERIFY_RESIDUAL_PASS and independence.all_independent

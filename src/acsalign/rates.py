@@ -8,6 +8,7 @@ reported per complex channel use (divide by S).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,6 +52,16 @@ class RankDeficientReceiverError(Exception):
         super().__init__(f"receiver {rx} is rank deficient: no zero-forcing direction exists")
 
 
+@contextmanager
+def _overflow_guard(what: str):
+    """Raise a ValueError naming `what` where the block overflows, not a warning and a wrong rate."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"rate arithmetic overflows at {what}") from None
+
+
 def _zf_solve(
     beamformers: BeamformerSet, channel: ComplexChannelMatrix
 ) -> dict[tuple[int, int], tuple[np.ndarray, float]]:
@@ -58,7 +69,7 @@ def _zf_solve(
     receiver_stack's columns.  Column j is copied to a contiguous vector first:
     on the strided view the solve and the dot product change last digits."""
     solved = {}
-    for rx in range(beamformers.num_rx):
+    for rx in range(beamformers.spec.shape[0]):
         stack, _ = receiver_stack(beamformers, channel, rx)
         for j, key in enumerate(beamformers.spec.desired_streams(rx)):
             own = stack[:, j].copy()
@@ -122,9 +133,10 @@ def rate_reports(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snrs
     gains = [solved[(t, c)][1] for t, c, _ in streams]
     share = np.array([1.0 / len(spec.stream_rx[t]) for t, _, _ in streams])
     link = np.array([channel.magnitude[rx, t] ** 2 for t, _, rx in streams])
-    sinr = S * snrs[:, None] * share * link * np.array([g ** 2 for g in gains]) / NOISE_VAR_PER_REAL_DIM
-    rate = 0.5 * np.log2(1.0 + sinr)
-    per_rx_block = np.zeros((snrs.size, beamformers.num_rx))
+    with _overflow_guard(f"snr {float(snrs.max())!r}"):
+        sinr = S * snrs[:, None] * share * link * np.array([g ** 2 for g in gains]) / NOISE_VAR_PER_REAL_DIM
+        rate = 0.5 * np.log2(1.0 + sinr)
+    per_rx_block = np.zeros((snrs.size, beamformers.spec.shape[0]))
     for k, (_, _, rx) in enumerate(streams):
         per_rx_block[:, rx] += rate[:, k]
     return tuple(
@@ -238,9 +250,10 @@ def baseline_circsym(channel: ComplexChannelMatrix, powers) -> np.ndarray:
         raise ValueError("powers must be nonnegative and finite")
     g = channel.magnitude ** 2
     rates = np.empty(channel.num_rx)
-    for k in range(channel.num_rx):
-        interference = float(g[k] @ p) - g[k, k] * p[k]
-        rates[k] = np.log2(1.0 + g[k, k] * p[k] / (1.0 + interference))
+    with _overflow_guard(f"powers {p.tolist()}"):
+        for k in range(channel.num_rx):
+            interference = float(g[k] @ p) - g[k, k] * p[k]
+            rates[k] = np.log2(1.0 + g[k, k] * p[k] / (1.0 + interference))
     return rates
 
 
@@ -248,7 +261,8 @@ def baseline_rate_profile(channel: ComplexChannelMatrix, snr: float) -> np.ndarr
     """Per-user rates of the better per-symbol baseline mode at this snr.
 
     Compares everybody-at-full-power against the best single user operating
-    alone, and returns the winning mode's rate vector.
+    alone, and returns the winning mode's rate vector.  An snr that would
+    overflow the lone user's rate overflows the full-power mode first.
     """
     if not (np.isfinite(snr) and snr > 0):
         raise ValueError(f"snr must be positive and finite, got {float(snr)!r}")

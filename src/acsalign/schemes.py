@@ -31,7 +31,6 @@ from .verify import (
 
 __all__ = [
     "AlignmentPair",
-    "SchemeDescriptor",
     "SchemeSpec",
     "BeamformerSet",
     "build_phase_alignment",
@@ -101,7 +100,6 @@ class SchemeSpec:
     fixed_columns: tuple[tuple[tuple[int, int], tuple[float, ...]], ...] = ()
     alignments: tuple[AlignmentPair, ...] = ()
     removed_streams: frozenset[tuple[int, int, int]] = frozenset()
-    needs_connected: bool = False    # the gate also wants every link gain nonzero
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -116,9 +114,9 @@ class SchemeSpec:
 
     def gate(self, channel: ComplexChannelMatrix) -> tuple[ConditionReport, tuple[str, ...]]:
         """This scheme's feasibility report on `channel` and the conditions it
-        fails; a disconnected channel fails on connectivity alone."""
+        fails; a disconnected channel fails a `connected` row on that alone."""
         report = check_conditions(channel, self.feasibility)
-        disconnected = self.needs_connected and not channel.fully_connected
+        disconnected = _GATES[self.feasibility].connected and not channel.fully_connected
         return report, ("fully-connected",) if disconnected else report.failed
 
     def sample(self, seed: int) -> ComplexChannelMatrix:
@@ -131,6 +129,12 @@ class SchemeSpec:
             return sample_feasible_channel(self.tag, seed)
         num_rx, num_tx = self.shape
         return sample_channel(seed, num_tx, num_rx)
+
+    def descriptor(self) -> dict:
+        """The scheme's stream layout and sum DoF, as `verify` reports them."""
+        per_tx = [len(rxs) for rxs in self.stream_rx]
+        return {"scheme": self.tag, "extension": self.extension, "streams_per_tx": per_tx,
+                "dof": str(Fraction(sum(per_tx), 2 * self.extension)), "feasibility": self.feasibility}
 
     def streams(self) -> tuple[tuple[int, int, int], ...]:
         """All (tx, column, rx) stream triples in transmitter-major order."""
@@ -162,24 +166,6 @@ class SchemeSpec:
         return keys[len(desired):]
 
 
-@dataclass(frozen=True)
-class SchemeDescriptor:
-    scheme: str
-    extension: int
-    streams_per_tx: tuple[int, ...]
-    dof: Fraction
-    feasibility: str
-
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "extension": self.extension,
-            "streams_per_tx": list(self.streams_per_tx),
-            "dof": str(self.dof),
-            "feasibility": self.feasibility,
-        }
-
-
 @dataclass(frozen=True, eq=False)
 class BeamformerSet:
     """Unit-norm transmit columns for every stream of a scheme.
@@ -205,7 +191,7 @@ class BeamformerSet:
             norms = np.linalg.norm(m, axis=0)
             if not np.allclose(norms, 1.0, atol=1e-12):
                 raise ValueError(f"transmitter {t}: columns must be unit norm")
-            if np.linalg.svd(m, compute_uv=False).min() <= 1e-9:
+            if rxs and np.linalg.svd(m, compute_uv=False).min() <= 1e-9:
                 raise ValueError(f"transmitter {t}: columns are linearly dependent")
             m.setflags(write=False)
             mats.append(m)
@@ -219,32 +205,6 @@ class BeamformerSet:
     def __hash__(self):
         # Python hashes -0.0 like 0.0, so sets with equal entries hash equal.
         return hash((self.spec, *(tuple(m.ravel().tolist()) for m in self.matrices)))
-
-    @property
-    def num_tx(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def num_rx(self) -> int:
-        return self.spec.shape[0]
-
-    @property
-    def streams_per_tx(self) -> tuple[int, ...]:
-        return tuple(m.shape[1] for m in self.matrices)
-
-    @property
-    def total_streams(self) -> int:
-        return sum(self.streams_per_tx)
-
-    @property
-    def descriptor(self) -> SchemeDescriptor:
-        return SchemeDescriptor(
-            self.spec.tag,
-            self.spec.extension,
-            self.streams_per_tx,
-            Fraction(self.total_streams, 2 * self.spec.extension),
-            self.spec.feasibility,
-        )
 
     def column(self, tx: int, col: int) -> np.ndarray:
         return self.matrices[tx][:, col]
@@ -347,8 +307,10 @@ def _build(spec: SchemeSpec, channel: ComplexChannelMatrix, seed: int = 0, check
             spec.tag, ("conditioning",),
             f"smallest receive singular value {scores[best]:.3g} <= {SV_INDEPENDENT:g}",
         )
+    empty = np.empty((2 * spec.extension, 0))  # the matrix of a transmitter without streams
     return BeamformerSet(spec, tuple(
-        np.column_stack([columns[t, c][best] for c in range(len(rxs))]) for t, rxs in enumerate(spec.stream_rx)
+        np.column_stack([columns[t, c][best] for c in range(len(rxs))]) if rxs else empty
+        for t, rxs in enumerate(spec.stream_rx)
     ))
 
 
@@ -383,7 +345,6 @@ SCHEMES: dict[str, SchemeSpec] = {spec.tag: spec for spec in (
             AlignmentPair(rx=2, kept=(1, 0), dropped=(0, 2)),
             AlignmentPair(rx=2, kept=(0, 1), dropped=(1, 3)),
         ),
-        needs_connected=True,
     ),
     # Crossed messages over three slots (8/6): transmitter 2's block for each
     # receiver copies transmitter 1's, coinciding at the other receiver.

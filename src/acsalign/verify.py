@@ -148,11 +148,13 @@ class _Gate(NamedTuple):
     terms summed in the order listed, implicated receiver or None, "zero" when
     the sum must hit a multiple of pi or "nonzero" when it must stay away).
     with_ratio marks the rank-one traps, where the signed product of the link
-    gains is 1: the sum hits a multiple of 2pi and the gain ratio is 1."""
+    gains is 1: the sum hits a multiple of 2pi and the gain ratio is 1.
+    connected marks a scheme gate that also needs every link gain nonzero."""
 
     shape: tuple[int, int]
     conditions: tuple[tuple[str, tuple, int | None, str], ...]
     with_ratio: bool = False
+    connected: bool = False
 
 
 _CROSS = tuple(
@@ -168,7 +170,7 @@ _GATES = {
         ("rx2-separation", (((1, 1), +1), ((0, 2), +1), ((0, 1), -1), ((1, 2), -1)), 1, "nonzero"),
         ("rx3-separation", (((2, 2), +1), ((1, 0), +1), ((1, 2), -1), ((2, 0), -1)), 2, "nonzero"),
     )),
-    "acs-ic3": _Gate((3, 3), tuple((cid, terms, rx, "nonzero") for cid, terms, rx in _CROSS)),
+    "acs-ic3": _Gate((3, 3), tuple((cid, terms, rx, "nonzero") for cid, terms, rx in _CROSS), connected=True),
     "singularity": _Gate((3, 3), tuple((cid, terms, rx, "zero") for cid, terms, rx in _CROSS), with_ratio=True),
     "x-channel": _Gate((2, 2), (
         ("cross-phase", (((0, 0), +1), ((1, 1), +1), ((1, 0), -1), ((0, 1), -1)), None, "nonzero"),
@@ -256,7 +258,7 @@ def alignment_residual(beamformers: "BeamformerSet", channel: ComplexChannelMatr
     worst = 0.0
     for pair in beamformers.spec.alignments:
         links = _links(beamformers, channel, pair.rx)
-        left, right = (links[t] @ beamformers.column(t, c) for t, c in (pair.kept, pair.dropped))
+        left, right = _stack(beamformers.column, links, (pair.kept, pair.dropped)).T
         d = float(np.linalg.norm(left - right))
         if pair.up_to_sign:
             d = min(d, float(np.linalg.norm(left + right)))
@@ -315,7 +317,7 @@ def independence_margin(beamformers: "BeamformerSet", channel: ComplexChannelMat
     """Stack each receiver's desired images with its deduplicated interference
     basis and judge linear independence by the smallest singular value."""
     out = []
-    for rx in range(beamformers.num_rx):
+    for rx in range(beamformers.spec.shape[0]):
         stack, num_desired = receiver_stack(beamformers, channel, rx)
         svals = np.linalg.svd(stack, compute_uv=False)
         smallest = float(svals.min())
@@ -326,9 +328,7 @@ def independence_margin(beamformers: "BeamformerSet", channel: ComplexChannelMat
         else:
             status = "indeterminate"
         angle = _principal_angle(stack[:, :num_desired], stack[:, num_desired:])
-        out.append(
-            ReceiverIndependence(rx, stack.shape[0], stack.shape[1], np.sort(svals)[::-1], angle, status)
-        )
+        out.append(ReceiverIndependence(rx, stack.shape[0], stack.shape[1], svals, angle, status))
     return IndependenceReport(beamformers.spec.tag, tuple(out))
 
 
@@ -386,20 +386,19 @@ def demonstrate_containment(channel: ComplexChannelMatrix, seed: int) -> Contain
     construction runs over S = 3 slots with two aligned streams from each of
     transmitters 2 and 3.
 
-    Requires the cyclic phase sum (tx1->rx2->tx3 ... around the triangle) to
-    stay away from multiples of pi.  Channels where that sum vanishes are
-    exactly the ones the single-symbol phase-alignment scheme needs, and
-    there the containment genuinely fails.
+    Requires the cyclic phase sum around the interference triangle, the
+    phase-align closure sum, to stay away from multiples of pi.  Channels
+    where that sum vanishes are exactly the ones the single-symbol
+    phase-alignment scheme needs, and there the containment genuinely fails.
     """
     _require_shape(channel, (3, 3), "containment demo")
-    p = channel.phase
-    alpha = _signed_phase_sum(channel, (((0, 2), +1), ((1, 2), -1), ((1, 0), +1), ((0, 0), -1)))
-    beta = _signed_phase_sum(channel, (((0, 1), +1), ((2, 1), -1), ((2, 0), +1), ((0, 0), -1)))
-    cyc = alpha - beta
-    if mod_distance(cyc, np.pi) <= PHASE_TOL:
+    if "closure" in check_conditions(channel, "phase-align").satisfied_ids:
         raise DegenerateAnglesError(
             "cyclic phase sum sits on a multiple of pi; the containment construction degenerates"
         )
+    p = channel.phase
+    alpha = _signed_phase_sum(channel, (((0, 2), +1), ((1, 2), -1), ((1, 0), +1), ((0, 0), -1)))
+    beta = _signed_phase_sum(channel, (((0, 1), +1), ((2, 1), -1), ((2, 0), +1), ((0, 0), -1)))
 
     rng = np.random.default_rng(seed)
     S = 3

@@ -105,7 +105,7 @@ def test_rate_reports_solve_once_and_match_per_point_sum_rate(tag, monkeypatch):
 
     monkeypatch.setattr(rates, "receiver_stack", counting_stack)
     reports = rate_reports(bf, chn, GRID_21)
-    assert sorted(calls) == list(range(bf.num_rx))
+    assert sorted(calls) == list(range(bf.spec.shape[0]))
     monkeypatch.undo()
     assert reports == tuple(sum_rate(bf, chn, snr) for snr in GRID_21)
 
@@ -121,6 +121,12 @@ def test_invalid_snr_is_rejected():
             grid[pos] = bad
             with pytest.raises(ValueError, match="positive and finite"):
                 rate_reports(bf, chn, grid)
+    # A finite snr so large that the SINR product overflows is rejected by name,
+    # not returned as an infinite rate.
+    with pytest.raises(ValueError, match=r"rate arithmetic overflows at snr 1e\+308"):
+        sum_rate(bf, chn, 1e308)
+    with pytest.raises(ValueError, match=r"rate arithmetic overflows at snr 1e\+308"):
+        rate_reports(bf, chn, [1e6, 1e308])
 
 
 @pytest.mark.parametrize("idx,rx", [(1, 0), (4, 1), (6, 2)])
@@ -156,6 +162,12 @@ def test_baseline_input_validation():
     for powers in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0]):
         with pytest.raises(ValueError, match="powers must be nonnegative and finite"):
             baseline_circsym(chn, powers)
+    # Overflow in the interference sum raises instead of a plausible-looking
+    # profile with every other user at rate 0.
+    with pytest.raises(ValueError, match=r"rate arithmetic overflows at powers \[1e\+308, 1.0, 1.0\]"):
+        baseline_circsym(chn, [1e308, 1.0, 1.0])
+    with pytest.raises(ValueError, match="rate arithmetic overflows"):
+        baseline_rate_profile(chn, 1e308)
 
 
 def test_baseline_profile_modes():

@@ -13,13 +13,14 @@ from acsalign.channel import (
     construct_special_channel,
     sample_channel,
 )
-from acsalign.rates import rate_reports
+from acsalign.rates import rate_reports, sum_rate
 from acsalign.schemes import (
     GENERIC_PHASE_MARGIN,
     SCHEME_TAGS,
     SCHEMES,
     AlignmentPair,
     BeamformerSet,
+    SchemeSpec,
     build_acs_ic3,
     build_cognitive_x,
     build_phase_alignment,
@@ -69,14 +70,16 @@ def channel_for(tag: str, seed: int = 0) -> ComplexChannelMatrix:
 
 @pytest.mark.parametrize("tag", SCHEME_TAGS)
 def test_descriptor_matches_the_construction(tag):
+    desc = scheme_spec(tag).descriptor()
+    assert list(desc) == ["scheme", "extension", "streams_per_tx", "dof", "feasibility"]
+    assert desc["scheme"] == tag
+    assert desc["dof"] == str(EXPECTED_DOF[tag])
+    assert desc["streams_per_tx"] == list(EXPECTED_STREAMS[tag])
+    assert desc["extension"] == EXPECTED_EXTENSION[tag]
+    assert desc["feasibility"] == scheme_spec(tag).feasibility
+    # The built columns carry the layout the spec describes.
     bf = build_scheme(tag, channel_for(tag), seed=0)
-    desc = bf.descriptor
-    assert desc.scheme == tag
-    assert desc.dof == EXPECTED_DOF[tag]
-    assert desc.streams_per_tx == EXPECTED_STREAMS[tag]
-    assert desc.extension == EXPECTED_EXTENSION[tag]
-    assert desc.feasibility == scheme_spec(tag).feasibility
-    assert desc.to_dict()["dof"] == str(EXPECTED_DOF[tag])
+    assert [m.shape[1] for m in bf.matrices] == desc["streams_per_tx"]
 
 
 @pytest.mark.parametrize("tag", SCHEME_TAGS)
@@ -121,6 +124,35 @@ def test_disconnected_channel_is_rejected():
     with pytest.raises(InfeasibleChannelError) as exc:
         build_acs_ic3(ComplexChannelMatrix(mag, base.phase.copy()), seed=0)
     assert exc.value.failed == ("fully-connected",)
+
+
+def test_connectivity_comes_from_the_gate_row():
+    # A new entry gated by the acs-ic3 row needs no flag of its own to reject a
+    # disconnected channel.
+    spec = replace(SCHEMES["acs-ic3"], tag="acs-ic3-copy")
+    base = sample_channel(0, 3, 3)
+    mag = base.magnitude.copy()
+    mag[1, 2] = 0.0
+    chn = ComplexChannelMatrix(mag, base.phase.copy())
+    assert spec.gate(chn)[1] == ("fully-connected",)
+    with pytest.raises(InfeasibleChannelError) as exc:
+        schemes._build(spec, chn, seed=0)
+    assert exc.value.failed == ("fully-connected",)
+    # A row without the requirement leaves a zero link to its phase conditions.
+    assert "fully-connected" not in scheme_spec("phase-align").gate(chn)[1]
+
+
+def test_a_transmitter_without_streams_builds_and_rates():
+    # A bound maximizer at S = 2: users 1 and 3 send two streams each, user 2 none.
+    spec = SchemeSpec("idle-user", "acs-ic3", extension=2, stream_rx=((1, 1), (), (0, 0)),
+                      free_blocks=((0, (0, 1)), (2, (0, 1))))
+    chn = sample_feasible_channel("acs-ic3", 0)
+    bf = schemes._build(spec, chn, seed=0)
+    assert [m.shape for m in bf.matrices] == [(4, 2), (4, 0), (4, 2)]
+    assert independence_margin(bf, chn).all_independent
+    report = sum_rate(bf, chn, 1e9)
+    assert report.per_receiver[2] == 0.0 and report.sum_rate > 0.0
+    assert spec.descriptor()["streams_per_tx"] == [2, 0, 2]
 
 
 def test_check_flag_lets_a_violating_build_through():
@@ -180,7 +212,7 @@ def test_streams_enumerates_in_transmitter_major_order():
     assert len(triples) == 8
     assert triples[0] == (0, 0, 0)
     assert triples[-1] == (3, 1, 1)
-    assert bf.num_tx == 4 and bf.num_rx == 2
+    assert len(bf.matrices) == 4 and bf.spec.shape == (2, 4)
 
 
 def test_unknown_scheme_tag_raises():

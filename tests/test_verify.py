@@ -254,6 +254,23 @@ def test_containment_degenerates_exactly_where_single_symbol_alignment_lives():
         demonstrate_containment(construct_special_channel("phase-example"), seed=0)
 
 
+def test_containment_raises_exactly_on_the_closure_set():
+    channels = [construct_special_channel(kind) for kind in special_channel_kinds()]
+    channels += [sample_channel(seed, 3, 3) for seed in range(20)]
+    degenerate = 0
+    for chn in channels:
+        closure = "closure" in check_conditions(chn, "phase-align").satisfied_ids
+        try:
+            demonstrate_containment(chn, seed=0)
+        except DegenerateAnglesError:
+            assert closure
+            degenerate += 1
+        else:
+            assert not closure
+    # phase-example, plus-minus-one and all-ones sit on the closure set.
+    assert degenerate == 3
+
+
 def test_containment_demo_needs_a_3x3_channel():
     with pytest.raises(ValueError, match=r"containment demo needs a 3x3 channel \(receivers x transmitters\), got 2x2"):
         demonstrate_containment(sample_channel(0, 2, 2), seed=0)
