@@ -9,6 +9,7 @@ S-symbol slots.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,8 +335,15 @@ def dump_channel(channel: ComplexChannelMatrix, path) -> None:
 
 def load_channel(path) -> ComplexChannelMatrix:
     """Read a channel written by dump_channel (or by hand in the same format)."""
-    with open(path, "r", encoding="ascii") as fh:
-        rows = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # Decoded whole, so a bad byte's offset is its offset in the file.
+        lines = io.StringIO(data.decode("ascii"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not an ASCII channel file "
+                         f"(byte {data[exc.start]:#04x} at offset {exc.start})") from None
+    rows = [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
     if not rows:
         raise ValueError(f"channel file {path} is empty")
     header = rows[0].split()

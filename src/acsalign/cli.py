@@ -275,8 +275,12 @@ def _positive_int(text: str) -> int:
 def _grid_arg(text: str) -> tuple[float, ...]:
     from .rates import validate_snr_grid
 
+    tokens = text.split(",")
+    for position, tok in enumerate(tokens, start=1):
+        if not tok.strip():
+            raise argparse.ArgumentTypeError(f"snr grid has an empty value at position {position}")
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(float(tok) for tok in tokens)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of dB values") from None
     try:
@@ -380,6 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Every matrix a subcommand factors is at most 2S x 2S, too small for a
+    # second BLAS thread to help, and `--workers` is the parallelism; set
+    # before any subcommand imports numpy, so OpenBLAS starts no thread pool
+    # here or in the sweep workers, which inherit the environment.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     # The one cross-flag check argparse cannot express.

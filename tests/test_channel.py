@@ -292,6 +292,9 @@ def test_load_rejects_malformed_files(tmp_path):
         p.write_text(f"1 1\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}: bad link line: {line!r}")):
             load_channel(p)
+    p.write_bytes("1 1\n# gain in µW\n1 1 1.0 0.0\n".encode())
+    with pytest.raises(ValueError, match=re.escape(f"{p}: not an ASCII channel file (byte 0xc2 at offset 14)")):
+        load_channel(p)
 
 
 def test_channel_arrays_are_read_only():

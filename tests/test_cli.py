@@ -390,6 +390,14 @@ def test_usage_errors_exit_with_two(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --snr-grid: snr grid values must be finite, got nan at position 2" in captured.err
+    # An empty field is rejected, not dropped, so positions count as typed.
+    for grid, position in (("60,,nan,80,90", 2), ("60,70,80,90,", 5)):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--scheme", "baseline", "--snr-grid", grid])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --snr-grid: snr grid has an empty value at position {position}" in captured.err
 
 
 def listed_choices(argv, capsys) -> tuple[str, ...]:

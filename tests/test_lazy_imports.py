@@ -1,4 +1,5 @@
-"""The package and the command line load numpy only when numerical code runs."""
+"""The package and the command line load numpy only when numerical code runs,
+and the command line runs it with one BLAS thread."""
 
 import importlib
 import os
@@ -12,15 +13,28 @@ import acsalign
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SUBMODULES = ("bound", "channel", "rates", "schemes", "verify")
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
+def fresh_result(program: str, expression: str, **env_vars: str) -> str:
+    """The printed `expression` after a fresh interpreter runs `program`.
+
+    The interpreter's environment holds no BLAS thread setting besides
+    `env_vars`: an in-process `main()` call may have left one in this one.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop(BLAS_THREADS, None)
+    env.update(env_vars)
+    check = (f"\nimport os, sys\nassert acsalign.__file__.startswith({str(SRC)!r})"
+             f"\nprint({expression})")
+    proc = subprocess.run([sys.executable, "-c", program + check], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1]
 
 
 def numpy_loaded(program: str) -> bool:
     """Whether a fresh interpreter holds numpy after running `program`."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    check = f"\nimport sys\nassert acsalign.__file__.startswith({str(SRC)!r})\nprint('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", program + check], env=env,
-                          capture_output=True, text=True, check=True)
-    return proc.stdout.splitlines()[-1] == "True"
+    return fresh_result(program, "'numpy' in sys.modules") == "True"
 
 
 def main_program(*argv: str) -> str:
@@ -41,6 +55,27 @@ def test_numpy_stays_unloaded(program):
 
 def test_numerical_subcommand_help_loads_numpy():
     assert numpy_loaded(main_program("sweep", "--help"))
+
+
+VERIFY = main_program("verify", "--scheme", "x-channel")
+
+
+def test_cli_sets_one_blas_thread():
+    assert fresh_result(VERIFY, f"os.environ.get({BLAS_THREADS!r})") == "1"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads through Linux /proc")
+def test_cli_process_ends_with_one_thread():
+    assert fresh_result(VERIFY, "len(os.listdir('/proc/self/task'))") == "1"
+
+
+def test_cli_keeps_a_preset_blas_thread_count():
+    assert fresh_result(VERIFY, f"os.environ.get({BLAS_THREADS!r})", **{BLAS_THREADS: "3"}) == "3"
+
+
+@pytest.mark.parametrize("program", ["import acsalign", "import acsalign.rates", "import acsalign.cli"])
+def test_library_imports_leave_blas_threads_unset(program):
+    assert fresh_result(program, f"os.environ.get({BLAS_THREADS!r})") == "None"
 
 
 def test_exports_are_their_home_module_objects():
