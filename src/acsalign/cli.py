@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING
 
 # Only the pure-integer bound is imported here: the numerical modules (and
@@ -219,8 +218,13 @@ def run_sweep(args: argparse.Namespace) -> int:
     # A fork-started pool launches every worker up front: no more than one per trial.
     workers = min(args.workers, args.trials)
     if workers > 1:
+        # The pool's modules (multiprocessing and its kin) load only here and
+        # after numpy, which in the other order peaks higher in memory; each
+        # worker gets one contiguous block of trials.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_trial, payloads))
+            results = list(pool.map(_sweep_trial, payloads, chunksize=-(-len(payloads) // workers)))
     else:
         results = [_sweep_trial(p) for p in payloads]
     # pool.map, like the comprehension, yields results in payload order.

@@ -137,13 +137,16 @@ def test_sweep_writes_rate_and_slope_records(tmp_path, capsys):
 
 
 def test_sweep_is_identical_serial_or_parallel(tmp_path, capsys):
-    serial = tmp_path / "serial.jsonl"
-    parallel = tmp_path / "parallel.jsonl"
-    base = ["sweep", "--scheme", "x-channel", "--trials", "4", "--master-seed", "3"]
-    assert main(base + ["--out", str(serial), "--workers", "1"]) == 0
-    assert main(base + ["--out", str(parallel), "--workers", "2"]) == 0
-    capsys.readouterr()
-    assert serial.read_bytes() == parallel.read_bytes()
+    # Two workers take even blocks of 4 trials (2 and 2), then uneven blocks
+    # of 5 (3 and 2): the block boundary changes no byte.
+    for trials in ("4", "5"):
+        serial = tmp_path / f"serial-{trials}.jsonl"
+        parallel = tmp_path / f"parallel-{trials}.jsonl"
+        base = ["sweep", "--scheme", "x-channel", "--trials", trials, "--master-seed", "3"]
+        assert main(base + ["--out", str(serial), "--workers", "1"]) == 0
+        assert main(base + ["--out", str(parallel), "--workers", "2"]) == 0
+        capsys.readouterr()
+        assert serial.read_bytes() == parallel.read_bytes(), trials
 
 
 def test_sweep_on_a_fixed_channel_is_identical_serial_or_parallel(tmp_path, capsys):
@@ -159,6 +162,7 @@ def test_sweep_on_a_fixed_channel_is_identical_serial_or_parallel(tmp_path, caps
 
 def test_sweep_pool_never_outnumbers_the_trials(tmp_path, capsys, monkeypatch):
     pools = []
+    chunksizes = []
 
     class RecordingPool:
         """Stands in for ProcessPoolExecutor and maps in this process."""
@@ -172,7 +176,8 @@ def test_sweep_pool_never_outnumbers_the_trials(tmp_path, capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            chunksizes.append(chunksize)
             return map(fn, items)
 
     def sweep(trials, workers):
@@ -182,11 +187,16 @@ def test_sweep_pool_never_outnumbers_the_trials(tmp_path, capsys, monkeypatch):
         assert main(argv) == 0
         return out.read_bytes()
 
-    monkeypatch.setattr("acsalign.cli.ProcessPoolExecutor", RecordingPool)
+    # run_sweep imports the pool from concurrent.futures when it starts one.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     assert sweep(2, 64) == sweep(2, 1)
     assert pools == [2]
     assert sweep(1, 8) == sweep(1, 1)
     assert pools == [2]
+    # Each worker is handed one contiguous block: 5 trials split 3 and 2.
+    assert sweep(5, 2) == sweep(5, 1)
+    assert pools == [2, 2]
+    assert chunksizes == [1, 3]
     capsys.readouterr()
 
 

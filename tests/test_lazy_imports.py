@@ -1,5 +1,6 @@
 """The package and the command line load numpy only when numerical code runs,
-and the command line runs it with one BLAS thread."""
+and the command line runs it with one BLAS thread; only a sweep with more
+than one worker loads the process pool."""
 
 import importlib
 import os
@@ -55,6 +56,30 @@ def test_numpy_stays_unloaded(program):
 
 def test_numerical_subcommand_help_loads_numpy():
     assert numpy_loaded(main_program("sweep", "--help"))
+
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
+
+def pool_modules_loaded(program: str) -> str:
+    """The list of process-pool modules a fresh interpreter holds after running `program`."""
+    return fresh_result(program, f"[m for m in {POOL_MODULES!r} if m in sys.modules]")
+
+
+@pytest.mark.parametrize("program", [
+    "import acsalign",
+    "import acsalign.cli",
+    main_program("bound", "--s-max", "3"),
+    main_program("--help"),
+    main_program("sweep", "--scheme", "x-channel", "--trials", "1"),
+], ids=["import", "import-cli", "bound", "help", "serial-sweep"])
+def test_pool_modules_stay_unloaded(program):
+    assert pool_modules_loaded(program) == "[]"
+
+
+def test_parallel_sweep_loads_the_pool_modules():
+    program = main_program("sweep", "--scheme", "x-channel", "--trials", "2", "--workers", "2")
+    assert pool_modules_loaded(program) == repr(list(POOL_MODULES))
 
 
 VERIFY = main_program("verify", "--scheme", "x-channel")
