@@ -4,17 +4,19 @@ evaluation, and the exhaustive allocation bound."""
 
 import importlib
 
-# Each public name and the submodule that defines it.  `import acsalign` loads
-# none of them: a name is imported from its home module on first access, so
-# the pure-integer bound and the command line's help never pull in numpy.
+# Each public name and the submodule that defines it, listed only here: each
+# submodule reads its `__all__` from this map.  `import acsalign` loads none of
+# them: a name is imported from its home module on first access, so the
+# pure-integer bound and the command line's help never pull in numpy.
 _HOMES = {name: home for home, names in (
     ("bound", (
-        "AllocationCheck", "AllocationProfile", "BoundResult", "SearchSpaceError",
-        "check_allocation", "iter_feasible_profiles", "max_dof",
+        "DEFAULT_PROFILE_LIMIT", "AllocationCheck", "AllocationProfile", "BoundResult",
+        "SearchSpaceError", "check_allocation", "iter_feasible_profiles", "max_dof",
     )),
     ("channel", (
-        "ComplexChannelMatrix", "ExtendedRotation", "construct_special_channel",
-        "dump_channel", "extend_rotation", "lift", "load_channel", "mod_distance",
+        "NUM_CROSS_SUMS", "TWO_PI", "ComplexChannelMatrix", "ExtendedRotation",
+        "construct_special_channel", "dump_channel", "extend_rotation",
+        "implicated_receiver", "lift", "load_channel", "mod_distance",
         "rotation_matrix", "sample_channel", "special_channel_kinds", "unlift",
     )),
     ("rates", (
@@ -30,16 +32,24 @@ _HOMES = {name: home for home, names in (
         "build_uplinks", "build_x_channel", "sample_feasible_channel", "scheme_spec",
     )),
     ("verify", (
+        "CONDITION_SETS", "PHASE_TOL", "RATIO_TOL", "SV_DEPENDENT", "SV_INDEPENDENT",
         "ConditionRecord", "ConditionReport", "ContainmentDemo",
         "DegenerateAnglesError", "IndependenceReport", "InfeasibleChannelError",
         "ReceiverIndependence", "alignment_residual", "check_conditions",
-        "demonstrate_containment", "independence_margin", "solve_phasor_pair",
+        "demonstrate_containment", "independence_margin", "receiver_stack",
+        "solve_phasor_pair",
     )),
 ) for name in names}
 
 __version__ = "0.1.0"
 
 __all__ = list(_HOMES)
+
+
+def _exports(module_name: str) -> list[str]:
+    """The public names whose home is the submodule `module_name`, in map order."""
+    home = module_name.rpartition(".")[2]
+    return [name for name, where in _HOMES.items() if where == home]
 
 
 def __getattr__(name: str):

@@ -14,18 +14,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-__all__ = [
-    "AllocationProfile",
-    "AllocationCheck",
-    "BoundResult",
-    "SearchSpaceError",
-    "check_allocation",
-    "iter_feasible_profiles",
-    "max_dof",
-    "DEFAULT_PROFILE_LIMIT",
-]
+from . import _exports
+
+__all__ = _exports(__name__)
 
 DEFAULT_PROFILE_LIMIT = 20_000_000
+
+
+def _extension(value) -> int:
+    """`value` as an int, or ValueError unless it is a positive integer."""
+    try:
+        if int(value) == value and value >= 1:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError("extension must be a positive integer")
 
 
 class SearchSpaceError(Exception):
@@ -45,8 +48,7 @@ class AllocationProfile:
     overlaps: tuple[int, int, int]
 
     def __post_init__(self):
-        if int(self.extension) != self.extension or self.extension < 1:
-            raise ValueError("extension must be a positive integer")
+        object.__setattr__(self, "extension", _extension(self.extension))
         for name, triple in (("streams", self.streams), ("overlaps", self.overlaps)):
             if len(triple) != 3:
                 raise ValueError(f"{name} must have three entries")
@@ -122,8 +124,6 @@ def _feasible_runs(
     run that would pass the limit is cut to the profiles within it, and then
     the enumeration raises instead of truncating silently.
     """
-    if extension < 1:
-        raise ValueError("extension must be at least 1")
     two_s = 2 * extension
     overflow = SearchSpaceError(f"enumeration for S={extension} exceeds {profile_limit} steps")
     work = 0
@@ -164,6 +164,7 @@ def iter_feasible_profiles(
     Exceeding profile_limit raises SearchSpaceError after the profiles
     within the limit.
     """
+    extension = _extension(extension)
     return _profiles(extension, _feasible_runs(extension, profile_limit))
 
 
@@ -190,6 +191,7 @@ def max_dof(
     """Exact maximum of (d1+d2+d3)/(2S) over all feasible profiles, with every
     maximizing profile reported.  Runs are counted, not expanded: only the
     maximizers become AllocationProfiles."""
+    extension = _extension(extension)
     best_total = -1
     best_runs: list[tuple] = []
     count = 0

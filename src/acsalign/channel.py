@@ -14,25 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
+from . import _exports
 
-__all__ = [
-    "TWO_PI",
-    "rotation_matrix",
-    "extend_rotation",
-    "ExtendedRotation",
-    "lift",
-    "unlift",
-    "mod_distance",
-    "ComplexChannelMatrix",
-    "sample_channel",
-    "construct_special_channel",
-    "special_channel_kinds",
-    "implicated_receiver",
-    "NUM_CROSS_SUMS",
-    "load_channel",
-    "dump_channel",
-]
+__all__ = _exports(__name__)
+
+TWO_PI = 2.0 * np.pi
 
 
 def rotation_matrix(phi: float) -> np.ndarray:

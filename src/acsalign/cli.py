@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from functools import partial
 from typing import TYPE_CHECKING
 
 # Only the pure-integer bound is imported here: the numerical modules (and
@@ -178,8 +179,6 @@ def _sweep_trial(args) -> list[dict]:
     rate record per grid point and a closing dof record; a fit that is not
     asymptotic says so in the dof record's reason.
     """
-    from functools import partial
-
     from .rates import estimate_baseline_dof, estimate_dof
     from .schemes import SCHEMES, build_scheme
     from .verify import InfeasibleChannelError
@@ -266,14 +265,18 @@ def run_demo_containment(args: argparse.Namespace) -> int:
 
 # -- argument plumbing ---------------------------------------------------------
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {'positive' if low else 'nonnegative'} integer")
     return value
+
+
+_positive_int = partial(_int_at_least, low=1)
+_nonnegative_int = partial(_int_at_least, low=0)
 
 
 def _grid_arg(text: str) -> tuple[float, ...]:
@@ -325,7 +328,7 @@ def _add_channel_source(sub: argparse.ArgumentParser) -> None:
     from .channel import special_channel_kinds
 
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--channel-seed", type=int, default=None, metavar="N",
+    group.add_argument("--channel-seed", type=_nonnegative_int, default=None, metavar="N",
                        help="draw the channel from this seed (default 0)")
     group.add_argument("--special", choices=special_channel_kinds(), default=None,
                        help="use a named constructed channel")
@@ -338,7 +341,7 @@ def _verify_arguments(verify: argparse.ArgumentParser) -> None:
 
     verify.add_argument("--scheme", required=True, choices=SCHEME_TAGS)
     _add_channel_source(verify)
-    verify.add_argument("--seed", type=int, default=0, help="seed for the free beamformer columns")
+    verify.add_argument("--seed", type=_nonnegative_int, default=0, help="seed for the free beamformer columns")
 
 
 def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
@@ -347,7 +350,7 @@ def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
 
     sweep.add_argument("--scheme", required=True, choices=tuple(SCHEMES))
     sweep.add_argument("--trials", type=_positive_int, default=20)
-    sweep.add_argument("--master-seed", type=int, default=0)
+    sweep.add_argument("--master-seed", type=_nonnegative_int, default=0)
     sweep.add_argument("--snr-grid", type=_grid_arg, default=DEFAULT_SNR_GRID_DB,
                        metavar="DB,DB,...", help="comma-separated dB values (default 60..110)")
     sweep.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
@@ -365,7 +368,7 @@ def _bound_arguments(bound: argparse.ArgumentParser) -> None:
 
 def _demo_arguments(demo: argparse.ArgumentParser) -> None:
     _add_channel_source(demo)
-    demo.add_argument("--seed", type=int, default=0, help="seed for the demo's random blocks")
+    demo.add_argument("--seed", type=_nonnegative_int, default=0, help="seed for the demo's random blocks")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,25 +14,12 @@ from typing import Callable
 
 import numpy as np
 
+from . import _exports
 from .channel import ComplexChannelMatrix
 from .schemes import BeamformerSet
 from .verify import receiver_stack
 
-__all__ = [
-    "DEFAULT_SNR_GRID_DB",
-    "RankDeficientReceiverError",
-    "RateReport",
-    "DofEstimate",
-    "zf_receive",
-    "rate_reports",
-    "sum_rate",
-    "estimate_dof",
-    "fit_dof",
-    "validate_snr_grid",
-    "baseline_circsym",
-    "baseline_rate_profile",
-    "estimate_baseline_dof",
-]
+__all__ = _exports(__name__)
 
 DEFAULT_SNR_GRID_DB = (60.0, 70.0, 80.0, 90.0, 100.0, 110.0)
 

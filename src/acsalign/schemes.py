@@ -18,6 +18,7 @@ from itertools import groupby
 
 import numpy as np
 
+from . import _exports
 from .channel import ComplexChannelMatrix, extend_rotation, sample_channel
 from .verify import (
     _GATES,
@@ -29,23 +30,7 @@ from .verify import (
     check_conditions,
 )
 
-__all__ = [
-    "AlignmentPair",
-    "SchemeSpec",
-    "BeamformerSet",
-    "build_phase_alignment",
-    "build_acs_ic3",
-    "build_x_channel",
-    "build_cognitive_x",
-    "build_uplinks",
-    "build_scheme",
-    "sample_feasible_channel",
-    "scheme_spec",
-    "CANDIDATE_DRAWS",
-    "GENERIC_PHASE_MARGIN",
-    "SCHEMES",
-    "SCHEME_TAGS",
-]
+__all__ = _exports(__name__)
 
 # How many free-column draws the randomized builders try before keeping the
 # best conditioned one.

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from . import _exports
 from .channel import (
     _CROSS_TERMS,
     TWO_PI,
@@ -27,26 +28,7 @@ from .channel import (
 if TYPE_CHECKING:  # pragma: no cover
     from .schemes import BeamformerSet
 
-__all__ = [
-    "PHASE_TOL",
-    "RATIO_TOL",
-    "SV_INDEPENDENT",
-    "SV_DEPENDENT",
-    "CONDITION_SETS",
-    "InfeasibleChannelError",
-    "DegenerateAnglesError",
-    "ConditionRecord",
-    "ConditionReport",
-    "check_conditions",
-    "receiver_stack",
-    "alignment_residual",
-    "ReceiverIndependence",
-    "IndependenceReport",
-    "independence_margin",
-    "solve_phasor_pair",
-    "ContainmentDemo",
-    "demonstrate_containment",
-]
+__all__ = _exports(__name__)
 
 # A phase expression within this distance of a multiple of its modulus counts
 # as hitting it; a gain ratio within this distance of 1 counts as 1.

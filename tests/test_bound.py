@@ -145,6 +145,25 @@ def test_nonpositive_extension_is_rejected():
         max_dof(0)
 
 
+@pytest.mark.parametrize("extension", [-1, 1.5, 2.5, "3", None, float("nan"), float("inf")])
+def test_every_entry_point_rejects_a_non_positive_integer_extension(extension):
+    for call in (max_dof, lambda s: list(iter_feasible_profiles(s)),
+                 lambda s: AllocationProfile(s, (1, 1, 1), (0, 0, 0))):
+        with pytest.raises(ValueError, match="extension must be a positive integer"):
+            call(extension)
+
+
+def test_an_integral_float_extension_is_stored_as_int():
+    profile = AllocationProfile(3.0, (2, 2, 2), (1, 1, 1))
+    assert type(profile.extension) is int
+    assert profile.ratio == Fraction(1)
+    assert profile.to_dict() == AllocationProfile(3, (2, 2, 2), (1, 1, 1)).to_dict()
+    assert list(iter_feasible_profiles(2.0)) == list(iter_feasible_profiles(2))
+    result = max_dof(3.0)
+    assert type(result.extension) is int
+    assert result == max_dof(3)
+
+
 def test_search_budget_is_enforced():
     with pytest.raises(SearchSpaceError):
         max_dof(3, profile_limit=10)

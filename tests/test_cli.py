@@ -410,6 +410,25 @@ def test_usage_errors_exit_with_two(capsys):
         assert f"argument --snr-grid: snr grid has an empty value at position {position}" in captured.err
 
 
+@pytest.mark.parametrize("sub, flag", [
+    ("verify", "--seed"), ("verify", "--channel-seed"),
+    ("sweep", "--master-seed"), ("sweep", "--channel-seed"),
+    ("demo-containment", "--seed"), ("demo-containment", "--channel-seed"),
+])
+def test_negative_seeds_are_usage_errors_naming_the_flag(sub, flag, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    argv = {"verify": [sub, "--scheme", "acs-ic3"],
+            "sweep": [sub, "--scheme", "acs-ic3", "--out", str(out)],
+            "demo-containment": [sub]}[sub]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be a nonnegative integer" in captured.err
+    assert not out.exists()
+
+
 def listed_choices(argv, capsys) -> tuple[str, ...]:
     """The choices an "invalid choice" usage error lists."""
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ and the command line runs it with one BLAS thread; only a sweep with more
 than one worker loads the process pool."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -109,6 +110,15 @@ def test_exports_are_their_home_module_objects():
         assert len(homes) == 1, name
         home = importlib.import_module(f"acsalign.{homes[0]}")
         assert getattr(acsalign, name) is getattr(home, name)
+
+
+def test_classes_and_functions_are_listed_under_the_module_defining_them():
+    # A module also holds the names it imports, so the identity check above
+    # passes for a name listed under an importer; __module__ does not.
+    for name in acsalign.__all__:
+        obj = getattr(acsalign, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == f"acsalign.{acsalign._HOMES[name]}", name
 
 
 def test_dir_lists_every_export():
