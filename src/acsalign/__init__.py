@@ -15,7 +15,7 @@ _HOMES = {name: home for home, names in (
     )),
     ("channel", (
         "NUM_CROSS_SUMS", "TWO_PI", "ComplexChannelMatrix", "ExtendedRotation",
-        "construct_special_channel", "dump_channel", "extend_rotation",
+        "construct_special_channel", "dump_channel",
         "implicated_receiver", "lift", "load_channel", "mod_distance",
         "rotation_matrix", "sample_channel", "special_channel_kinds", "unlift",
     )),
@@ -50,6 +50,17 @@ def _exports(module_name: str) -> list[str]:
     """The public names whose home is the submodule `module_name`, in map order."""
     home = module_name.rpartition(".")[2]
     return [name for name, where in _HOMES.items() if where == home]
+
+
+def _extension(value) -> int:
+    """`value` as an int, or ValueError unless it is a positive integer: the one
+    rule for a slot extension S, in the bound and in the block rotations."""
+    try:
+        if int(value) == value and value >= 1:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError("extension must be a positive integer")
 
 
 def __getattr__(name: str):

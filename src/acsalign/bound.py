@@ -14,21 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from . import _exports
+from . import _exports, _extension
 
 __all__ = _exports(__name__)
 
 DEFAULT_PROFILE_LIMIT = 20_000_000
-
-
-def _extension(value) -> int:
-    """`value` as an int, or ValueError unless it is a positive integer."""
-    try:
-        if int(value) == value and value >= 1:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError("extension must be a positive integer")
 
 
 class SearchSpaceError(Exception):

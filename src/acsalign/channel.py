@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import _exports
+from . import _exports, _extension
 
 __all__ = _exports(__name__)
 
@@ -74,8 +75,7 @@ class ExtendedRotation:
     def __post_init__(self):
         if not np.isfinite(self.phase):
             raise ValueError("phase must be finite")
-        if int(self.extension) != self.extension or self.extension < 1:
-            raise ValueError(f"extension must be a positive integer, got {self.extension!r}")
+        object.__setattr__(self, "extension", _extension(self.extension))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -86,11 +86,6 @@ class ExtendedRotation:
         blocks[diag, :, diag, :] = rotation_matrix(self.phase)
         blocks.setflags(write=False)
         return blocks.reshape(2 * s, 2 * s)
-
-
-def extend_rotation(phi: float, extension: int) -> ExtendedRotation:
-    """Rotation by phi applied independently to each of `extension` complex slots."""
-    return ExtendedRotation(float(phi), int(extension))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +174,7 @@ class ComplexChannelMatrix:
         (rx, tx) link's 2S x 2S matrix.  Built on first use for each extension
         and kept with the channel (rotation matrices are read-only)."""
         return self._derived(("rotations", extension), lambda: tuple(
-            tuple(extend_rotation(ph, extension).matrix for ph in row) for row in self.phase
+            tuple(ExtendedRotation(ph, extension).matrix for ph in row) for row in self.phase
         ))
 
 
@@ -252,55 +247,51 @@ def _generic_base() -> ComplexChannelMatrix:
     return sample_channel(_GENERIC_BASE_SEED, 3, 3)
 
 
+def _unit_gains(cross_phase: float) -> ComplexChannelMatrix:
+    """Every gain of magnitude 1: direct phases 0, every cross phase `cross_phase`."""
+    ph = np.full((3, 3), cross_phase)
+    np.fill_diagonal(ph, 0.0)
+    return ComplexChannelMatrix(np.ones((3, 3)), ph)
+
+
+def _forced_cross_sum(index: int, singular: bool) -> ComplexChannelMatrix:
+    """The generic base with cross sum `index` (0-based) forced to 0 mod 2pi,
+    and if `singular` its matching gain ratio forced to 1."""
+    base = _generic_base()
+    mag = np.array(base.magnitude)
+    ph = np.array(base.phase)
+    *rest, (diag_rt, _) = _CROSS_TERMS[index]
+    # Force the sum to zero by solving for the diagonal phase it contains.
+    ph[diag_rt] = _signed_phase_sum(base, rest)
+    if singular:
+        mag[diag_rt] = _signed_gain_ratio(base, rest)
+    return ComplexChannelMatrix(mag, ph)
+
+
+# Each named 3x3 channel and its builder, in listing order: the only list of
+# the names.  acs-violating-i is generic except cross sum i (1-based) forced to
+# 0 mod pi; singular-i also has the matching gain ratio 1.
+_SPECIAL_CHANNELS = {
+    "phase-example": partial(_unit_gains, np.pi / 2),
+    "plus-minus-one": partial(_unit_gains, np.pi),  # +1 on the diagonal, -1 off it
+    "all-ones": partial(_unit_gains, 0.0),
+    **{f"acs-violating-{k + 1}": partial(_forced_cross_sum, k, False) for k in range(NUM_CROSS_SUMS)},
+    **{f"singular-{k + 1}": partial(_forced_cross_sum, k, True) for k in range(NUM_CROSS_SUMS)},
+}
+
+
 def special_channel_kinds() -> tuple[str, ...]:
-    kinds = ["phase-example", "plus-minus-one", "all-ones"]
-    kinds += [f"acs-violating-{i}" for i in range(1, NUM_CROSS_SUMS + 1)]
-    kinds += [f"singular-{i}" for i in range(1, NUM_CROSS_SUMS + 1)]
-    return tuple(kinds)
+    return tuple(_SPECIAL_CHANNELS)
 
 
 def construct_special_channel(kind: str) -> ComplexChannelMatrix:
-    """Named 3x3 channels hitting specific feasibility and singularity regimes.
-
-    phase-example     unit gains, direct phases 0, cross phases pi/2
-    plus-minus-one    +1 on the diagonal, -1 off it
-    all-ones          every gain equal to 1
-    acs-violating-i   generic except cross sum i (1-based) forced to 0 mod pi
-    singular-i        generic except singularity condition i forced to hold
-                      (phase sum 0 mod 2pi and matching gain ratio 1)
-    """
-    if kind == "phase-example":
-        mag = np.ones((3, 3))
-        ph = np.full((3, 3), np.pi / 2)
-        np.fill_diagonal(ph, 0.0)
-        return ComplexChannelMatrix(mag, ph)
-    if kind == "plus-minus-one":
-        mag = np.ones((3, 3))
-        ph = np.full((3, 3), np.pi)
-        np.fill_diagonal(ph, 0.0)
-        return ComplexChannelMatrix(mag, ph)
-    if kind == "all-ones":
-        return ComplexChannelMatrix(np.ones((3, 3)), np.zeros((3, 3)))
-
-    for prefix in ("acs-violating-", "singular-"):
-        if kind.startswith(prefix):
-            try:
-                index = int(kind[len(prefix):]) - 1
-            except ValueError:
-                raise ValueError(f"unknown special channel kind {kind!r}") from None
-            if not 0 <= index < NUM_CROSS_SUMS:
-                raise ValueError(f"special channel index must be 1..{NUM_CROSS_SUMS}, got {kind!r}")
-            base = _generic_base()
-            mag = np.array(base.magnitude)
-            ph = np.array(base.phase)
-            *rest, (diag_rt, _) = _CROSS_TERMS[index]
-            # Force the sum to zero by solving for the diagonal phase it contains.
-            ph[diag_rt] = _signed_phase_sum(base, rest)
-            if prefix == "singular-":
-                mag[diag_rt] = _signed_gain_ratio(base, rest)
-            return ComplexChannelMatrix(mag, ph)
-
-    raise ValueError(f"unknown special channel kind {kind!r}")
+    """The named 3x3 channel `kind`, one of special_channel_kinds(): channels
+    hitting specific feasibility and singularity regimes."""
+    build = _SPECIAL_CHANNELS.get(kind)
+    if build is None:
+        raise ValueError(f"unknown special channel kind {kind!r}; "
+                         f"choose from {', '.join(_SPECIAL_CHANNELS)}")
+    return build()
 
 
 def dump_channel(channel: ComplexChannelMatrix, path) -> None:
@@ -355,4 +346,7 @@ def load_channel(path) -> ComplexChannelMatrix:
         seen.add((r, t))
         mag[r, t] = m
         ph[r, t] = p
-    return ComplexChannelMatrix(mag, ph)
+    try:
+        return ComplexChannelMatrix(mag, ph)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

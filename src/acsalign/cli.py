@@ -298,9 +298,10 @@ def _grid_arg(text: str) -> tuple[float, ...]:
 
 
 class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand parser whose arguments `fill` adds the first time it parses
-    or formats its usage or help.  Choices such as the scheme tags come from
-    the numerical modules, so they load only for the subcommand that is used."""
+    """A subcommand parser whose arguments `fill` adds the first time it parses,
+    which argparse does before it formats its usage or help.  Choices such as
+    the scheme tags come from the numerical modules, so they load only for the
+    subcommand that is used."""
 
     def __init__(self, *args, fill, **kwargs):
         super().__init__(*args, **kwargs)
@@ -314,14 +315,6 @@ class _SubcommandParser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         self._fill_once()
         return super().parse_known_args(args, namespace)
-
-    def format_usage(self) -> str:
-        self._fill_once()
-        return super().format_usage()
-
-    def format_help(self) -> str:
-        self._fill_once()
-        return super().format_help()
 
 
 def _add_channel_source(sub: argparse.ArgumentParser) -> None:

@@ -100,6 +100,18 @@ class RateReport:
         }
 
 
+def _snr_values(snrs) -> np.ndarray:
+    """`snrs` as a float array, or ValueError unless it is a non-empty 1-d
+    sequence of positive finite values."""
+    values = np.asarray(snrs, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"snrs must be a non-empty 1-d sequence, got shape {values.shape}")
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+    if bad.size:
+        raise ValueError(f"snr must be positive and finite, got {float(values[bad[0]])!r}")
+    return values
+
+
 def rate_reports(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snrs) -> tuple[RateReport, ...]:
     """Achieved rates under zero forcing at each operating SNR (linear scale).
 
@@ -107,12 +119,9 @@ def rate_reports(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snrs
     of the rotated column on the combiner times the link magnitude squared,
     and residual interference is exactly nulled, so SINR = 2 * power * gain.
     The combiners do not depend on the SNR, so zero forcing is solved once
-    for the whole grid.
+    for the whole grid, once `snrs` has passed _snr_values.
     """
-    snrs = np.asarray(snrs, dtype=float)
-    bad = np.flatnonzero(~(np.isfinite(snrs) & (snrs > 0)))
-    if bad.size:
-        raise ValueError(f"snr must be positive and finite, got {float(snrs[bad[0]])!r}")
+    snrs = _snr_values(snrs)
     solved = _zf_solve(beamformers, channel)
     spec = beamformers.spec
     S = spec.extension
@@ -251,8 +260,7 @@ def baseline_rate_profile(channel: ComplexChannelMatrix, snr: float) -> np.ndarr
     alone, and returns the winning mode's rate vector.  An snr that would
     overflow the lone user's rate overflows the full-power mode first.
     """
-    if not (np.isfinite(snr) and snr > 0):
-        raise ValueError(f"snr must be positive and finite, got {float(snr)!r}")
+    _snr_values((snr,))
     k = channel.num_tx
     full = baseline_circsym(channel, np.full(k, snr))
     g = channel.magnitude ** 2

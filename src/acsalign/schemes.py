@@ -19,7 +19,7 @@ from itertools import groupby
 import numpy as np
 
 from . import _exports
-from .channel import ComplexChannelMatrix, extend_rotation, sample_channel
+from .channel import ComplexChannelMatrix, ExtendedRotation, sample_channel
 from .verify import (
     _GATES,
     SV_INDEPENDENT,
@@ -226,7 +226,7 @@ def _derivations(spec: SchemeSpec, phase: np.ndarray) -> list[tuple[np.ndarray, 
     with the run of consecutive alignment pairs that shares it."""
     pairs = (pair for pair in spec.alignments if not pair.up_to_sign)
     return [
-        (extend_rotation(phase[rx, ktx] - phase[rx, dtx], spec.extension).matrix, list(group))
+        (ExtendedRotation(phase[rx, ktx] - phase[rx, dtx], spec.extension).matrix, list(group))
         for (rx, ktx, dtx), group in groupby(pairs, key=lambda p: (p.rx, p.kept[0], p.dropped[0]))
     ]
 

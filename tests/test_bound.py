@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from acsalign.bound import (
     iter_feasible_profiles,
     max_dof,
 )
+from acsalign.channel import ExtendedRotation, rotation_matrix
 
 # Best ratio by extension, from the receiver-dimension and partition counting:
 # the total is capped at 2S plus the largest jointly realizable overlap budget.
@@ -145,10 +147,11 @@ def test_nonpositive_extension_is_rejected():
         max_dof(0)
 
 
-@pytest.mark.parametrize("extension", [-1, 1.5, 2.5, "3", None, float("nan"), float("inf")])
+@pytest.mark.parametrize("extension", [-1, 1.5, 2.5, "3", None, float("nan"), float("inf"), 0])
 def test_every_entry_point_rejects_a_non_positive_integer_extension(extension):
     for call in (max_dof, lambda s: list(iter_feasible_profiles(s)),
-                 lambda s: AllocationProfile(s, (1, 1, 1), (0, 0, 0))):
+                 lambda s: AllocationProfile(s, (1, 1, 1), (0, 0, 0)),
+                 lambda s: ExtendedRotation(0.1, s)):
         with pytest.raises(ValueError, match="extension must be a positive integer"):
             call(extension)
 
@@ -162,6 +165,11 @@ def test_an_integral_float_extension_is_stored_as_int():
     result = max_dof(3.0)
     assert type(result.extension) is int
     assert result == max_dof(3)
+    # The block rotations follow the same rule.
+    rotation = ExtendedRotation(0.1, 3.0)
+    assert type(rotation.extension) is int
+    assert np.array_equal(rotation.matrix, np.kron(np.eye(3), rotation_matrix(0.1)))
+    assert np.array_equal(rotation.matrix, ExtendedRotation(0.1, 3).matrix)
 
 
 def test_search_budget_is_enforced():

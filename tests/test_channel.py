@@ -12,9 +12,9 @@ from acsalign.channel import (
     NUM_CROSS_SUMS,
     TWO_PI,
     ComplexChannelMatrix,
+    ExtendedRotation,
     construct_special_channel,
     dump_channel,
-    extend_rotation,
     implicated_receiver,
     lift,
     load_channel,
@@ -49,9 +49,9 @@ def test_rotation_group_law(a, b):
 
 @given(angles, st.integers(min_value=1, max_value=4))
 def test_extension_is_blockwise(phi, S):
-    ext = extend_rotation(phi, S)
+    ext = ExtendedRotation(phi, S)
     assert np.allclose(ext.matrix, np.kron(np.eye(S), rotation_matrix(phi)))
-    assert np.allclose(ext.matrix @ extend_rotation(-phi, S).matrix, np.eye(2 * S), atol=1e-12)
+    assert np.allclose(ext.matrix @ ExtendedRotation(-phi, S).matrix, np.eye(2 * S), atol=1e-12)
 
 
 @given(st.floats(min_value=-1e9, max_value=1e9, allow_nan=False), st.integers(min_value=1, max_value=8))
@@ -62,7 +62,7 @@ def test_extension_is_blockwise(phi, S):
 @example(123456.789, 5)
 def test_extension_is_the_kron_lift_bit_for_bit(phi, S):
     # array_equal counts -0.0 equal to 0.0: the off-block zeros may differ in sign.
-    assert np.array_equal(extend_rotation(phi, S).matrix, np.kron(np.eye(S), rotation_matrix(phi)))
+    assert np.array_equal(ExtendedRotation(phi, S).matrix, np.kron(np.eye(S), rotation_matrix(phi)))
 
 
 def test_link_rotations_are_built_once_and_read_only():
@@ -71,7 +71,7 @@ def test_link_rotations_are_built_once_and_read_only():
     assert len(lifted) == 2 and all(len(row) == 3 for row in lifted)
     for rx in range(2):
         for tx in range(3):
-            assert np.array_equal(lifted[rx][tx], extend_rotation(chn.phase[rx, tx], 4).matrix)
+            assert np.array_equal(lifted[rx][tx], ExtendedRotation(chn.phase[rx, tx], 4).matrix)
             assert not lifted[rx][tx].flags.writeable
     assert chn.link_rotations(4) is lifted
     assert chn.link_rotations(1)[1][2].shape == (2, 2)
@@ -113,9 +113,9 @@ def test_channels_compare_and_hash_by_value():
 
 @given(angles, angles)
 def test_extension_compose(a, b):
-    x = extend_rotation(a, 3)
-    y = extend_rotation(b, 3)
-    assert np.allclose(extend_rotation(a + b, 3).matrix, x.matrix @ y.matrix, atol=1e-12)
+    x = ExtendedRotation(a, 3)
+    y = ExtendedRotation(b, 3)
+    assert np.allclose(ExtendedRotation(a + b, 3).matrix, x.matrix @ y.matrix, atol=1e-12)
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
@@ -132,7 +132,7 @@ def test_lift_unlift_round_trip(values):
                         min_size=2, max_size=2))
 def test_lifted_rotation_is_complex_multiplication(phi, values):
     z = np.array(values)
-    rotated = extend_rotation(phi, z.size).matrix @ lift(z)
+    rotated = ExtendedRotation(phi, z.size).matrix @ lift(z)
     assert np.allclose(rotated, lift(np.exp(1j * phi) * z), atol=1e-9)
 
 
@@ -232,8 +232,15 @@ def test_special_kind_listing_is_complete():
     assert "phase-example" in kinds and "all-ones" in kinds
     assert len([k for k in kinds if k.startswith("acs-violating-")]) == NUM_CROSS_SUMS
     assert len([k for k in kinds if k.startswith("singular-")]) == NUM_CROSS_SUMS
-    with pytest.raises(ValueError):
-        construct_special_channel("no-such-channel")
+    for kind in kinds:
+        assert construct_special_channel(kind).magnitude.shape == (3, 3)
+    # Exactly the listed names build: no other spelling of an index is parsed.
+    listing = re.escape(", ".join(kinds))
+    for kind in ("no-such-channel", "acs-violating-01", "singular-+1", "acs-violating- 1",
+                 "acs-violating-7", "singular-0"):
+        with pytest.raises(ValueError, match=f"unknown special channel kind {re.escape(repr(kind))}; "
+                                             f"choose from {listing}$"):
+            construct_special_channel(kind)
 
 
 @pytest.mark.parametrize("idx", range(1, NUM_CROSS_SUMS + 1))
@@ -291,6 +298,12 @@ def test_load_rejects_malformed_files(tmp_path):
     for line in ("1.5 1 1.0 0.0", "1 1 abc 0.0"):
         p.write_text(f"1 1\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}: bad link line: {line!r}")):
+            load_channel(p)
+    for line, problem in (("1 1 nan 0.0", "channel entries must be finite"),
+                          ("1 1 1.0 inf", "channel entries must be finite"),
+                          ("1 1 -1.0 0.0", "magnitudes must be nonnegative")):
+        p.write_text(f"1 1\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {problem}")):
             load_channel(p)
     p.write_bytes("1 1\n# gain in µW\n1 1 1.0 0.0\n".encode())
     with pytest.raises(ValueError, match=re.escape(f"{p}: not an ASCII channel file (byte 0xc2 at offset 14)")):

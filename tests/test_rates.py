@@ -1,13 +1,15 @@
 """Zero-forcing rates, slope regression, and the per-symbol baseline."""
 
+import re
+
 import numpy as np
 import pytest
 
 from acsalign import rates
 from acsalign.channel import (
     ComplexChannelMatrix,
+    ExtendedRotation,
     construct_special_channel,
-    extend_rotation,
 )
 from acsalign.rates import (
     DEFAULT_SNR_GRID_DB,
@@ -56,7 +58,7 @@ def test_combiners_null_every_other_stream_image():
         for t2, c2, _ in bf.spec.streams():
             if (t2, c2) == (t, c):
                 continue
-            image = extend_rotation(chn.phase[rx, t2], S).matrix @ bf.column(t2, c2)
+            image = ExtendedRotation(chn.phase[rx, t2], S).matrix @ bf.column(t2, c2)
             assert abs(w @ image) < 1e-9
 
 
@@ -100,7 +102,7 @@ def test_rate_reports_solve_once_and_match_per_point_sum_rate(tag, monkeypatch):
     assert reports == tuple(sum_rate(bf, chn, snr) for snr in GRID_21)
 
 
-def test_invalid_snr_is_rejected():
+def test_invalid_snr_is_rejected(monkeypatch):
     chn = sample_feasible_channel("acs-ic3", 0)
     bf = build_acs_ic3(chn, seed=0)
     for bad in (0.0, -1.0, np.inf, np.nan):
@@ -117,6 +119,16 @@ def test_invalid_snr_is_rejected():
         sum_rate(bf, chn, 1e308)
     with pytest.raises(ValueError, match=r"rate arithmetic overflows at snr 1e\+308"):
         rate_reports(bf, chn, [1e6, 1e308])
+    # Anything but a non-empty 1-d sequence is rejected before zero forcing runs.
+    def no_zero_forcing(*args):
+        raise AssertionError("zero forcing ran")
+
+    monkeypatch.setattr(rates, "_zf_solve", no_zero_forcing)
+    for snrs, shape in (([], (0,)), (1e6, ()), ([[1e6, 1e7]], (1, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"snrs must be a non-empty 1-d sequence, got shape {shape}")):
+            rate_reports(bf, chn, snrs)
+    with pytest.raises(ValueError, match="non-empty 1-d sequence"):
+        sum_rate(bf, chn, [])
 
 
 @pytest.mark.parametrize("idx,rx", [(1, 0), (4, 1), (6, 2)])
