@@ -52,15 +52,15 @@ def _exports(module_name: str) -> list[str]:
     return [name for name, where in _HOMES.items() if where == home]
 
 
-def _extension(value) -> int:
-    """`value` as an int, or ValueError unless it is a positive integer: the one
-    rule for a slot extension S, in the bound and in the block rotations."""
+def _extension(value, lowest: int = 1, message: str = "extension must be a positive integer") -> int:
+    """`value` as an int, or ValueError(message) unless it is an integer of at least
+    `lowest`: the one integer rule, for a slot extension S and an allocation's entries."""
     try:
-        if int(value) == value and value >= 1:
+        if int(value) == value and value >= lowest:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError("extension must be a positive integer")
+    raise ValueError(message)
 
 
 def __getattr__(name: str):

@@ -42,10 +42,8 @@ class AllocationProfile:
         for name, triple in (("streams", self.streams), ("overlaps", self.overlaps)):
             if len(triple) != 3:
                 raise ValueError(f"{name} must have three entries")
-            if any(int(v) != v or v < 0 for v in triple):
-                raise ValueError(f"{name} must be nonnegative integers")
-        object.__setattr__(self, "streams", tuple(int(v) for v in self.streams))
-        object.__setattr__(self, "overlaps", tuple(int(v) for v in self.overlaps))
+            message = f"{name} must be nonnegative integers"
+            object.__setattr__(self, name, tuple(_extension(v, 0, message) for v in triple))
 
     def overlap(self, i: int, j: int) -> int:
         """Overlap between users i and j (1-based, order irrelevant)."""

@@ -54,8 +54,10 @@ def mod_distance(value: float, modulus: float = np.pi) -> float:
     Used for all "equal to 0 mod pi / mod 2pi" comparisons.  Symmetric in
     the sign of value because fmod keeps the sign of its argument.
     """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
+    if not np.isfinite(value):
+        raise ValueError(f"angle must be finite, got {float(value)!r}")
+    if not modulus > 0:
+        raise ValueError(f"modulus must be positive, got {float(modulus)!r}")
     r = abs(float(np.fmod(value, modulus)))
     return min(r, modulus - r)
 

@@ -49,13 +49,11 @@ def _overflow_guard(what: str):
         raise ValueError(f"rate arithmetic overflows at {what}") from None
 
 
-def _zf_solve(
-    beamformers: BeamformerSet, channel: ComplexChannelMatrix
-) -> dict[tuple[int, int], tuple[np.ndarray, float]]:
-    """Each desired stream's unit combiner and its gain on its own image, from
-    receiver_stack's columns.  Column j is copied to a contiguous vector first:
-    on the strided view the solve and the dot product change last digits."""
-    solved = {}
+def _zf_solve(beamformers: BeamformerSet, channel: ComplexChannelMatrix):
+    """The one pass over desired streams, receiver by receiver, each in desired_streams
+    order: `(rx, (tx, column), unit combiner, gain on its own image)`.  Column j is
+    copied to a contiguous vector first: on the strided view the solve and the
+    dot product change last digits."""
     for rx in range(beamformers.spec.shape[0]):
         stack, _ = receiver_stack(beamformers, channel, rx)
         for j, key in enumerate(beamformers.spec.desired_streams(rx)):
@@ -67,8 +65,7 @@ def _zf_solve(
             if norm < 1e-9:
                 raise RankDeficientReceiverError(rx)
             w = w / norm
-            solved[key] = (w, float(w @ own))
-    return solved
+            yield rx, key, w, float(w @ own)
 
 
 def zf_receive(beamformers: BeamformerSet, channel: ComplexChannelMatrix) -> dict[tuple[int, int], np.ndarray]:
@@ -79,7 +76,7 @@ def zf_receive(beamformers: BeamformerSet, channel: ComplexChannelMatrix) -> dic
     residual of its own image after projecting onto the span of all the
     others; its inner product with the own image is therefore positive.
     """
-    return {key: w for key, (w, _) in _zf_solve(beamformers, channel).items()}
+    return {key: w for _, key, w, _ in _zf_solve(beamformers, channel)}
 
 
 @dataclass(frozen=True)
@@ -100,12 +97,18 @@ class RateReport:
         }
 
 
+def _vector(values, what: str) -> np.ndarray:
+    """`values` as a float array, or ValueError naming its shape unless non-empty and 1-d."""
+    array = np.asarray(values, dtype=float)
+    if array.ndim != 1 or array.size == 0:
+        raise ValueError(f"{what} must be a non-empty 1-d sequence, got shape {array.shape}")
+    return array
+
+
 def _snr_values(snrs) -> np.ndarray:
     """`snrs` as a float array, or ValueError unless it is a non-empty 1-d
     sequence of positive finite values."""
-    values = np.asarray(snrs, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError(f"snrs must be a non-empty 1-d sequence, got shape {values.shape}")
+    values = _vector(snrs, "snrs")
     bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
     if bad.size:
         raise ValueError(f"snr must be positive and finite, got {float(values[bad[0]])!r}")
@@ -118,28 +121,20 @@ def rate_reports(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snrs
     Stream power is S*snr*share, the desired gain is the squared projection
     of the rotated column on the combiner times the link magnitude squared,
     and residual interference is exactly nulled, so SINR = 2 * power * gain.
-    The combiners do not depend on the SNR, so zero forcing is solved once
-    for the whole grid, once `snrs` has passed _snr_values.
+    The combiners do not depend on the SNR, so one zero-forcing pass, after
+    _snr_values, adds each stream's rates over the grid to its receiver's.
     """
     snrs = _snr_values(snrs)
-    solved = _zf_solve(beamformers, channel)
     spec = beamformers.spec
     S = spec.extension
-    streams = spec.streams()
-    gains = [solved[(t, c)][1] for t, c, _ in streams]
-    share = np.array([1.0 / len(spec.stream_rx[t]) for t, _, _ in streams])
-    link = np.array([channel.magnitude[rx, t] ** 2 for t, _, rx in streams])
+    per_rx = np.zeros((snrs.size, spec.shape[0]))
     with _overflow_guard(f"snr {float(snrs.max())!r}"):
-        sinr = S * snrs[:, None] * share * link * np.array([g ** 2 for g in gains]) / NOISE_VAR_PER_REAL_DIM
-        rate = 0.5 * np.log2(1.0 + sinr)
-    per_rx_block = np.zeros((snrs.size, beamformers.spec.shape[0]))
-    for k, (_, _, rx) in enumerate(streams):
-        per_rx_block[:, rx] += rate[:, k]
-    return tuple(
-        RateReport(spec.tag, float(snr), S, tuple(float(x) / S for x in per_rx_block[i]),
-                   float(per_rx_block[i].sum()) / S)
-        for i, snr in enumerate(snrs)
-    )
+        for rx, (t, _), _, gain in _zf_solve(beamformers, channel):
+            share = 1.0 / len(spec.stream_rx[t])
+            sinr = S * snrs * share * channel.magnitude[rx, t] ** 2 * gain ** 2 / NOISE_VAR_PER_REAL_DIM
+            per_rx[:, rx] += 0.5 * np.log2(1.0 + sinr)
+    return tuple(RateReport(spec.tag, float(snr), S, tuple(float(x) / S for x in row), float(row.sum()) / S)
+                 for snr, row in zip(snrs, per_rx))
 
 
 def sum_rate(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snr: float) -> RateReport:
@@ -181,8 +176,8 @@ def validate_snr_grid(snr_grid_db) -> np.ndarray:
     to stay in floating range, high enough that the log(1+x) curvature has
     died out.
     """
-    grid = np.asarray(snr_grid_db, dtype=float)
-    if grid.ndim != 1 or grid.size < 4:
+    grid = _vector(snr_grid_db, "snr grid")
+    if grid.size < 4:
         raise ValueError("snr grid needs at least 4 points")
     bad = np.flatnonzero(~np.isfinite(grid))
     if bad.size:

@@ -319,8 +319,10 @@ def solve_phasor_pair(alpha: float, beta: float) -> tuple[float, float]:
 
     Splitting into real and imaginary parts gives a 2x2 linear system whose
     determinant is sin(beta - alpha); the solve is degenerate exactly when
-    the two phasors are collinear.
+    the two phasors are collinear.  A non-finite angle raises ValueError.
     """
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise ValueError(f"phasor angles must be finite, got alpha={float(alpha)!r}, beta={float(beta)!r}")
     det = np.sin(beta - alpha)
     if abs(det) <= PHASE_TOL:
         raise DegenerateAnglesError(

@@ -3,8 +3,10 @@
 The builder draws, derives and scores all candidates of one build as one
 stacked batch, and the recorded sweep digests hold only because each stacked
 operation gives, per candidate, exactly the bits of the one-at-a-time
-operation it replaces.  Each identity gets its own test here, so a change in
-the numerical stack (numpy, its BLAS or LAPACK) fails at the named contract
+operation it replaces.  Likewise the rate layer adds each stream's rate into
+its receiver's column inside the zero-forcing pass, and must give the bits of
+the transmitter-major sums.  Each identity gets its own test here, so a change
+in the numerical stack (numpy, its BLAS or LAPACK) fails at the named contract
 rather than as an opaque digest mismatch.  Every comparison is np.array_equal
 or ==, never a tolerance.
 """
@@ -15,9 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acsalign import schemes
-from acsalign.channel import ComplexChannelMatrix
-from acsalign.schemes import CANDIDATE_DRAWS, SchemeSpec, build_scheme, sample_feasible_channel, scheme_spec
-from acsalign.verify import _stack, independence_margin
+from acsalign.channel import ComplexChannelMatrix, construct_special_channel
+from acsalign.rates import DEFAULT_SNR_GRID_DB, NOISE_VAR_PER_REAL_DIM, _db_to_linear, rate_reports
+from acsalign.schemes import (
+    CANDIDATE_DRAWS,
+    SCHEME_TAGS,
+    SchemeSpec,
+    build_scheme,
+    sample_feasible_channel,
+    scheme_spec,
+)
+from acsalign.verify import _stack, independence_margin, receiver_stack
 
 RANDOMIZED = ["acs-ic3", "x-channel", "uplinks"]
 
@@ -106,3 +116,47 @@ def test_stacked_derivations_are_the_per_candidate_products(tag):
             block = rot @ np.column_stack([single[p.kept] for p in group])
             for k, pair in enumerate(group):
                 assert np.array_equal(columns[pair.dropped][d], block[:, k])
+
+
+def _transmitter_major_rates(bf, chn, snrs: np.ndarray) -> list[tuple[tuple[float, ...], float]]:
+    """Per grid point, (per_receiver, sum_rate) computed apart from the pass:
+    combiners and gains solved into a dict keyed by (tx, column), then gains,
+    power shares and link gains gathered in transmitter order into arrays,
+    one SINR and rate block over grid points x streams, summed by receiver."""
+    spec = bf.spec
+    gains = {}
+    for rx in range(spec.shape[0]):
+        stack, _ = receiver_stack(bf, chn, rx)
+        for j, key in enumerate(spec.desired_streams(rx)):
+            own = stack[:, j].copy()
+            others = np.delete(stack, j, axis=1)
+            coeffs, *_ = np.linalg.lstsq(others, own, rcond=None)
+            w = own - others @ coeffs
+            w = w / float(np.linalg.norm(w))
+            gains[key] = float(w @ own)
+    S, streams = spec.extension, spec.streams()
+    share = np.array([1.0 / len(spec.stream_rx[t]) for t, _, _ in streams])
+    link = np.array([chn.magnitude[rx, t] ** 2 for t, _, rx in streams])
+    gain2 = np.array([gains[(t, c)] ** 2 for t, c, _ in streams])
+    rate = 0.5 * np.log2(1.0 + S * snrs[:, None] * share * link * gain2 / NOISE_VAR_PER_REAL_DIM)
+    block = np.zeros((snrs.size, spec.shape[0]))
+    for k, (_, _, rx) in enumerate(streams):
+        block[:, rx] += rate[:, k]
+    return [(tuple(float(x) / S for x in row), float(row.sum()) / S) for row in block]
+
+
+GRID_21_DB = tuple(60 + 2.5 * i for i in range(21))
+
+
+@pytest.mark.parametrize("tag", SCHEME_TAGS)
+def test_rates_added_up_in_the_zero_forcing_pass_are_the_transmitter_major_sums(tag):
+    for seed in range(3):
+        if scheme_spec(tag).sampleable:
+            chn = sample_feasible_channel(tag, seed)
+        else:
+            chn = construct_special_channel("phase-example")
+        bf = build_scheme(tag, chn, seed)
+        for grid in (DEFAULT_SNR_GRID_DB, GRID_21_DB):
+            snrs = np.array(_db_to_linear(grid))
+            reports = rate_reports(bf, chn, snrs)
+            assert [(r.per_receiver, r.sum_rate) for r in reports] == _transmitter_major_rates(bf, chn, snrs)

@@ -40,8 +40,14 @@ def test_profile_validation():
         AllocationProfile(1, (1, -1, 1), (0, 0, 0))
     with pytest.raises(ValueError):
         AllocationProfile(1, (1, 1), (0, 0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="streams must be nonnegative integers"):
         AllocationProfile(1, (1.5, 1, 1), (0, 0, 0))
+    # NaN, inf and None get the same message as 1.5, not a conversion error.
+    for bad in (float("nan"), float("inf"), None):
+        with pytest.raises(ValueError, match="streams must be nonnegative integers"):
+            AllocationProfile(1, (1, bad, 1), (0, 0, 0))
+        with pytest.raises(ValueError, match="overlaps must be nonnegative integers"):
+            AllocationProfile(1, (1, 1, 1), (0, 0, bad))
 
 
 def test_overlap_accessor_is_symmetric():

@@ -152,6 +152,13 @@ def test_mod_distance_known_values():
     assert np.isclose(mod_distance(np.pi / 2, np.pi), np.pi / 2)
     assert np.isclose(mod_distance(3.5 * np.pi, np.pi), np.pi / 2)
     assert np.isclose(mod_distance(-0.1, TWO_PI), 0.1)
+    # A non-finite angle or modulus raises instead of returning NaN.
+    for args, message in (((np.nan,), "angle must be finite, got nan"),
+                          ((np.inf, TWO_PI), "angle must be finite, got inf"),
+                          ((1.0, np.nan), "modulus must be positive, got nan"),
+                          ((1.0, 0.0), "modulus must be positive, got 0.0")):
+        with pytest.raises(ValueError, match=message):
+            mod_distance(*args)
 
 
 @given(st.floats(min_value=-1e3, max_value=1e3))

@@ -135,9 +135,12 @@ def test_invalid_snr_is_rejected(monkeypatch):
 def test_rank_deficient_receiver_is_reported(idx, rx):
     chn = construct_special_channel(f"acs-violating-{idx}")
     bf = build_acs_ic3(chn, seed=3, check=False)
-    with pytest.raises(RankDeficientReceiverError) as exc:
-        zf_receive(bf, chn)
-    assert exc.value.rx == rx
+    # Solving and adding up are one loop in rate_reports: it reports the same receiver.
+    for call in (lambda: zf_receive(bf, chn), lambda: rate_reports(bf, chn, DEFAULT_SNR_GRID_DB),
+                 lambda: sum_rate(bf, chn, 1e6)):
+        with pytest.raises(RankDeficientReceiverError) as exc:
+            call()
+        assert exc.value.rx == rx
 
 
 def test_treat_interference_as_noise_hand_example():
@@ -196,6 +199,11 @@ def test_grid_validation():
         validate_snr_grid([60.0, np.nan, 80.0, 90.0])
     with pytest.raises(ValueError, match="finite, got inf at position 4"):
         validate_snr_grid([60.0, 70.0, 80.0, np.inf])
+    # A grid of the wrong shape is named by its shape, not counted short.
+    for grid, shape in (([[60.0, 70.0, 80.0, 90.0]], (1, 4)), (75.0, ())):
+        message = f"snr grid must be a non-empty 1-d sequence, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_snr_grid(grid)
 
 
 def test_slope_estimate_on_one_channel():

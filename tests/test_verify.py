@@ -225,6 +225,10 @@ def test_solve_phasor_pair_known_answers():
     assert np.allclose((c1, c2), (0.0, 1.0), atol=1e-12)
     c1, c2 = solve_phasor_pair(np.pi / 3, -np.pi / 3)
     assert np.allclose((c1, c2), (1.0, 1.0), atol=1e-12)
+    # A non-finite angle raises instead of returning (nan, nan).
+    for alpha, beta, got in ((np.nan, 0.3, "alpha=nan, beta=0.3"), (0.3, -np.inf, "alpha=0.3, beta=-inf")):
+        with pytest.raises(ValueError, match=f"phasor angles must be finite, got {got}"):
+            solve_phasor_pair(alpha, beta)
 
 
 @given(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
