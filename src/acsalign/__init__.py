@@ -10,8 +10,8 @@ import importlib
 # pure-integer bound and the command line's help never pull in numpy.
 _HOMES = {name: home for home, names in (
     ("bound", (
-        "DEFAULT_PROFILE_LIMIT", "AllocationCheck", "AllocationProfile", "BoundResult",
-        "SearchSpaceError", "check_allocation", "iter_feasible_profiles", "max_dof",
+        "MAX_EXTENSION", "AllocationCheck", "AllocationProfile", "BoundResult",
+        "check_allocation", "iter_feasible_profiles", "max_dof",
     )),
     ("channel", (
         "NUM_CROSS_SUMS", "TWO_PI", "ComplexChannelMatrix", "ExtendedRotation",

@@ -18,11 +18,18 @@ from . import _exports, _extension
 
 __all__ = _exports(__name__)
 
-DEFAULT_PROFILE_LIMIT = 20_000_000
+# The largest S the enumeration takes, the last that stays within 20 million
+# steps of one per stream triple and one per feasible profile: S = 31 takes
+# 250,047 + 17,991,729 steps, S = 32 would take 21,768,860.
+MAX_EXTENSION = 31
 
 
-class SearchSpaceError(Exception):
-    """The exhaustive enumeration would exceed its iteration budget."""
+def _capped_extension(extension) -> int:
+    """`extension` as an int, or ValueError unless it is an S in 1..MAX_EXTENSION."""
+    extension = _extension(extension)
+    if extension > MAX_EXTENSION:
+        raise ValueError(f"extension must be at most {MAX_EXTENSION}")
+    return extension
 
 
 @dataclass(frozen=True)
@@ -98,43 +105,25 @@ def check_allocation(profile: AllocationProfile) -> AllocationCheck:
     return AllocationCheck(not violations, tuple(violations))
 
 
-def _feasible_runs(
-    extension: int, profile_limit: int
-) -> Iterator[tuple[tuple[int, int, int], int, int, int, int]]:
+def _feasible_runs(extension: int) -> Iterator[tuple[tuple[int, int, int], int, int, int, int]]:
     """Yield (streams, d12, d23, lo, hi) in lexicographic order: every d31 in
     lo..hi completes a feasible profile, and no run is empty.
 
     Loop bounds encode the constraints exactly, so nothing feasible is
     skipped and nothing infeasible is yielded.  Each d_i runs to 2S only:
     receiver 1 alone needs d1 + max(d2, d3) <= 2S, since its interferers
-    share at most min(d2, d3) dimensions.  Work is metered against
-    profile_limit, one step per (d1, d2, d3) triple plus one per profile; a
-    run that would pass the limit is cut to the profiles within it, and then
-    the enumeration raises instead of truncating silently.
+    share at most min(d2, d3) dimensions.
     """
     two_s = 2 * extension
-    overflow = SearchSpaceError(f"enumeration for S={extension} exceeds {profile_limit} steps")
-    work = 0
     for d1 in range(two_s + 1):
         for d2 in range(two_s + 1):
             for d3 in range(two_s + 1):
-                work += 1
-                total = d1 + d2 + d3
-                lo = max(0, total - two_s)  # receiver bounds floor every overlap
+                lo = max(0, d1 + d2 + d3 - two_s)  # receiver bounds floor every overlap
                 for d12 in range(lo, min(d1, d2) + 1):
                     for d23 in range(lo, min(d2 - d12, d3) + 1):
                         hi = min(d1 - d12, d3 - d23)
-                        if hi < lo:
-                            continue
-                        work += hi - lo + 1
-                        if work > profile_limit:
-                            hi -= work - profile_limit
-                            if hi >= lo:
-                                yield (d1, d2, d3), d12, d23, lo, hi
-                            raise overflow
-                        yield (d1, d2, d3), d12, d23, lo, hi
-    if work > profile_limit:
-        raise overflow
+                        if hi >= lo:
+                            yield (d1, d2, d3), d12, d23, lo, hi
 
 
 def _profiles(extension: int, runs) -> Iterator[AllocationProfile]:
@@ -143,17 +132,11 @@ def _profiles(extension: int, runs) -> Iterator[AllocationProfile]:
             yield AllocationProfile(extension, streams, (d12, d23, d31))
 
 
-def iter_feasible_profiles(
-    extension: int,
-    profile_limit: int = DEFAULT_PROFILE_LIMIT,
-) -> Iterator[AllocationProfile]:
-    """Yield every feasible profile in lexicographic (d1, d2, d3, d12, d23, d31) order.
-
-    Exceeding profile_limit raises SearchSpaceError after the profiles
-    within the limit.
-    """
-    extension = _extension(extension)
-    return _profiles(extension, _feasible_runs(extension, profile_limit))
+def iter_feasible_profiles(extension: int) -> Iterator[AllocationProfile]:
+    """Yield every feasible profile in lexicographic (d1, d2, d3, d12, d23, d31)
+    order.  An S past MAX_EXTENSION raises ValueError here, at the call."""
+    extension = _capped_extension(extension)
+    return _profiles(extension, _feasible_runs(extension))
 
 
 @dataclass(frozen=True)
@@ -172,18 +155,15 @@ class BoundResult:
         }
 
 
-def max_dof(
-    extension: int,
-    profile_limit: int = DEFAULT_PROFILE_LIMIT,
-) -> BoundResult:
+def max_dof(extension: int) -> BoundResult:
     """Exact maximum of (d1+d2+d3)/(2S) over all feasible profiles, with every
     maximizing profile reported.  Runs are counted, not expanded: only the
-    maximizers become AllocationProfiles."""
-    extension = _extension(extension)
+    maximizers become AllocationProfiles.  S is at most MAX_EXTENSION."""
+    extension = _capped_extension(extension)
     best_total = -1
     best_runs: list[tuple] = []
     count = 0
-    for run in _feasible_runs(extension, profile_limit):
+    for run in _feasible_runs(extension):
         streams, _, _, lo, hi = run
         count += hi - lo + 1
         total = sum(streams)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 # Only the pure-integer bound is imported here: the numerical modules (and
 # numpy) load when a subcommand that needs them parses its arguments or runs.
-from .bound import DEFAULT_PROFILE_LIMIT, SearchSpaceError, max_dof
+from .bound import MAX_EXTENSION, max_dof
 
 if TYPE_CHECKING:
     from .channel import ComplexChannelMatrix
@@ -238,7 +238,7 @@ def run_sweep(args: argparse.Namespace) -> int:
 def run_bound(args: argparse.Namespace) -> int:
     lines = []
     for extension in range(args.s_min, args.s_max + 1):
-        result = max_dof(extension, args.profile_limit)
+        result = max_dof(extension)
         payload = result.to_dict()
         payload["ratio_float"] = float(result.best_ratio)
         lines.append(_json_object(payload))
@@ -277,6 +277,13 @@ def _int_at_least(text: str, low: int) -> int:
 
 _positive_int = partial(_int_at_least, low=1)
 _nonnegative_int = partial(_int_at_least, low=0)
+
+
+def _extension_arg(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_EXTENSION:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_EXTENSION}")
+    return value
 
 
 def _grid_arg(text: str) -> tuple[float, ...]:
@@ -354,9 +361,8 @@ def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
 
 
 def _bound_arguments(bound: argparse.ArgumentParser) -> None:
-    bound.add_argument("--s-min", type=_positive_int, default=1)
-    bound.add_argument("--s-max", type=_positive_int, required=True)
-    bound.add_argument("--profile-limit", type=_positive_int, default=DEFAULT_PROFILE_LIMIT)
+    bound.add_argument("--s-min", type=_extension_arg, default=1)
+    bound.add_argument("--s-max", type=_extension_arg, required=True)
 
 
 def _demo_arguments(demo: argparse.ArgumentParser) -> None:
@@ -396,9 +402,6 @@ def main(argv=None) -> int:
         parser.error("need 1 <= --s-min <= --s-max")
     try:
         return args.run(args)
-    except SearchSpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

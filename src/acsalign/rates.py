@@ -87,15 +87,6 @@ class RateReport:
     per_receiver: tuple[float, ...]
     sum_rate: float
 
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "snr": self.snr,
-            "extension": self.extension,
-            "per_receiver": list(self.per_receiver),
-            "sum_rate": self.sum_rate,
-        }
-
 
 def _vector(values, what: str) -> np.ndarray:
     """`values` as a float array, or ValueError naming its shape unless non-empty and 1-d."""
@@ -156,17 +147,6 @@ class DofEstimate:
     def asymptotic(self) -> bool:
         """Whether the fitted slope agrees with the top-grid secant within FIT_GAP."""
         return abs(self.secant - self.slope) <= FIT_GAP
-
-    def to_dict(self) -> dict:
-        return {
-            "snr_grid_db": list(self.snr_grid_db),
-            "sum_rates": list(self.sum_rates),
-            "per_user_rates": [list(r) for r in self.per_user_rates],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "rms_residual": self.rms_residual,
-            "secant": self.secant,
-        }
 
 
 def validate_snr_grid(snr_grid_db) -> np.ndarray:

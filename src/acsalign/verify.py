@@ -97,10 +97,6 @@ class ConditionReport:
         return all(r.satisfied for r in self.records)
 
     @property
-    def any_satisfied(self) -> bool:
-        return any(r.satisfied for r in self.records)
-
-    @property
     def failed(self) -> tuple[str, ...]:
         return tuple(r.cid for r in self.records if not r.satisfied)
 

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acsalign.bound import (
+    MAX_EXTENSION,
     AllocationProfile,
-    SearchSpaceError,
     check_allocation,
     iter_feasible_profiles,
     max_dof,
@@ -146,11 +146,16 @@ def test_feasibility_is_permutation_invariant(extension, streams, overlaps, perm
     assert check_allocation(base).feasible == check_allocation(relabeled).feasible
 
 
-def test_nonpositive_extension_is_rejected():
+def test_the_enumeration_rejects_an_extension_out_of_range():
     with pytest.raises(ValueError):
         list(iter_feasible_profiles(0))
     with pytest.raises(ValueError):
         max_dof(0)
+    # Past the cap both entry points raise when called, before any profile.
+    for call in (max_dof, iter_feasible_profiles):
+        with pytest.raises(ValueError, match=f"extension must be at most {MAX_EXTENSION}"):
+            call(MAX_EXTENSION + 1)
+    assert next(iter_feasible_profiles(MAX_EXTENSION)) == AllocationProfile(MAX_EXTENSION, (0, 0, 0), (0, 0, 0))
 
 
 @pytest.mark.parametrize("extension", [-1, 1.5, 2.5, "3", None, float("nan"), float("inf"), 0])
@@ -178,11 +183,6 @@ def test_an_integral_float_extension_is_stored_as_int():
     assert np.array_equal(rotation.matrix, ExtendedRotation(0.1, 3).matrix)
 
 
-def test_search_budget_is_enforced():
-    with pytest.raises(SearchSpaceError):
-        max_dof(3, profile_limit=10)
-
-
 @pytest.mark.parametrize("extension", range(1, 7))
 def test_max_dof_agrees_with_the_profile_iterator(extension):
     profiles = list(iter_feasible_profiles(extension))
@@ -191,33 +191,6 @@ def test_max_dof_agrees_with_the_profile_iterator(extension):
     best = max(sum(p.streams) for p in profiles)
     assert result.best_ratio == Fraction(best, 2 * extension)
     assert result.argmax == tuple(p for p in profiles if sum(p.streams) == best)
-
-
-def test_search_budget_counts_triples_and_profiles():
-    # S=1, every d_i up to 2S: 3**3 (d1, d2, d3) triples plus 13 profiles.
-    assert max_dof(1, profile_limit=40).num_feasible == 13
-    assert len(list(iter_feasible_profiles(1, profile_limit=40))) == 13
-    with pytest.raises(SearchSpaceError, match="exceeds 39 steps"):
-        max_dof(1, profile_limit=39)
-    with pytest.raises(SearchSpaceError, match="exceeds 39 steps"):
-        list(iter_feasible_profiles(1, profile_limit=39))
-
-
-def test_search_budget_yields_the_profiles_within_it():
-    # Profile i (0-based) is reached after i + 1 profile steps plus one step
-    # for each stream triple up to its own, in lexicographic order.
-    extension, side = 2, 5
-    full = list(iter_feasible_profiles(extension))
-    steps = [
-        i + 1 + (d1 * side + d2) * side + d3 + 1
-        for i, (d1, d2, d3) in enumerate(p.streams for p in full)
-    ]
-    for limit in range(1, steps[-1], 3):
-        seen = []
-        with pytest.raises(SearchSpaceError):
-            for profile in iter_feasible_profiles(extension, profile_limit=limit):
-                seen.append(profile)
-        assert seen == full[:sum(step <= limit for step in steps)]
 
 
 # The six constraints of check_allocation as coefficient vectors over

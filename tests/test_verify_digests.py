@@ -1,11 +1,13 @@
-"""`verify` and `demo-containment` output stays byte for byte as recorded.
+"""`verify`, `demo-containment` and `bound` output stays byte for byte as recorded.
 
 tests/verify_digests.json maps each command line to the sha256 of its stdout
 and stderr and its exit code.  The cases cover every beamformed scheme on
 random channel seeds 0, 3 and 11 and on the named special channels (the
 2-receiver schemes reject those 3x3 channels with a usage error), plus the
-containment demo on channel seeds 0-5.  A change to a condition's arithmetic,
-a phase's canonical form or the report layout fails here.
+containment demo on channel seeds 0-5, and the bound's rows for S = 1..12
+and S = 20, each argmax profile listed in enumeration order.  A change to a
+condition's arithmetic, a phase's canonical form, the report layout or the
+order in which the bound enumerates its maximizers fails here.
 """
 
 import hashlib
