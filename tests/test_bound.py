@@ -146,16 +146,23 @@ def test_feasibility_is_permutation_invariant(extension, streams, overlaps, perm
     assert check_allocation(base).feasible == check_allocation(relabeled).feasible
 
 
-def test_the_enumeration_rejects_an_extension_out_of_range():
+def test_nonpositive_extension_is_rejected():
     with pytest.raises(ValueError):
         list(iter_feasible_profiles(0))
     with pytest.raises(ValueError):
         max_dof(0)
-    # Past the cap both entry points raise when called, before any profile.
-    for call in (max_dof, iter_feasible_profiles):
-        with pytest.raises(ValueError, match=f"extension must be at most {MAX_EXTENSION}"):
-            call(MAX_EXTENSION + 1)
-    assert next(iter_feasible_profiles(MAX_EXTENSION)) == AllocationProfile(MAX_EXTENSION, (0, 0, 0), (0, 0, 0))
+
+
+@pytest.mark.parametrize("call", [max_dof, iter_feasible_profiles])
+def test_an_extension_past_the_cap_is_rejected_when_called(call):
+    # iter_feasible_profiles raises on the call itself, before any profile.
+    with pytest.raises(ValueError, match=f"extension must be at most {MAX_EXTENSION}"):
+        call(MAX_EXTENSION + 1)
+
+
+def test_the_enumeration_at_the_cap_starts_with_the_all_zero_profile():
+    first = next(iter_feasible_profiles(MAX_EXTENSION))
+    assert first == AllocationProfile(MAX_EXTENSION, (0, 0, 0), (0, 0, 0))
 
 
 @pytest.mark.parametrize("extension", [-1, 1.5, 2.5, "3", None, float("nan"), float("inf"), 0])

@@ -360,6 +360,21 @@ def test_bound_reports_ratios_per_extension(capsys):
     assert lines[0]["num_feasible"] == 13
 
 
+# The bound takes S up to its cap, and the budget flag is gone.
+@pytest.mark.parametrize("argv, message", [
+    (["--s-max", "32"], "argument --s-max: must be at most 31"),
+    (["--s-min", "32", "--s-max", "32"], "argument --s-min: must be at most 31"),
+    (["--s-max", "4", "--profile-limit", "10"], "unrecognized arguments: --profile-limit 10"),
+])
+def test_bound_rejects_s_past_the_cap_and_the_budget_flag(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_usage_errors_exit_with_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--s-max", "0"])
@@ -374,17 +389,6 @@ def test_usage_errors_exit_with_two(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --d-max 4" in captured.err
-    # The bound takes S up to its cap, and the budget flag is gone.
-    for argv, message in ((["--s-max", "32"], "argument --s-max: must be at most 31"),
-                          (["--s-min", "32", "--s-max", "32"], "argument --s-min: must be at most 31"),
-                          (["--s-max", "4", "--profile-limit", "10"],
-                           "unrecognized arguments: --profile-limit 10")):
-        with pytest.raises(SystemExit) as exc:
-            main(["bound", *argv])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert message in captured.err
     for argv in (["verify", "--scheme", "nonsense", "--channel-seed", "0"],
                  ["sweep", "--scheme", "acs-ic3", "--trials", "0"],
                  ["sweep", "--scheme", "acs-ic3", "--workers", "0"],
