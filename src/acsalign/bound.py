@@ -10,6 +10,7 @@ is exact integer/rational arithmetic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -18,9 +19,10 @@ from . import _exports, _extension
 
 __all__ = _exports(__name__)
 
-# The largest S the enumeration takes, the last that stays within 20 million
-# steps of one per stream triple and one per feasible profile: S = 31 takes
-# 250,047 + 17,991,729 steps, S = 32 would take 21,768,860.
+# The largest S the bound takes.  max_dof counts in closed form, but
+# iter_feasible_profiles still yields every feasible profile, and S = 31 is
+# the last S with fewer than 20 million of them (17,991,729; S = 32 has
+# 21,494,235).
 MAX_EXTENSION = 31
 
 
@@ -105,25 +107,31 @@ def check_allocation(profile: AllocationProfile) -> AllocationCheck:
     return AllocationCheck(not violations, tuple(violations))
 
 
-def _feasible_runs(extension: int) -> Iterator[tuple[tuple[int, int, int], int, int, int, int]]:
-    """Yield (streams, d12, d23, lo, hi) in lexicographic order: every d31 in
-    lo..hi completes a feasible profile, and no run is empty.
+def _triple_runs(two_s: int, streams: tuple[int, int, int]
+                 ) -> Iterator[tuple[tuple[int, int, int], int, int, int, int]]:
+    """Yield (streams, d12, d23, lo, hi) for one stream triple in
+    lexicographic order: every d31 in lo..hi completes a feasible profile,
+    and no run is empty.  Loop bounds encode the constraints exactly."""
+    d1, d2, d3 = streams
+    lo = max(0, d1 + d2 + d3 - two_s)  # receiver bounds floor every overlap
+    for d12 in range(lo, min(d1, d2) + 1):
+        for d23 in range(lo, min(d2 - d12, d3) + 1):
+            hi = min(d1 - d12, d3 - d23)
+            if hi >= lo:
+                yield streams, d12, d23, lo, hi
 
-    Loop bounds encode the constraints exactly, so nothing feasible is
-    skipped and nothing infeasible is yielded.  Each d_i runs to 2S only:
-    receiver 1 alone needs d1 + max(d2, d3) <= 2S, since its interferers
-    share at most min(d2, d3) dimensions.
+
+def _feasible_runs(extension: int) -> Iterator[tuple[tuple[int, int, int], int, int, int, int]]:
+    """Yield the runs of _triple_runs for every stream triple in
+    lexicographic order, so nothing feasible is skipped and nothing
+    infeasible is yielded.
+
+    Each d_i runs to 2S only: receiver 1 alone needs d1 + max(d2, d3) <= 2S,
+    since its interferers share at most min(d2, d3) dimensions.
     """
     two_s = 2 * extension
-    for d1 in range(two_s + 1):
-        for d2 in range(two_s + 1):
-            for d3 in range(two_s + 1):
-                lo = max(0, d1 + d2 + d3 - two_s)  # receiver bounds floor every overlap
-                for d12 in range(lo, min(d1, d2) + 1):
-                    for d23 in range(lo, min(d2 - d12, d3) + 1):
-                        hi = min(d1 - d12, d3 - d23)
-                        if hi >= lo:
-                            yield (d1, d2, d3), d12, d23, lo, hi
+    for streams in itertools.product(range(two_s + 1), repeat=3):
+        yield from _triple_runs(two_s, streams)
 
 
 def _profiles(extension: int, runs) -> Iterator[AllocationProfile]:
@@ -155,22 +163,78 @@ class BoundResult:
         }
 
 
+def _tri_step2(n: int) -> int:
+    """T(n) + T(n-2) + T(n-4) + ... down to T(0) or T(1), where T(k) =
+    (k+1)(k+2)/2 counts the (y, z) >= 0 with y + z <= k; 0 for n < 0.
+
+    With n = 2j the sum is sum_i (2i+1)(i+1) = (j+1)(j+2)(4j+3)/6; with
+    n = 2j+1 it is sum_i (i+1)(2i+3) = (j+1)(j+2)(4j+9)/6 (i = 0..j)."""
+    if n < 0:
+        return 0
+    j, odd = divmod(n, 2)
+    return (j + 1) * (j + 2) * (4 * j + (9 if odd else 3)) // 6
+
+
+def _overlap_count(a1: int, a2: int, a3: int) -> int:
+    """Number of (x, y, z) >= 0 with x + z <= a1, x + y <= a2, y + z <= a3.
+
+    Relabelling x, y, z permutes the three bounds, so take a1 <= a2 <= a3.
+    For fixed x in 0..a1 the (y, z) lie in the box y <= B = a2 - x,
+    z <= A = a1 - x, which holds (A+1)(B+1) points.  Those with y + z > a3
+    are, with y' = B - y and z' = A - z, the y' + z' <= A + B - a3 - 1 =
+    k - 2x for k = a1 + a2 - a3 - 1; as k - 2x < A <= B, the box bounds on
+    y', z' never bind, so there are T(k - 2x) of them (T as in
+    _tri_step2, 0 below 0).  Summed over x:
+
+        sum_{x=0..a1} (a1-x+1)(a2-x+1) = (a1+1)(a1+2)(3 a2 - a1 + 3) / 6
+
+    box points, less T(k) + T(k-2) + ... = _tri_step2(k), since every
+    nonnegative k - 2x has x <= k / 2 < a1.
+    """
+    a1, a2, a3 = sorted((a1, a2, a3))
+    if a1 < 0:
+        return 0
+    return (a1 + 1) * (a1 + 2) * (3 * a2 - a1 + 3) // 6 - _tri_step2(a1 + a2 - a3 - 1)
+
+
 def max_dof(extension: int) -> BoundResult:
     """Exact maximum of (d1+d2+d3)/(2S) over all feasible profiles, with every
-    maximizing profile reported.  Runs are counted, not expanded: only the
-    maximizers become AllocationProfiles.  S is at most MAX_EXTENSION."""
+    maximizing profile reported.  S is at most MAX_EXTENSION.
+
+    Each stream triple's feasible overlaps are counted in closed form.  With
+    floor = max(0, d1+d2+d3 - 2S) the receiver constraints say every overlap
+    is at least floor, so shifting each overlap down by floor leaves
+    (x, y, z) >= 0 with x + z <= a1, x + y <= a2, y + z <= a3 and
+    a_i = d_i - 2 floor: that is _overlap_count.  The constraints are
+    invariant under relabelling users, so only sorted triples d1 <= d2 <= d3
+    are visited, each weighted by its number of distinct permutations, and
+    only while the smallest, a1 = d1 - 2 floor, is nonnegative: past that a
+    triple has no feasible overlaps.  Only the maximizers become
+    AllocationProfiles: every permutation of a best sorted triple is expanded
+    through _triple_runs, in lexicographic order as iter_feasible_profiles
+    yields them.
+    """
     extension = _capped_extension(extension)
+    two_s = 2 * extension
     best_total = -1
-    best_runs: list[tuple] = []
+    best_triples: list[tuple[int, int, int]] = []
     count = 0
-    for run in _feasible_runs(extension):
-        streams, _, _, lo, hi = run
-        count += hi - lo + 1
-        total = sum(streams)
-        if total > best_total:
-            best_total = total
-            best_runs = [run]
-        elif total == best_total:
-            best_runs.append(run)
-    argmax = tuple(_profiles(extension, best_runs))
-    return BoundResult(extension, Fraction(best_total, 2 * extension), argmax, count)
+    for d1 in range(two_s + 1):
+        # a1 >= 0 is d1 + d2 + d3 <= 2S + d1 // 2, so the last d3 is
+        # 2S - d2 - ceil(d1 / 2), and d2 runs while that is at least d2.
+        reach = two_s - (d1 + 1) // 2
+        for d2 in range(d1, reach // 2 + 1):
+            for d3 in range(d2, reach - d2 + 1):
+                floor = max(0, d1 + d2 + d3 - two_s)
+                n = _overlap_count(d1 - 2 * floor, d2 - 2 * floor, d3 - 2 * floor)
+                count += n * (1 if d1 == d3 else 3 if d1 == d2 or d2 == d3 else 6)
+                total = d1 + d2 + d3
+                if total > best_total:
+                    best_total = total
+                    best_triples = [(d1, d2, d3)]
+                elif total == best_total:
+                    best_triples.append((d1, d2, d3))
+    best_streams = sorted({p for t in best_triples for p in itertools.permutations(t)})
+    runs = (run for streams in best_streams for run in _triple_runs(two_s, streams))
+    argmax = tuple(_profiles(extension, runs))
+    return BoundResult(extension, Fraction(best_total, two_s), argmax, count)

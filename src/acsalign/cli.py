@@ -236,13 +236,13 @@ def run_sweep(args: argparse.Namespace) -> int:
 # -- bound --------------------------------------------------------------------
 
 def run_bound(args: argparse.Namespace) -> int:
-    lines = []
+    # argparse has already refused any S that max_dof would, so each row is
+    # written as its S finishes.
     for extension in range(args.s_min, args.s_max + 1):
         result = max_dof(extension)
         payload = result.to_dict()
         payload["ratio_float"] = float(result.best_ratio)
-        lines.append(_json_object(payload))
-    print("\n".join(lines))
+        print(_json_object(payload), flush=True)
     return 0
 
 

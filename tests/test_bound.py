@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from acsalign.bound import (
     MAX_EXTENSION,
     AllocationProfile,
+    _feasible_runs,
+    _overlap_count,
     check_allocation,
     iter_feasible_profiles,
     max_dof,
@@ -101,9 +103,36 @@ def test_enumeration_yields_no_duplicates():
     assert len(profiles) == len({(p.streams, p.overlaps) for p in profiles})
 
 
-@pytest.mark.parametrize("extension,count", [(1, 13), (2, 71), (3, 262), (4, 761), (5, 1876)])
+@pytest.mark.parametrize("extension,count", [(1, 13), (2, 71), (3, 262), (4, 761), (5, 1876),
+                                             (MAX_EXTENSION, 17_991_729)])
 def test_feasible_profile_counts(extension, count):
     assert max_dof(extension).num_feasible == count
+
+
+def test_overlap_count_matches_a_direct_loop():
+    for a in itertools.product(range(11), repeat=3):
+        direct = sum(1 for x, y, z in itertools.product(range(11), repeat=3)
+                     if x + z <= a[0] and x + y <= a[1] and y + z <= a[2])
+        assert _overlap_count(*a) == direct, a
+    for a in ((-1, 0, 0), (3, -1, 5), (4, 4, -2)):
+        assert _overlap_count(*a) == 0
+
+
+@pytest.mark.parametrize("extension", range(1, 13))
+def test_num_feasible_is_the_run_walk(extension):
+    # The oracle walks every (streams, d12, d23) run and adds its d31 range.
+    walked = sum(hi - lo + 1 for *_, lo, hi in _feasible_runs(extension))
+    assert max_dof(extension).num_feasible == walked
+
+
+def test_argmax_sizes_repeat_with_period_five_up_to_the_cap():
+    sizes = [len(max_dof(s).argmax) for s in range(1, MAX_EXTENSION + 1)]
+    assert sizes == [(9, 39, 3, 19, 1)[(s - 1) % 5] for s in range(1, MAX_EXTENSION + 1)]
+
+
+@pytest.mark.parametrize("k", range(1, MAX_EXTENSION // 5 + 1))
+def test_the_only_maximizer_at_a_multiple_of_five_is_the_scaled_five_slot_one(k):
+    assert max_dof(5 * k).argmax == (AllocationProfile(5 * k, (4 * k,) * 3, (2 * k,) * 3),)
 
 
 @pytest.mark.parametrize("extension", range(1, 7))
@@ -247,5 +276,5 @@ def test_six_fifths_is_reached_at_every_extension(extension):
     assert check_allocation(profile).feasible
     total = sum(profile.streams)
     assert total == 12 * extension // 5
-    if extension <= 12:
+    if extension <= MAX_EXTENSION:
         assert max_dof(extension).best_ratio == Fraction(total, 2 * extension)

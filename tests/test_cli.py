@@ -360,6 +360,23 @@ def test_bound_reports_ratios_per_extension(capsys):
     assert lines[0]["num_feasible"] == 13
 
 
+def test_bound_writes_each_row_before_the_next_s(capsys, monkeypatch):
+    from acsalign import cli
+
+    # Lines on stdout since the previous S started, read as each S starts.
+    written = []
+    real_max_dof = cli.max_dof
+
+    def max_dof(extension):
+        written.append(capsys.readouterr().out.count("\n"))
+        return real_max_dof(extension)
+
+    monkeypatch.setattr(cli, "max_dof", max_dof)
+    assert main(["bound", "--s-min", "2", "--s-max", "4"]) == 0
+    assert written == [0, 1, 1]
+    assert capsys.readouterr().out.count("\n") == 1
+
+
 # The bound takes S up to its cap, and the budget flag is gone.
 @pytest.mark.parametrize("argv, message", [
     (["--s-max", "32"], "argument --s-max: must be at most 31"),
