@@ -1,6 +1,6 @@
 """Numerical toolkit for phase-based interference alignment on constant
 complex channels: beamformer construction, feasibility verification, rate
-evaluation, and the exhaustive allocation bound."""
+evaluation, and the exact 6/5 allocation bound in closed form."""
 
 import importlib
 
@@ -10,8 +10,7 @@ import importlib
 # pure-integer bound and the command line's help never pull in numpy.
 _HOMES = {name: home for home, names in (
     ("bound", (
-        "MAX_EXTENSION", "AllocationCheck", "AllocationProfile", "BoundResult",
-        "check_allocation", "iter_feasible_profiles", "max_dof",
+        "AllocationCheck", "AllocationProfile", "BoundResult", "check_allocation", "max_dof",
     )),
     ("channel", (
         "NUM_CROSS_SUMS", "TWO_PI", "ComplexChannelMatrix", "ExtendedRotation",

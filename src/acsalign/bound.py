@@ -1,4 +1,4 @@
-"""Exhaustive search over linear stream allocations for the 3-user channel.
+"""The exact 6/5 allocation bound for the 3-user channel, in closed form.
 
 The model: over S complex slots (2S real dimensions per receiver), user i
 decodes d_i streams, and each unordered user pair (i, j) may overlap in
@@ -19,19 +19,23 @@ from . import _exports, _extension
 
 __all__ = _exports(__name__)
 
-# The largest S the bound takes.  max_dof counts in closed form, but
-# iter_feasible_profiles still yields every feasible profile, and S = 31 is
-# the last S with fewer than 20 million of them (17,991,729; S = 32 has
-# 21,494,235).
-MAX_EXTENSION = 31
+# The six constraints check_allocation tests, in the order it reports them,
+# as (label, row, bound):
+# a profile x = (d1, d2, d3, d12, d23, d31) must have row . x <= bound * S.
+# Each transmitter's overlaps with the other two are disjoint slices of its
+# own streams; a receiver sees its own streams plus both interferers, who
+# may share only their mutual overlap there.
+_CONSTRAINTS = (
+    ("partition-user-1", (-1, 0, 0, 1, 0, 1), 0),
+    ("partition-user-2", (0, -1, 0, 1, 1, 0), 0),
+    ("partition-user-3", (0, 0, -1, 0, 1, 1), 0),
+    ("receiver-1", (1, 1, 1, 0, -1, 0), 2),
+    ("receiver-2", (1, 1, 1, 0, 0, -1), 2),
+    ("receiver-3", (1, 1, 1, -1, 0, 0), 2),
+)
 
-
-def _capped_extension(extension) -> int:
-    """`extension` as an int, or ValueError unless it is an S in 1..MAX_EXTENSION."""
-    extension = _extension(extension)
-    if extension > MAX_EXTENSION:
-        raise ValueError(f"extension must be at most {MAX_EXTENSION}")
-    return extension
+# The constant term of 600 * num_feasible(S), by S mod 5 (see max_dof).
+_COUNT_CONSTANT = (600, 648, 648, 600, 624)
 
 
 @dataclass(frozen=True)
@@ -83,68 +87,30 @@ class AllocationCheck:
 
 def check_allocation(profile: AllocationProfile) -> AllocationCheck:
     """Test the partition and receiver-dimension constraints of one profile."""
-    d1, d2, d3 = profile.streams
-    d12, d23, d31 = profile.overlaps
-    two_s = 2 * profile.extension
-    total = d1 + d2 + d3
-    violations = []
-    # Each transmitter's overlaps with the other two are disjoint slices of
-    # its own streams.
-    if d12 + d31 > d1:
-        violations.append("partition-user-1")
-    if d12 + d23 > d2:
-        violations.append("partition-user-2")
-    if d23 + d31 > d3:
-        violations.append("partition-user-3")
-    # A receiver sees its own streams plus both interferers, who may share
-    # only their mutual overlap there.
-    if total - d23 > two_s:
-        violations.append("receiver-1")
-    if total - d31 > two_s:
-        violations.append("receiver-2")
-    if total - d12 > two_s:
-        violations.append("receiver-3")
-    return AllocationCheck(not violations, tuple(violations))
+    x = profile.streams + profile.overlaps
+    violations = tuple(label for label, row, bound in _CONSTRAINTS
+                       if sum(a * v for a, v in zip(row, x)) > bound * profile.extension)
+    return AllocationCheck(not violations, violations)
 
 
 def _triple_runs(two_s: int, streams: tuple[int, int, int]
                  ) -> Iterator[tuple[tuple[int, int, int], int, int, int, int]]:
     """Yield (streams, d12, d23, lo, hi) for one stream triple in
     lexicographic order: every d31 in lo..hi completes a feasible profile,
-    and no run is empty.  Loop bounds encode the constraints exactly."""
+    and no run is empty.  Loop bounds encode the constraints exactly: the
+    receivers floor every overlap at lo, so d12 leaves at least lo for d31
+    in d1 and for d23 in d2, and d23 leaves at least lo for d31 in d3."""
     d1, d2, d3 = streams
-    lo = max(0, d1 + d2 + d3 - two_s)  # receiver bounds floor every overlap
-    for d12 in range(lo, min(d1, d2) + 1):
-        for d23 in range(lo, min(d2 - d12, d3) + 1):
-            hi = min(d1 - d12, d3 - d23)
-            if hi >= lo:
-                yield streams, d12, d23, lo, hi
-
-
-def _feasible_runs(extension: int) -> Iterator[tuple[tuple[int, int, int], int, int, int, int]]:
-    """Yield the runs of _triple_runs for every stream triple in
-    lexicographic order, so nothing feasible is skipped and nothing
-    infeasible is yielded.
-
-    Each d_i runs to 2S only: receiver 1 alone needs d1 + max(d2, d3) <= 2S,
-    since its interferers share at most min(d2, d3) dimensions.
-    """
-    two_s = 2 * extension
-    for streams in itertools.product(range(two_s + 1), repeat=3):
-        yield from _triple_runs(two_s, streams)
+    lo = max(0, d1 + d2 + d3 - two_s)
+    for d12 in range(lo, min(d1, d2) - lo + 1):
+        for d23 in range(lo, min(d2 - d12, d3 - lo) + 1):
+            yield streams, d12, d23, lo, min(d1 - d12, d3 - d23)
 
 
 def _profiles(extension: int, runs) -> Iterator[AllocationProfile]:
     for streams, d12, d23, lo, hi in runs:
         for d31 in range(lo, hi + 1):
             yield AllocationProfile(extension, streams, (d12, d23, d31))
-
-
-def iter_feasible_profiles(extension: int) -> Iterator[AllocationProfile]:
-    """Yield every feasible profile in lexicographic (d1, d2, d3, d12, d23, d31)
-    order.  An S past MAX_EXTENSION raises ValueError here, at the call."""
-    extension = _capped_extension(extension)
-    return _profiles(extension, _feasible_runs(extension))
 
 
 @dataclass(frozen=True)
@@ -163,78 +129,52 @@ class BoundResult:
         }
 
 
-def _tri_step2(n: int) -> int:
-    """T(n) + T(n-2) + T(n-4) + ... down to T(0) or T(1), where T(k) =
-    (k+1)(k+2)/2 counts the (y, z) >= 0 with y + z <= k; 0 for n < 0.
-
-    With n = 2j the sum is sum_i (2i+1)(i+1) = (j+1)(j+2)(4j+3)/6; with
-    n = 2j+1 it is sum_i (i+1)(2i+3) = (j+1)(j+2)(4j+9)/6 (i = 0..j)."""
-    if n < 0:
-        return 0
-    j, odd = divmod(n, 2)
-    return (j + 1) * (j + 2) * (4 * j + (9 if odd else 3)) // 6
-
-
-def _overlap_count(a1: int, a2: int, a3: int) -> int:
-    """Number of (x, y, z) >= 0 with x + z <= a1, x + y <= a2, y + z <= a3.
-
-    Relabelling x, y, z permutes the three bounds, so take a1 <= a2 <= a3.
-    For fixed x in 0..a1 the (y, z) lie in the box y <= B = a2 - x,
-    z <= A = a1 - x, which holds (A+1)(B+1) points.  Those with y + z > a3
-    are, with y' = B - y and z' = A - z, the y' + z' <= A + B - a3 - 1 =
-    k - 2x for k = a1 + a2 - a3 - 1; as k - 2x < A <= B, the box bounds on
-    y', z' never bind, so there are T(k - 2x) of them (T as in
-    _tri_step2, 0 below 0).  Summed over x:
-
-        sum_{x=0..a1} (a1-x+1)(a2-x+1) = (a1+1)(a1+2)(3 a2 - a1 + 3) / 6
-
-    box points, less T(k) + T(k-2) + ... = _tri_step2(k), since every
-    nonnegative k - 2x has x <= k / 2 < a1.
-    """
-    a1, a2, a3 = sorted((a1, a2, a3))
-    if a1 < 0:
-        return 0
-    return (a1 + 1) * (a1 + 2) * (3 * a2 - a1 + 3) // 6 - _tri_step2(a1 + a2 - a3 - 1)
-
-
 def max_dof(extension: int) -> BoundResult:
-    """Exact maximum of (d1+d2+d3)/(2S) over all feasible profiles, with every
-    maximizing profile reported.  S is at most MAX_EXTENSION.
+    """Exact maximum of (d1+d2+d3)/(2S) over all feasible profiles, every
+    maximizing profile in lexicographic (d1, d2, d3, d12, d23, d31) order,
+    and the number of feasible profiles.  Each is a closed-form fact, so a
+    row costs the same at any S:
 
-    Each stream triple's feasible overlaps are counted in closed form.  With
-    floor = max(0, d1+d2+d3 - 2S) the receiver constraints say every overlap
-    is at least floor, so shifting each overlap down by floor leaves
-    (x, y, z) >= 0 with x + z <= a1, x + y <= a2, y + z <= a3 and
-    a_i = d_i - 2 floor: that is _overlap_count.  The constraints are
-    invariant under relabelling users, so only sorted triples d1 <= d2 <= d3
-    are visited, each weighted by its number of distinct permutations, and
-    only while the smallest, a1 = d1 - 2 floor, is nonnegative: past that a
-    triple has no feasible overlaps.  Only the maximizers become
-    AllocationProfiles: every permutation of a best sorted triple is expanded
-    through _triple_runs, in lexicographic order as iter_feasible_profiles
-    yields them.
+    - The count.  The feasible profiles at S are the lattice points of S*P,
+      where P is the 6-dim polytope cut out by x >= 0 and the rows of
+      _CONSTRAINTS at S = 1.  P is bounded (no coordinate exceeds 2) and has
+      8 vertices, whose denominators are 1 and 5, so 5P is integral.  By
+      Ehrhart's theorem for rational polytopes (Beck and Robins, Computing
+      the Continuous Discretely, ch. 3) the count is a quasi-polynomial of
+      degree 6 whose period divides 5: one polynomial of degree at most 6
+      per residue of S mod 5, fixed by seven of its values.  The values at
+      S = 1..35 give
+
+          num_feasible(S) = (8 S^6 + 108 S^5 + 595 S^4 + 1710 S^3
+                             + 2661 S^2 + 2070 S + c) / 600,
+          c = 600, 648, 648, 600, 624 for S mod 5 = 0, 1, 2, 3, 4.
+
+    - The best total is T = floor(12S / 5).  The three receiver rows plus
+      half of each partition row give 5T <= 12S, and S // 5 copies of the
+      S = 5 maximizer (4, 4, 4; 2, 2, 2) added to a best profile at S mod 5
+      reach it.
+    - The maximizers.  The receiver rows floor every overlap at
+      lo = T - 2S = floor(2S / 5), and the partition rows then need every
+      d_i >= 2 lo; all overlaps at lo meet both, so a stream triple of total
+      T has feasible overlaps iff its smallest entry is at least 2 lo.
+      Those sorted triples span a range of constant width, and each of
+      their permutations is expanded through _triple_runs.
+
+    tests/test_bound.py proves each fact: the vertices by exact elimination,
+    the bound on P, the formula against a loop over stream triples at
+    S = 1..35 and 60..64, the 6/5 certificate and profile, and the
+    maximizers against the enumeration of every feasible profile.
     """
-    extension = _capped_extension(extension)
-    two_s = 2 * extension
-    best_total = -1
-    best_triples: list[tuple[int, int, int]] = []
-    count = 0
-    for d1 in range(two_s + 1):
-        # a1 >= 0 is d1 + d2 + d3 <= 2S + d1 // 2, so the last d3 is
-        # 2S - d2 - ceil(d1 / 2), and d2 runs while that is at least d2.
-        reach = two_s - (d1 + 1) // 2
-        for d2 in range(d1, reach // 2 + 1):
-            for d3 in range(d2, reach - d2 + 1):
-                floor = max(0, d1 + d2 + d3 - two_s)
-                n = _overlap_count(d1 - 2 * floor, d2 - 2 * floor, d3 - 2 * floor)
-                count += n * (1 if d1 == d3 else 3 if d1 == d2 or d2 == d3 else 6)
-                total = d1 + d2 + d3
-                if total > best_total:
-                    best_total = total
-                    best_triples = [(d1, d2, d3)]
-                elif total == best_total:
-                    best_triples.append((d1, d2, d3))
-    best_streams = sorted({p for t in best_triples for p in itertools.permutations(t)})
+    s = _extension(extension)
+    count = 8 * s**6 + 108 * s**5 + 595 * s**4 + 1710 * s**3 + 2661 * s**2 + 2070 * s
+    count = (count + _COUNT_CONSTANT[s % 5]) // 600
+    two_s = 2 * s
+    best_total = 12 * s // 5
+    lo = best_total - two_s
+    triples = ((d1, d2, best_total - d1 - d2)
+               for d1 in range(2 * lo, best_total // 3 + 1)
+               for d2 in range(d1, (best_total - d1) // 2 + 1))
+    best_streams = sorted({p for t in triples for p in itertools.permutations(t)})
     runs = (run for streams in best_streams for run in _triple_runs(two_s, streams))
-    argmax = tuple(_profiles(extension, runs))
-    return BoundResult(extension, Fraction(best_total, two_s), argmax, count)
+    argmax = tuple(_profiles(s, runs))
+    return BoundResult(s, Fraction(best_total, two_s), argmax, count)

@@ -1,4 +1,6 @@
-"""Exact allocation-counting bound: enumeration, feasibility, extremal ratios."""
+"""Exact allocation bound: feasibility, the closed-form count and its proof,
+extremal ratios, and the enumeration oracles the closed forms are checked
+against."""
 
 import itertools
 from fractions import Fraction
@@ -9,12 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acsalign.bound import (
-    MAX_EXTENSION,
+    _CONSTRAINTS,
     AllocationProfile,
-    _feasible_runs,
-    _overlap_count,
+    _profiles,
+    _triple_runs,
     check_allocation,
-    iter_feasible_profiles,
     max_dof,
 )
 from acsalign.channel import ExtendedRotation, rotation_matrix
@@ -22,6 +23,89 @@ from acsalign.channel import ExtendedRotation, rotation_matrix
 # Best ratio by extension, from the receiver-dimension and partition counting:
 # the total is capped at 2S plus the largest jointly realizable overlap budget.
 CLOSED_FORM = [Fraction(2 * s + (2 * s) // 5, 2 * s) for s in range(1, 11)]
+
+
+# -- oracles: every feasible profile, and a loop over the sorted stream triples
+
+def feasible_runs(extension: int):
+    """The runs of _triple_runs for every stream triple in lexicographic
+    order.  Each d_i runs to 2S only: receiver 1 alone needs
+    d1 + max(d2, d3) <= 2S, since its interferers share at most min(d2, d3)
+    dimensions."""
+    two_s = 2 * extension
+    for streams in itertools.product(range(two_s + 1), repeat=3):
+        yield from _triple_runs(two_s, streams)
+
+
+def feasible_profiles(extension: int):
+    """Every feasible profile in lexicographic (d1, d2, d3, d12, d23, d31) order."""
+    return _profiles(extension, feasible_runs(extension))
+
+
+def tri_step2(n: int) -> int:
+    """T(n) + T(n-2) + T(n-4) + ... down to T(0) or T(1), where T(k) =
+    (k+1)(k+2)/2 counts the (y, z) >= 0 with y + z <= k; 0 for n < 0.
+
+    With n = 2j the sum is sum_i (2i+1)(i+1) = (j+1)(j+2)(4j+3)/6; with
+    n = 2j+1 it is sum_i (i+1)(2i+3) = (j+1)(j+2)(4j+9)/6 (i = 0..j)."""
+    if n < 0:
+        return 0
+    j, odd = divmod(n, 2)
+    return (j + 1) * (j + 2) * (4 * j + (9 if odd else 3)) // 6
+
+
+def overlap_count(a1: int, a2: int, a3: int) -> int:
+    """Number of (x, y, z) >= 0 with x + z <= a1, x + y <= a2, y + z <= a3.
+
+    Relabelling x, y, z permutes the three bounds, so take a1 <= a2 <= a3.
+    For fixed x in 0..a1 the (y, z) lie in the box y <= B = a2 - x,
+    z <= A = a1 - x, which holds (A+1)(B+1) points.  Those with y + z > a3
+    are, with y' = B - y and z' = A - z, the y' + z' <= A + B - a3 - 1 =
+    k - 2x for k = a1 + a2 - a3 - 1; as k - 2x < A <= B, the box bounds on
+    y', z' never bind, so there are T(k - 2x) of them (T as in tri_step2,
+    0 below 0).  Summed over x:
+
+        sum_{x=0..a1} (a1-x+1)(a2-x+1) = (a1+1)(a1+2)(3 a2 - a1 + 3) / 6
+
+    box points, less T(k) + T(k-2) + ... = tri_step2(k), since every
+    nonnegative k - 2x has x <= k / 2 < a1.
+    """
+    a1, a2, a3 = sorted((a1, a2, a3))
+    if a1 < 0:
+        return 0
+    return (a1 + 1) * (a1 + 2) * (3 * a2 - a1 + 3) // 6 - tri_step2(a1 + a2 - a3 - 1)
+
+
+def triple_loop(extension: int) -> tuple[int, int, list]:
+    """(number of feasible profiles, best total, best sorted triples) from a
+    loop over the sorted stream triples d1 <= d2 <= d3.
+
+    With floor = max(0, d1+d2+d3 - 2S) the receiver constraints say every
+    overlap is at least floor, so shifting each overlap down by floor leaves
+    (x, y, z) >= 0 with x + z <= a1, x + y <= a2, y + z <= a3 and
+    a_i = d_i - 2 floor: that is overlap_count.  The constraints are
+    invariant under relabelling users, so each sorted triple is weighted by
+    its number of distinct permutations, and visited only while the
+    smallest, a1 = d1 - 2 floor, is nonnegative: past that a triple has no
+    feasible overlaps.
+    """
+    two_s = 2 * extension
+    best_total, best_triples, count = -1, [], 0
+    for d1 in range(two_s + 1):
+        # a1 >= 0 is d1 + d2 + d3 <= 2S + d1 // 2, so the last d3 is
+        # 2S - d2 - ceil(d1 / 2), and d2 runs while that is at least d2.
+        reach = two_s - (d1 + 1) // 2
+        for d2 in range(d1, reach // 2 + 1):
+            for d3 in range(d2, reach - d2 + 1):
+                floor = max(0, d1 + d2 + d3 - two_s)
+                n = overlap_count(d1 - 2 * floor, d2 - 2 * floor, d3 - 2 * floor)
+                count += n * (1 if d1 == d3 else 3 if d1 == d2 or d2 == d3 else 6)
+                total = d1 + d2 + d3
+                if total > best_total:
+                    best_total, best_triples = total, []
+                if total == best_total:
+                    best_triples.append((d1, d2, d3))
+    return count, best_total, best_triples
 
 
 def brute_force_profiles(extension: int) -> set:
@@ -94,17 +178,17 @@ def test_partition_constraint_labels():
 
 @pytest.mark.parametrize("extension", [1, 2])
 def test_enumeration_matches_brute_force(extension):
-    enumerated = {(p.streams, p.overlaps) for p in iter_feasible_profiles(extension)}
+    enumerated = {(p.streams, p.overlaps) for p in feasible_profiles(extension)}
     assert enumerated == brute_force_profiles(extension)
 
 
 def test_enumeration_yields_no_duplicates():
-    profiles = list(iter_feasible_profiles(3))
+    profiles = list(feasible_profiles(3))
     assert len(profiles) == len({(p.streams, p.overlaps) for p in profiles})
 
 
 @pytest.mark.parametrize("extension,count", [(1, 13), (2, 71), (3, 262), (4, 761), (5, 1876),
-                                             (MAX_EXTENSION, 17_991_729)])
+                                             (31, 17_991_729), (32, 21_494_235)])
 def test_feasible_profile_counts(extension, count):
     assert max_dof(extension).num_feasible == count
 
@@ -113,24 +197,51 @@ def test_overlap_count_matches_a_direct_loop():
     for a in itertools.product(range(11), repeat=3):
         direct = sum(1 for x, y, z in itertools.product(range(11), repeat=3)
                      if x + z <= a[0] and x + y <= a[1] and y + z <= a[2])
-        assert _overlap_count(*a) == direct, a
+        assert overlap_count(*a) == direct, a
     for a in ((-1, 0, 0), (3, -1, 5), (4, 4, -2)):
-        assert _overlap_count(*a) == 0
+        assert overlap_count(*a) == 0
 
 
 @pytest.mark.parametrize("extension", range(1, 13))
 def test_num_feasible_is_the_run_walk(extension):
-    # The oracle walks every (streams, d12, d23) run and adds its d31 range.
-    walked = sum(hi - lo + 1 for *_, lo, hi in _feasible_runs(extension))
-    assert max_dof(extension).num_feasible == walked
+    # Walk every (streams, d12, d23) run and add its d31 range.
+    walked = sum(hi - lo + 1 for *_, lo, hi in feasible_runs(extension))
+    assert max_dof(extension).num_feasible == walked == triple_loop(extension)[0]
 
 
-def test_argmax_sizes_repeat_with_period_five_up_to_the_cap():
-    sizes = [len(max_dof(s).argmax) for s in range(1, MAX_EXTENSION + 1)]
-    assert sizes == [(9, 39, 3, 19, 1)[(s - 1) % 5] for s in range(1, MAX_EXTENSION + 1)]
+# With the vertex test below this proves max_dof's count at every S: by
+# Ehrhart's theorem it is one polynomial of degree at most 6 per residue of
+# S mod 5, and S = 1..35 are seven values of each.  60..64 are one more
+# value per residue.
+@pytest.mark.parametrize("extension", [*range(1, 36), *range(60, 65)])
+def test_max_dof_is_the_triple_loop(extension):
+    count, best_total, best_triples = triple_loop(extension)
+    result = max_dof(extension)
+    assert result.num_feasible == count
+    assert result.best_ratio == Fraction(best_total, 2 * extension)
+    assert sorted({p.streams for p in result.argmax}) == sorted(
+        {p for t in best_triples for p in itertools.permutations(t)})
 
 
-@pytest.mark.parametrize("k", range(1, MAX_EXTENSION // 5 + 1))
+def test_argmax_sizes_repeat_with_period_five():
+    sizes = [len(max_dof(s).argmax) for s in range(1, 36)]
+    assert sizes == [(9, 39, 3, 19, 1)[(s - 1) % 5] for s in range(1, 36)]
+
+
+@given(st.integers(1, 10**9))
+def test_the_closed_forms_hold_at_any_extension(extension):
+    result = max_dof(extension)
+    best_total = 12 * extension // 5
+    assert result.best_ratio == Fraction(best_total, 2 * extension)
+    assert len(result.argmax) == (9, 39, 3, 19, 1)[(extension - 1) % 5]
+    for profile in result.argmax:
+        assert check_allocation(profile).feasible
+        assert sum(profile.streams) == best_total
+    keys = [p.streams + p.overlaps for p in result.argmax]
+    assert keys == sorted(set(keys))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
 def test_the_only_maximizer_at_a_multiple_of_five_is_the_scaled_five_slot_one(k):
     assert max_dof(5 * k).argmax == (AllocationProfile(5 * k, (4 * k,) * 3, (2 * k,) * 3),)
 
@@ -177,27 +288,12 @@ def test_feasibility_is_permutation_invariant(extension, streams, overlaps, perm
 
 def test_nonpositive_extension_is_rejected():
     with pytest.raises(ValueError):
-        list(iter_feasible_profiles(0))
-    with pytest.raises(ValueError):
         max_dof(0)
-
-
-@pytest.mark.parametrize("call", [max_dof, iter_feasible_profiles])
-def test_an_extension_past_the_cap_is_rejected_when_called(call):
-    # iter_feasible_profiles raises on the call itself, before any profile.
-    with pytest.raises(ValueError, match=f"extension must be at most {MAX_EXTENSION}"):
-        call(MAX_EXTENSION + 1)
-
-
-def test_the_enumeration_at_the_cap_starts_with_the_all_zero_profile():
-    first = next(iter_feasible_profiles(MAX_EXTENSION))
-    assert first == AllocationProfile(MAX_EXTENSION, (0, 0, 0), (0, 0, 0))
 
 
 @pytest.mark.parametrize("extension", [-1, 1.5, 2.5, "3", None, float("nan"), float("inf"), 0])
 def test_every_entry_point_rejects_a_non_positive_integer_extension(extension):
-    for call in (max_dof, lambda s: list(iter_feasible_profiles(s)),
-                 lambda s: AllocationProfile(s, (1, 1, 1), (0, 0, 0)),
+    for call in (max_dof, lambda s: AllocationProfile(s, (1, 1, 1), (0, 0, 0)),
                  lambda s: ExtendedRotation(0.1, s)):
         with pytest.raises(ValueError, match="extension must be a positive integer"):
             call(extension)
@@ -208,7 +304,6 @@ def test_an_integral_float_extension_is_stored_as_int():
     assert type(profile.extension) is int
     assert profile.ratio == Fraction(1)
     assert profile.to_dict() == AllocationProfile(3, (2, 2, 2), (1, 1, 1)).to_dict()
-    assert list(iter_feasible_profiles(2.0)) == list(iter_feasible_profiles(2))
     result = max_dof(3.0)
     assert type(result.extension) is int
     assert result == max_dof(3)
@@ -221,7 +316,7 @@ def test_an_integral_float_extension_is_stored_as_int():
 
 @pytest.mark.parametrize("extension", range(1, 7))
 def test_max_dof_agrees_with_the_profile_iterator(extension):
-    profiles = list(iter_feasible_profiles(extension))
+    profiles = list(feasible_profiles(extension))
     result = max_dof(extension)
     assert result.num_feasible == len(profiles)
     best = max(sum(p.streams) for p in profiles)
@@ -229,37 +324,111 @@ def test_max_dof_agrees_with_the_profile_iterator(extension):
     assert result.argmax == tuple(p for p in profiles if sum(p.streams) == best)
 
 
-# The six constraints of check_allocation as coefficient vectors over
-# (d1, d2, d3, d12, d23, d31) and a bound in units of S: row . x <= bound * S.
-CONSTRAINTS = {
-    "partition-user-1": ((-1, 0, 0, 1, 0, 1), 0),
-    "partition-user-2": ((0, -1, 0, 1, 1, 0), 0),
-    "partition-user-3": ((0, 0, -1, 0, 1, 1), 0),
-    "receiver-1": ((1, 1, 1, 0, -1, 0), 2),
-    "receiver-2": ((1, 1, 1, 0, 0, -1), 2),
-    "receiver-3": ((1, 1, 1, -1, 0, 0), 2),
-}
+def reference_violations(profile: AllocationProfile) -> tuple[str, ...]:
+    """check_allocation's constraints written out one by one."""
+    d1, d2, d3 = profile.streams
+    d12, d23, d31 = profile.overlaps
+    two_s = 2 * profile.extension
+    total = d1 + d2 + d3
+    violations = []
+    if d12 + d31 > d1:
+        violations.append("partition-user-1")
+    if d12 + d23 > d2:
+        violations.append("partition-user-2")
+    if d23 + d31 > d3:
+        violations.append("partition-user-3")
+    if total - d23 > two_s:
+        violations.append("receiver-1")
+    if total - d31 > two_s:
+        violations.append("receiver-2")
+    if total - d12 > two_s:
+        violations.append("receiver-3")
+    return tuple(violations)
 
 
 @pytest.mark.parametrize("extension", [1, 2])
 def test_constraint_vectors_are_check_allocation(extension):
     for x in itertools.product(range(2 * extension + 2), repeat=6):
         profile = AllocationProfile(extension, x[:3], x[3:])
-        violated = tuple(label for label, (row, bound) in CONSTRAINTS.items()
-                         if sum(a * v for a, v in zip(row, x)) > bound * extension)
-        assert check_allocation(profile).violations == violated
+        assert check_allocation(profile).violations == reference_violations(profile)
+
+
+def combine(multipliers: dict) -> tuple[list, Fraction]:
+    """The row and bound of sum(multiplier * constraint) over _CONSTRAINTS."""
+    picked = [(multipliers.get(label, 0), row, bound) for label, row, bound in _CONSTRAINTS]
+    row = [sum(Fraction(m) * r[k] for m, r, _ in picked) for k in range(6)]
+    return row, sum(Fraction(m) * b for m, _, b in picked)
 
 
 def test_six_fifths_certificate():
     # Every receiver constraint plus half of every partition constraint is a
     # nonnegative combination of valid inequalities, so 5T <= 12S holds for
     # every feasible profile at every S.
-    multipliers = {label: Fraction(1) if label.startswith("receiver") else Fraction(1, 2)
-                   for label in CONSTRAINTS}
-    row = [sum(multipliers[label] * r[k] for label, (r, _) in CONSTRAINTS.items()) for k in range(6)]
-    bound = sum(multipliers[label] * b for label, (_, b) in CONSTRAINTS.items())
+    row, bound = combine({label: 1 if label.startswith("receiver") else Fraction(1, 2)
+                          for label, _, _ in _CONSTRAINTS})
     assert [2 * a for a in row] == [5, 5, 5, 0, 0, 0]
     assert 2 * bound == 12
+
+
+# P is the polytope of feasible profiles at S = 1: x >= 0 and every row of
+# _CONSTRAINTS.  Its lattice points at S are the feasible profiles at S.
+NONNEGATIVE = [(tuple(-int(j == k) for j in range(6)), 0) for k in range(6)]
+P_ROWS = [(row, bound) for _, row, bound in _CONSTRAINTS] + NONNEGATIVE
+P_VERTICES = {
+    (0, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0),
+    (1, 1, 0, 1, 0, 0), (0, 1, 1, 0, 1, 0), (1, 0, 1, 0, 0, 1),
+    tuple(Fraction(v, 5) for v in (4, 4, 4, 2, 2, 2)),
+}
+
+
+def solve_exactly(rows, rhs):
+    """The one x with rows . x = rhs, by Gauss-Jordan elimination in Fraction,
+    or None when the rows are singular."""
+    m = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    n = len(m)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [a / m[col][col] for a in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[col])]
+    return tuple(row[n] for row in m)
+
+
+def test_the_polytope_has_eight_vertices_with_denominators_one_and_five():
+    # A vertex is a feasible point where six linearly independent rows are
+    # tight.  The Ehrhart period of the count divides the lcm of the vertex
+    # coordinates' denominators.
+    vertices = set()
+    for active in itertools.combinations(P_ROWS, 6):
+        x = solve_exactly(*zip(*active))
+        if x is not None and all(sum(a * v for a, v in zip(row, x)) <= b for row, b in P_ROWS):
+            vertices.add(x)
+    assert vertices == P_VERTICES
+    assert {Fraction(v).denominator for x in vertices for v in x} == {1, 5}
+
+
+# For each coordinate, nonnegative multipliers of _CONSTRAINTS whose sum has
+# a nonnegative row with a coefficient of at least 1 there and a bound of at
+# most 2: on x >= 0 that coordinate is then at most 2, so P is a polytope.
+BOX_CERTIFICATES = (
+    ("receiver-1", "partition-user-2"),
+    ("receiver-2", "partition-user-3"),
+    ("receiver-3", "partition-user-1"),
+    ("receiver-1", "partition-user-2", "partition-user-1"),
+    ("receiver-2", "partition-user-3", "partition-user-2"),
+    ("receiver-3", "partition-user-1", "partition-user-3"),
+)
+
+
+@pytest.mark.parametrize("coordinate", range(6))
+def test_the_polytope_is_bounded(coordinate):
+    row, bound = combine(dict.fromkeys(BOX_CERTIFICATES[coordinate], 1))
+    assert min(row) >= 0 and row[coordinate] >= 1
+    assert bound <= 2
 
 
 @pytest.mark.parametrize("extension", range(1, 61))
@@ -276,5 +445,4 @@ def test_six_fifths_is_reached_at_every_extension(extension):
     assert check_allocation(profile).feasible
     total = sum(profile.streams)
     assert total == 12 * extension // 5
-    if extension <= MAX_EXTENSION:
-        assert max_dof(extension).best_ratio == Fraction(total, 2 * extension)
+    assert max_dof(extension).best_ratio == Fraction(total, 2 * extension)

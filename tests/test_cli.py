@@ -377,19 +377,36 @@ def test_bound_writes_each_row_before_the_next_s(capsys, monkeypatch):
     assert capsys.readouterr().out.count("\n") == 1
 
 
-# The bound takes S up to its cap, and the budget flag is gone.
-@pytest.mark.parametrize("argv, message", [
-    (["--s-max", "32"], "argument --s-max: must be at most 31"),
-    (["--s-min", "32", "--s-max", "32"], "argument --s-min: must be at most 31"),
-    (["--s-max", "4", "--profile-limit", "10"], "unrecognized arguments: --profile-limit 10"),
-])
-def test_bound_rejects_s_past_the_cap_and_the_budget_flag(capsys, argv, message):
+def bound_row(extension, capsys) -> dict:
+    code, out = run_cli(["bound", "--s-min", str(extension), "--s-max", str(extension)], capsys)
+    assert code == 0
+    (row,) = [json.loads(ln) for ln in out.splitlines()]
+    assert row["extension"] == extension
+    return row
+
+
+# S has no cap: max_dof costs the same at any S.
+def test_bound_takes_an_extension_past_31(capsys):
+    row = bound_row(32, capsys)
+    assert row["num_feasible"] == 21_494_235
+    assert len(row["argmax"]) == 39
+
+
+def test_bound_row_at_a_million_slots(capsys):
+    row = bound_row(1_000_000, capsys)
+    assert row["num_feasible"] == 13_333_513_334_325_002_850_004_435_003_450_001
+    assert row["argmax"] == [{"extension": 1_000_000, "streams": [800_000] * 3,
+                              "overlaps": {"d12": 400_000, "d23": 400_000, "d31": 400_000},
+                              "ratio": "6/5"}]
+
+
+def test_bound_rejects_the_budget_flag(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bound", *argv])
+        main(["bound", "--s-max", "4", "--profile-limit", "10"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message in captured.err
+    assert "unrecognized arguments: --profile-limit 10" in captured.err
 
 
 def test_usage_errors_exit_with_two(capsys):

@@ -4,10 +4,10 @@ tests/verify_digests.json maps each command line to the sha256 of its stdout
 and stderr and its exit code.  The cases cover every beamformed scheme on
 random channel seeds 0, 3 and 11 and on the named special channels (the
 2-receiver schemes reject those 3x3 channels with a usage error), plus the
-containment demo on channel seeds 0-5, and the bound's rows for S = 1..12
-and S = 20, each argmax profile listed in enumeration order.  A change to a
-condition's arithmetic, a phase's canonical form, the report layout or the
-order in which the bound enumerates its maximizers fails here.
+containment demo on channel seeds 0-5, and the bound's rows for S = 1..12,
+S = 20 and S = 1..31, each argmax profile listed in lexicographic order.  A
+change to a condition's arithmetic, a phase's canonical form, the report
+layout or the order in which the bound lists its maximizers fails here.
 """
 
 import hashlib
