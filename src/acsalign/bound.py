@@ -166,8 +166,6 @@ def max_dof(extension: int) -> BoundResult:
     maximizers against the enumeration of every feasible profile.
     """
     s = _extension(extension)
-    count = 8 * s**6 + 108 * s**5 + 595 * s**4 + 1710 * s**3 + 2661 * s**2 + 2070 * s
-    count = (count + _COUNT_CONSTANT[s % 5]) // 600
     two_s = 2 * s
     best_total = 12 * s // 5
     lo = best_total - two_s
@@ -177,4 +175,10 @@ def max_dof(extension: int) -> BoundResult:
     best_streams = sorted({p for t in triples for p in itertools.permutations(t)})
     runs = (run for streams in best_streams for run in _triple_runs(two_s, streams))
     argmax = tuple(_profiles(s, runs))
-    return BoundResult(s, Fraction(best_total, two_s), argmax, count)
+    return BoundResult(s, Fraction(best_total, two_s), argmax, _num_feasible(s))
+
+
+def _num_feasible(s: int) -> int:
+    """The number of feasible profiles at S = s, the Ehrhart count of max_dof."""
+    count = 8 * s**6 + 108 * s**5 + 595 * s**4 + 1710 * s**3 + 2661 * s**2 + 2070 * s
+    return (count + _COUNT_CONSTANT[s % 5]) // 600

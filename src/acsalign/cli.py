@@ -13,13 +13,14 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from functools import partial
 from typing import TYPE_CHECKING
 
 # Only the pure-integer bound is imported here: the numerical modules (and
 # numpy) load when a subcommand that needs them parses its arguments or runs.
-from .bound import max_dof
+from .bound import _num_feasible, max_dof
 
 if TYPE_CHECKING:
     from .channel import ComplexChannelMatrix
@@ -265,10 +266,28 @@ def run_demo_containment(args: argparse.Namespace) -> int:
 
 # -- argument plumbing ---------------------------------------------------------
 
+# What int() accepts as an integer literal in base 10.
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _digit_limit() -> int:
+    """CPython's int-to-text limit in digits, 0 for none; the releases that
+    lack sys.get_int_max_str_digits have no limit either."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _past_digit_limit(what: str) -> argparse.ArgumentTypeError:
+    return argparse.ArgumentTypeError(f"{what} has more digits than CPython's int-to-text limit "
+                                      f"of {_digit_limit()} (sys.get_int_max_str_digits())")
+
+
 def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
+        # A well-formed literal that int() refuses is one longer than the limit.
+        if _digit_limit() and _INT_TEXT.fullmatch(text):
+            raise _past_digit_limit("the integer") from None
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < low:
         raise argparse.ArgumentTypeError(f"must be a {'positive' if low else 'nonnegative'} integer")
@@ -277,6 +296,15 @@ def _int_at_least(text: str, low: int) -> int:
 
 _positive_int = partial(_int_at_least, low=1)
 _nonnegative_int = partial(_int_at_least, low=0)
+
+
+def _extension_arg(text: str) -> int:
+    """A positive S whose bound row can be printed: the row's largest integer,
+    its count of feasible profiles, must fit CPython's int-to-text limit."""
+    value = _positive_int(text)
+    if _digit_limit() and _num_feasible(value) >= 10 ** _digit_limit():
+        raise _past_digit_limit(f"at an S of {len(str(value))} digits, the count of feasible profiles")
+    return value
 
 
 def _grid_arg(text: str) -> tuple[float, ...]:
@@ -354,8 +382,8 @@ def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
 
 
 def _bound_arguments(bound: argparse.ArgumentParser) -> None:
-    bound.add_argument("--s-min", type=_positive_int, default=1)
-    bound.add_argument("--s-max", type=_positive_int, required=True)
+    bound.add_argument("--s-min", type=_extension_arg, default=1)
+    bound.add_argument("--s-max", type=_extension_arg, required=True)
 
 
 def _demo_arguments(demo: argparse.ArgumentParser) -> None:

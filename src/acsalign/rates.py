@@ -17,7 +17,7 @@ import numpy as np
 from . import _exports
 from .channel import ComplexChannelMatrix
 from .schemes import BeamformerSet
-from .verify import receiver_stack
+from .verify import _receivers
 
 __all__ = _exports(__name__)
 
@@ -32,11 +32,11 @@ FIT_GAP = 0.02
 
 
 class RankDeficientReceiverError(Exception):
-    """A receiver's effective columns leave no null direction for some stream."""
+    """A receiver whose stack `verify` does not call independent: no rate is reported for it."""
 
-    def __init__(self, rx: int):
+    def __init__(self, rx: int, detail: str):
         self.rx = rx
-        super().__init__(f"receiver {rx} is rank deficient: no zero-forcing direction exists")
+        super().__init__(f"receiver {rx} is rank deficient: {detail}")
 
 
 @contextmanager
@@ -51,20 +51,20 @@ def _overflow_guard(what: str):
 
 def _zf_solve(beamformers: BeamformerSet, channel: ComplexChannelMatrix):
     """The one pass over desired streams, receiver by receiver, each in desired_streams
-    order: `(rx, (tx, column), unit combiner, gain on its own image)`.  Column j is
-    copied to a contiguous vector first: on the strided view the solve and the
-    dot product change last digits."""
-    for rx in range(beamformers.spec.shape[0]):
-        stack, _ = receiver_stack(beamformers, channel, rx)
+    order: `(rx, (tx, column), unit combiner, gain on its own image)`.  A receiver that
+    verify's verdict does not call independent raises RankDeficientReceiverError; at
+    any other, no residual is below the stack's smallest singular value.  Column j is
+    copied to a contiguous vector first: on the strided view the solve and the dot
+    product change last digits."""
+    for rx, stack, _, svals, verdict in _receivers(beamformers, channel):
+        if verdict != "independent":
+            raise RankDeficientReceiverError(rx, f"its stack is {verdict}, smallest singular value {svals.min():.3g}")
         for j, key in enumerate(beamformers.spec.desired_streams(rx)):
             own = stack[:, j].copy()
             others = np.delete(stack, j, axis=1)
             coeffs, *_ = np.linalg.lstsq(others, own, rcond=None)
             w = own - others @ coeffs
-            norm = float(np.linalg.norm(w))
-            if norm < 1e-9:
-                raise RankDeficientReceiverError(rx)
-            w = w / norm
+            w = w / float(np.linalg.norm(w))
             yield rx, key, w, float(w @ own)
 
 

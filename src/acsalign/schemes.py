@@ -27,6 +27,7 @@ from .verify import (
     InfeasibleChannelError,
     _require_shape,
     _stack,
+    _verdict,
     check_conditions,
 )
 
@@ -176,6 +177,7 @@ class BeamformerSet:
             norms = np.linalg.norm(m, axis=0)
             if not np.allclose(norms, 1.0, atol=1e-12):
                 raise ValueError(f"transmitter {t}: columns must be unit norm")
+            # Caller input on one transmitter's own columns, not verify's receiver verdict.
             if rxs and np.linalg.svd(m, compute_uv=False).min() <= 1e-9:
                 raise ValueError(f"transmitter {t}: columns are linearly dependent")
             m.setflags(write=False)
@@ -273,11 +275,11 @@ def _build(spec: SchemeSpec, channel: ComplexChannelMatrix, seed: int = 0, check
     All candidates are drawn, derived and scored as one stacked batch (see
     _candidates) and the first best scored one is kept; a spec with fixed
     columns has a single candidate.  A channel so close to the degenerate set
-    that the best score does not clear SV_INDEPENDENT fails the gate.  Only the
-    winner becomes a (validated) BeamformerSet.  The result is deterministic in
-    (channel, seed), and equals, bit for bit, drawing, deriving and scoring the
-    candidates one at a time from a sequential rng; the first candidate
-    reproduces a single plain draw.
+    that verify's verdict on the best score is not "independent" fails the
+    gate.  Only the winner becomes a (validated) BeamformerSet.  The result is
+    deterministic in (channel, seed), and equals, bit for bit, drawing,
+    deriving and scoring the candidates one at a time from a sequential rng;
+    the first candidate reproduces a single plain draw.
     """
     if not spec.stream_rx:
         raise ValueError(f"{spec.tag!r} sends no beamformed streams; only its rates can be swept")
@@ -287,7 +289,7 @@ def _build(spec: SchemeSpec, channel: ComplexChannelMatrix, seed: int = 0, check
         raise InfeasibleChannelError(spec.tag, failed)
     columns, scores = _candidates(spec, channel, seed)
     best = int(np.argmax(scores))
-    if check and scores[best] <= SV_INDEPENDENT:
+    if check and _verdict(float(scores[best])) != "independent":
         raise InfeasibleChannelError(
             spec.tag, ("conditioning",),
             f"smallest receive singular value {scores[best]:.3g} <= {SV_INDEPENDENT:g}",

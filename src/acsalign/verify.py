@@ -8,7 +8,7 @@ keeping full rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -35,9 +35,7 @@ __all__ = _exports(__name__)
 PHASE_TOL = 1e-9
 RATIO_TOL = 1e-9
 
-# Rank verdicts for stacked receive columns (unit-norm columns): above the
-# first threshold the stack counts as independent, below the second as
-# dependent, in between the verdict is left open.
+# The thresholds of the rank verdict on a stack of unit-norm receive columns (see _verdict).
 SV_INDEPENDENT = 1e-6
 SV_DEPENDENT = 1e-10
 
@@ -254,14 +252,7 @@ class ReceiverIndependence:
     status: str  # "independent" | "dependent" | "indeterminate"
 
     def to_dict(self) -> dict:
-        return {
-            "rx": self.rx,
-            "rows": self.rows,
-            "cols": self.cols,
-            "singular_values": [float(s) for s in self.singular_values],
-            "min_principal_angle": self.min_principal_angle,
-            "status": self.status,
-        }
+        return {**asdict(self), "singular_values": [float(s) for s in self.singular_values]}
 
 
 @dataclass(frozen=True)
@@ -291,23 +282,28 @@ def _principal_angle(desired: np.ndarray, interference: np.ndarray) -> float | N
     return float(np.arccos(cos_max))
 
 
-def independence_margin(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> IndependenceReport:
-    """Stack each receiver's desired images with its deduplicated interference
-    basis and judge linear independence by the smallest singular value."""
-    out = []
+def _verdict(smallest: float) -> str:
+    """The rank verdict on a receiver's stack from its smallest singular value: the
+    package's one comparison with SV_INDEPENDENT and SV_DEPENDENT."""
+    if smallest > SV_INDEPENDENT:
+        return "independent"
+    return "dependent" if smallest < SV_DEPENDENT else "indeterminate"
+
+
+def _receivers(beamformers: "BeamformerSet", channel: ComplexChannelMatrix):
+    """Per receiver: (rx, stack, number of desired columns, singular values, verdict)."""
     for rx in range(beamformers.spec.shape[0]):
         stack, num_desired = receiver_stack(beamformers, channel, rx)
         svals = np.linalg.svd(stack, compute_uv=False)
-        smallest = float(svals.min())
-        if smallest > SV_INDEPENDENT:
-            status = "independent"
-        elif smallest < SV_DEPENDENT:
-            status = "dependent"
-        else:
-            status = "indeterminate"
-        angle = _principal_angle(stack[:, :num_desired], stack[:, num_desired:])
-        out.append(ReceiverIndependence(rx, stack.shape[0], stack.shape[1], svals, angle, status))
-    return IndependenceReport(beamformers.spec.tag, tuple(out))
+        yield rx, stack, num_desired, svals, _verdict(float(svals.min()))
+
+
+def independence_margin(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> IndependenceReport:
+    """Stack each receiver's desired images with its deduplicated interference
+    basis and judge linear independence by the smallest singular value."""
+    return IndependenceReport(beamformers.spec.tag, tuple(
+        ReceiverIndependence(rx, *stack.shape, svals, _principal_angle(stack[:, :d], stack[:, d:]), verdict)
+        for rx, stack, d, svals, verdict in _receivers(beamformers, channel)))
 
 
 def solve_phasor_pair(alpha: float, beta: float) -> tuple[float, float]:

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
 
 from acsalign import schemes, verify
+from acsalign.bound import max_dof
 from acsalign.channel import (
     ComplexChannelMatrix,
     construct_special_channel,
@@ -398,6 +400,56 @@ def test_bound_row_at_a_million_slots(capsys):
     assert row["argmax"] == [{"extension": 1_000_000, "streams": [800_000] * 3,
                               "overlaps": {"d12": 400_000, "d23": 400_000, "d31": 400_000},
                               "ratio": "6/5"}]
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int-to-text limit of 4300 digits, restored after the test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-text limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def refused_bound(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_bound_refuses_an_s_whose_count_passes_the_digit_limit(default_digit_limit, capsys):
+    # num_feasible grows as S^6: at S = 10^800 it has about 4800 digits.
+    err = refused_bound(["--s-max", "1" + "0" * 800], capsys)
+    assert "int-to-text limit of 4300 (sys.get_int_max_str_digits())" in err
+    assert "S of 801 digits" in err
+    # The refusal starts exactly where the row's count stops fitting.
+    low, high = 10**700, 10**800
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if max_dof(mid).num_feasible < 10**4300 else (low, mid)
+    assert len(str(bound_row(low, capsys)["num_feasible"])) == 4300
+    assert "int-to-text limit" in refused_bound(["--s-min", str(high), "--s-max", str(high)], capsys)
+
+
+def test_bound_refuses_a_flag_past_the_digit_limit_as_too_long(default_digit_limit, capsys):
+    err = refused_bound(["--s-max", "1" * 4301], capsys)
+    assert "the integer has more digits than CPython's int-to-text limit of 4300" in err
+    assert "is not an integer" not in err
+    # Text that is no integer at any length is still named as such.
+    assert "is not an integer" in refused_bound(["--s-max", "1x"], capsys)
+
+
+def test_bound_row_at_s_ten_to_the_700(default_digit_limit, capsys):
+    s = 10**700
+    row = bound_row(s, capsys)
+    assert row["num_feasible"] == max_dof(s).num_feasible
+    assert len(str(row["num_feasible"])) == 4199
+    assert row["best_ratio"] == "6/5"
 
 
 def test_bound_rejects_the_budget_flag(capsys):

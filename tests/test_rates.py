@@ -1,15 +1,18 @@
 """Zero-forcing rates, slope regression, and the per-symbol baseline."""
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
-from acsalign import rates
+from acsalign import rates, verify
 from acsalign.channel import (
     ComplexChannelMatrix,
     ExtendedRotation,
+    _signed_phase_sum,
     construct_special_channel,
+    special_channel_kinds,
 )
 from acsalign.rates import (
     DEFAULT_SNR_GRID_DB,
@@ -25,11 +28,13 @@ from acsalign.rates import (
 )
 from acsalign.schemes import (
     SCHEME_TAGS,
+    SCHEMES,
     build_acs_ic3,
     build_phase_alignment,
     build_scheme,
     sample_feasible_channel,
 )
+from acsalign.verify import _GATES, InfeasibleChannelError, independence_margin
 
 
 def test_orthogonal_images_give_unit_gain_and_closed_form_sinr():
@@ -88,13 +93,14 @@ def test_rate_reports_solve_once_and_match_per_point_sum_rate(tag, monkeypatch):
         chn = sample_feasible_channel(tag, 3)
     bf = build_scheme(tag, chn, seed=3)
     calls = []
-    real_stack = rates.receiver_stack
+    # The rate layer reads each receiver's stack through verify's per-receiver pass.
+    real_stack = verify.receiver_stack
 
     def counting_stack(beamformers, channel, rx):
         calls.append(rx)
         return real_stack(beamformers, channel, rx)
 
-    monkeypatch.setattr(rates, "receiver_stack", counting_stack)
+    monkeypatch.setattr(verify, "receiver_stack", counting_stack)
     reports = rate_reports(bf, chn, GRID_21)
     assert sorted(calls) == list(range(bf.spec.shape[0]))
     monkeypatch.undo()
@@ -140,6 +146,85 @@ def test_rank_deficient_receiver_is_reported(idx, rx):
         with pytest.raises(RankDeficientReceiverError) as exc:
             call()
         assert exc.value.rx == rx
+
+
+def _cross_sum_lowered(eps: float) -> ComplexChannelMatrix:
+    """acs-violating-1 with the phase of link (0, 0) lowered by eps, which
+    moves cross sum 0 off zero by eps."""
+    base = construct_special_channel("acs-violating-1")
+    phase = base.phase.copy()
+    phase[0, 0] -= eps
+    return ComplexChannelMatrix(base.magnitude, phase)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-7, 0.0])
+def test_no_slope_for_a_receiver_verify_does_not_call_independent(eps):
+    # Receiver 0's smallest singular value is about 0.329 * eps: independent
+    # at 1e-4, indeterminate at 1e-6 and 1e-7, dependent at 0.
+    chn = _cross_sum_lowered(eps)
+    builder = partial(build_scheme, "acs-ic3", check=False)
+    statuses = [r.status for r in independence_margin(builder(chn, 0), chn).receivers]
+    assert statuses[1:] == ["independent", "independent"]
+    if eps == 1e-4:
+        assert statuses[0] == "independent"
+        est = estimate_dof(builder, chn, 0)
+        # Rated, and flagged: the grid has not reached the asymptotic regime.
+        assert not est.asymptotic
+        assert est.slope == pytest.approx(1.1279, abs=1e-4)
+        return
+    with pytest.raises(RankDeficientReceiverError, match=r"\b(indeterminate|dependent)\b") as exc:
+        estimate_dof(builder, chn, 0)
+    assert exc.value.rx == 0
+    assert statuses[0] in str(exc.value)
+
+
+def _gating_sum_moved(chn: ComplexChannelMatrix, terms, eps: float) -> ComplexChannelMatrix:
+    """`chn` with the first link of a gating phase sum shifted so the sum is eps."""
+    (rt, sign), phase = terms[0], chn.phase.copy()
+    phase[rt] += sign * (eps - _signed_phase_sum(chn, terms))
+    return ComplexChannelMatrix(chn.magnitude, phase)
+
+
+def _verdict_cases():
+    """(tag, channel) for every scheme: the 3x3 special channels, and for the
+    2x2 and 2x4 schemes a sampled channel with each gating sum moved to eps."""
+    for tag in SCHEME_TAGS:
+        spec = SCHEMES[tag]
+        if spec.shape == (3, 3):
+            yield from ((tag, construct_special_channel(kind)) for kind in special_channel_kinds())
+            continue
+        chn = sample_feasible_channel(tag, 0)
+        for _, terms, _, _ in _GATES[spec.feasibility].conditions:
+            for eps in (0.0, 1e-11, 1e-8, 1e-6, 1e-3):
+                yield tag, _gating_sum_moved(chn, terms, eps)
+
+
+def test_builder_rates_and_independence_margin_read_one_verdict():
+    seen = set()
+    snrs = [10.0 ** (db / 10.0) for db in DEFAULT_SNR_GRID_DB]
+    for tag, chn in _verdict_cases():
+        bf = build_scheme(tag, chn, seed=0, check=False)
+        statuses = [r.status for r in independence_margin(bf, chn).receivers]
+        seen.update(statuses)
+        failing = [rx for rx, status in enumerate(statuses) if status != "independent"]
+        if failing:
+            with pytest.raises(RankDeficientReceiverError) as exc:
+                rate_reports(bf, chn, snrs)
+            assert exc.value.rx == failing[0], (tag, statuses)
+            assert statuses[failing[0]] in str(exc.value)
+        else:
+            assert len(rate_reports(bf, chn, snrs)) == len(snrs)
+        if SCHEMES[tag].gate(chn)[1]:
+            continue
+        # Past the feasibility conditions, the builder's conditioning gate
+        # refuses exactly the sets the other two readers refuse.
+        if failing:
+            with pytest.raises(InfeasibleChannelError) as gate:
+                build_scheme(tag, chn, seed=0)
+            assert gate.value.failed == ("conditioning",)
+        else:
+            assert build_scheme(tag, chn, seed=0) == bf
+    assert seen == {"independent", "indeterminate", "dependent"}
 
 
 def test_treat_interference_as_noise_hand_example():
