@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from functools import partial
+from itertools import chain
 from typing import TYPE_CHECKING
 
 # Only the pure-integer bound is imported here: the numerical modules (and
@@ -108,30 +109,28 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _render_records(records: list[dict], fmt: str) -> str:
+def _record_writer(fh, fmt: str):
+    """A function that writes one sweep record to `fh`; a CSV's header is
+    written here, when the writer is made."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        for record in records:
-            writer.writerow([_csv_cell(record.get(col)) for col in _CSV_COLUMNS])
-        return buf.getvalue()
-    return "".join(_json_object(r) + "\n" for r in records)
+        return lambda record: writer.writerow([_csv_cell(record.get(col)) for col in _CSV_COLUMNS])
+    return lambda record: fh.write(_json_object(record) + "\n")
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextmanager
+def _emit(out: str | None):
+    """Stdout, or the file `out` (a relative path resolves under $ACSALIGN_OUT_DIR)."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
-    path = out
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        path = os.path.join(base, path)
+    path = os.path.join(os.environ.get(OUT_DIR_ENV, ""), out)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        yield fh
 
 
 # -- verify -------------------------------------------------------------------
@@ -171,7 +170,7 @@ def _record(scheme: str, seed: int, kind: str, snr_db, total, per_user, **fields
             "per_user_rates": per_user, "record": kind, **fields}
 
 
-def _sweep_trial(args) -> list[dict]:
+def _sweep_trial(scheme: str, grid, fixed, trial_seed: int) -> list[dict]:
     """One trial, module level so worker processes can unpickle it.
 
     Trial i draws its channel from seed master+i (redrawn away from the
@@ -184,7 +183,6 @@ def _sweep_trial(args) -> list[dict]:
     from .schemes import SCHEMES, build_scheme
     from .verify import InfeasibleChannelError
 
-    scheme, trial_seed, grid, fixed = args
     try:
         channel = fixed if fixed is not None else SCHEMES[scheme].sample(trial_seed)
         if scheme == "baseline":
@@ -203,6 +201,23 @@ def _sweep_trial(args) -> list[dict]:
     return records
 
 
+def _write_sweep(trials, args: argparse.Namespace) -> int:
+    """Write each trial's records as the trial comes in, flushed at its end.
+    The output opens only once the first trial is in, so a sweep whose first
+    trial raises writes nothing."""
+    trials = iter(trials)
+    first = next(trials)
+    produced = False
+    with _emit(args.out) as fh:
+        write = _record_writer(fh, args.format)
+        for records in chain([first], trials):
+            for record in records:
+                write(record)
+            fh.flush()
+            produced = produced or records[-1]["record"] == "dof"
+    return 0 if produced else 1
+
+
 def run_sweep(args: argparse.Namespace) -> int:
     # The trials' rate layer (and through it schemes, verify and channel) loads
     # before the pool starts, so forked workers inherit it instead of each
@@ -214,24 +229,20 @@ def run_sweep(args: argparse.Namespace) -> int:
     fixed = None
     if args.special is not None or args.channel_file is not None or args.channel_seed is not None:
         fixed = _resolve_channel(args, scheme_spec(scheme).shape)
-    payloads = [(scheme, args.master_seed + i, args.snr_grid, fixed) for i in range(args.trials)]
+    trial = partial(_sweep_trial, scheme, args.snr_grid, fixed)
+    seeds = range(args.master_seed, args.master_seed + args.trials)
     # A fork-started pool launches every worker up front: no more than one per trial.
     workers = min(args.workers, args.trials)
     if workers > 1:
         # The pool's modules (multiprocessing and its kin) load only here and
         # after numpy, which in the other order peaks higher in memory; each
-        # worker gets one contiguous block of trials.
+        # worker gets one contiguous block of trials, and pool.map, like map,
+        # yields the trials in seed order.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_trial, payloads, chunksize=-(-len(payloads) // workers)))
-    else:
-        results = [_sweep_trial(p) for p in payloads]
-    # pool.map, like the comprehension, yields results in payload order.
-    records = [record for trial_records in results for record in trial_records]
-    _emit(_render_records(records, args.format), args.out)
-    produced = any(r["record"] == "dof" for r in records)
-    return 0 if produced else 1
+            return _write_sweep(pool.map(trial, seeds, chunksize=-(-args.trials // workers)), args)
+    return _write_sweep(map(trial, seeds), args)
 
 
 # -- bound --------------------------------------------------------------------

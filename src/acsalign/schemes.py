@@ -174,8 +174,7 @@ class BeamformerSet:
             m = np.array(m, dtype=float)
             if m.shape != (rows, len(rxs)):
                 raise ValueError(f"transmitter {t}: expected a {rows}x{len(rxs)} column matrix, got {m.shape}")
-            norms = np.linalg.norm(m, axis=0)
-            if not np.allclose(norms, 1.0, atol=1e-12):
+            if not np.all(np.abs(np.linalg.norm(m, axis=0) - 1.0) <= 1e-12):
                 raise ValueError(f"transmitter {t}: columns must be unit norm")
             # Caller input on one transmitter's own columns, not verify's receiver verdict.
             if rxs and np.linalg.svd(m, compute_uv=False).min() <= 1e-9:
@@ -202,24 +201,20 @@ def _free_columns(spec: SchemeSpec, rng: np.random.Generator, draws: int) -> dic
 
     One standard_normal call fills all free blocks candidate-major, so candidate
     i's block (tx, columns) holds the normals a sequential (2S, k) draw per block
-    would.  The blocks of each width then go through one stacked QR, whose sign
-    is fixed so the draw is reproducible at the bit level; per matrix this is the
-    QR of that block on its own.
+    would.  Each block then goes through one stacked QR, a QR per candidate,
+    whose sign is fixed so the draw is reproducible at the bit level.
     """
     dim = 2 * spec.extension
     sizes = [dim * len(cols) for _, cols in spec.free_blocks]
     normals = np.split(rng.standard_normal((draws, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
     columns = {}
-    for width in {len(cols) for _, cols in spec.free_blocks}:
-        group = [b for b, (_, cols) in enumerate(spec.free_blocks) if len(cols) == width]
-        q, r = np.linalg.qr(np.stack([normals[b].reshape(draws, dim, width) for b in group], axis=1))
+    for (tx, cols), block in zip(spec.free_blocks, normals):
+        q, r = np.linalg.qr(block.reshape(draws, dim, len(cols)))
         signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
         signs[signs == 0] = 1.0
         q = q * signs[..., None, :]
-        for j, b in enumerate(group):
-            tx, cols = spec.free_blocks[b]
-            for k, c in enumerate(cols):
-                columns[tx, c] = q[:, j, :, k]
+        for k, c in enumerate(cols):
+            columns[tx, c] = q[..., k]
     return columns
 
 

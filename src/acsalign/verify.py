@@ -56,6 +56,11 @@ class DegenerateAnglesError(ValueError):
     """Angles too close to a degenerate configuration for a closed-form solve."""
 
 
+def _fields(report) -> dict:
+    """A report dataclass's fields in declaration order, arrays as lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(report).items()}
+
+
 @dataclass(frozen=True)
 class ConditionRecord:
     """One evaluated condition: a phase sum against a modulus, optionally a ratio."""
@@ -70,19 +75,8 @@ class ConditionRecord:
     rx: int | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "id": self.cid,
-            "value": self.value,
-            "modulus": self.modulus,
-            "distance": self.distance,
-            "requires": self.requires,
-            "satisfied": self.satisfied,
-        }
-        if self.magnitude_ratio is not None:
-            d["magnitude_ratio"] = self.magnitude_ratio
-        if self.rx is not None:
-            d["rx"] = self.rx
-        return d
+        fields = _fields(self)
+        return {"id": fields.pop("cid"), **{k: v for k, v in fields.items() if v is not None}}
 
 
 @dataclass(frozen=True)
@@ -252,7 +246,7 @@ class ReceiverIndependence:
     status: str  # "independent" | "dependent" | "indeterminate"
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "singular_values": [float(s) for s in self.singular_values]}
+        return _fields(self)
 
 
 @dataclass(frozen=True)
@@ -344,16 +338,7 @@ class ContainmentDemo:
     own_rx_tx2_coeffs: np.ndarray  # c2 * rx3_coeffs: weights of tx-2 images at receiver 1
 
     def to_dict(self) -> dict:
-        return {
-            "extension": self.extension,
-            "residual": self.residual,
-            "c1": self.c1,
-            "c2": self.c2,
-            "rx2_coeffs": [float(x) for x in self.rx2_coeffs],
-            "rx3_coeffs": [float(x) for x in self.rx3_coeffs],
-            "own_rx_tx3_coeffs": [float(x) for x in self.own_rx_tx3_coeffs],
-            "own_rx_tx2_coeffs": [float(x) for x in self.own_rx_tx2_coeffs],
-        }
+        return _fields(self)
 
 
 def demonstrate_containment(channel: ComplexChannelMatrix, seed: int) -> ContainmentDemo:

@@ -202,6 +202,52 @@ def test_sweep_pool_never_outnumbers_the_trials(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_sweep_writes_each_trial_before_the_next_starts(tmp_path, capsys, monkeypatch):
+    from acsalign import cli
+
+    # Lines in the output file as each trial starts; the file opens with the first trial's records.
+    out = tmp_path / "sweep.jsonl"
+    written = []
+    real_trial = cli._sweep_trial
+
+    def sweep_trial(*args):
+        written.append(len(out.read_text().splitlines()) if out.exists() else 0)
+        return real_trial(*args)
+
+    monkeypatch.setattr(cli, "_sweep_trial", sweep_trial)
+    assert main(["sweep", "--scheme", "acs-ic3", "--trials", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert written == [0, 7, 14, 21]
+    assert len(sweep_lines(out)) == 28
+
+
+def test_sweep_to_an_unwritable_path_stops_after_the_first_trial(tmp_path, capsys, monkeypatch):
+    from acsalign import cli
+
+    calls = []
+    real_trial = cli._sweep_trial
+    monkeypatch.setattr(cli, "_sweep_trial", lambda *args: calls.append(args) or real_trial(*args))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["sweep", "--scheme", "acs-ic3", "--trials", "50", "--out", str(blocker / "sweep.jsonl")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_sweep_whose_first_trial_raises_writes_nothing(to_file, tmp_path, capsys):
+    # The output opens only once a trial is in: no CSV header, and no file.
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--scheme", "x-channel", "--special", "phase-example", "--format", "csv"]
+    code = main(argv + (["--out", str(out)] if to_file else []))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "needs a 2x2 channel" in captured.err
+    assert not out.exists()
+
+
 def test_sweep_csv_format(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main([

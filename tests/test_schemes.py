@@ -242,6 +242,19 @@ def test_beamformer_validation_rejects_bad_inputs():
         BeamformerSet(spec, (good, np.column_stack([good[:, :3], good[:, 0]])))
 
 
+@pytest.mark.parametrize("scale, accepted", [(1 + 1e-13, True), (1 + 1e-6, False), (np.nan, False)])
+def test_unit_norm_check_holds_columns_to_1e_12(scale, accepted):
+    # The tolerance is absolute: a norm of 1 + 1e-6 fails it, relative slack or not.
+    spec = scheme_spec("x-channel")
+    scaled = np.eye(6)[:, :4].copy()
+    scaled[:, 1] *= scale
+    if accepted:
+        BeamformerSet(spec, (scaled, np.eye(6)[:, 2:6]))
+    else:
+        with pytest.raises(ValueError, match="unit norm"):
+            BeamformerSet(spec, (scaled, np.eye(6)[:, 2:6]))
+
+
 @pytest.mark.parametrize("tag", SCHEME_TAGS)
 def test_scheme_entry_is_a_complete_recipe(tag):
     spec = SCHEMES[tag]
