@@ -20,7 +20,7 @@ _HOMES = {name: home for home, names in (
     )),
     ("rates", (
         "DEFAULT_SNR_GRID_DB", "DofEstimate", "RankDeficientReceiverError",
-        "RateReport", "baseline_circsym", "baseline_rate_profile",
+        "RateReport", "baseline_rate_profile",
         "estimate_baseline_dof", "estimate_dof", "fit_dof", "rate_reports", "sum_rate",
         "validate_snr_grid", "zf_receive",
     )),

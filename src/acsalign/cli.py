@@ -383,8 +383,8 @@ def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--scheme", required=True, choices=tuple(SCHEMES))
     sweep.add_argument("--trials", type=_positive_int, default=20)
     sweep.add_argument("--master-seed", type=_nonnegative_int, default=0)
-    sweep.add_argument("--snr-grid", type=_grid_arg, default=DEFAULT_SNR_GRID_DB,
-                       metavar="DB,DB,...", help="comma-separated dB values (default 60..110)")
+    sweep.add_argument("--snr-grid", type=_grid_arg, default=DEFAULT_SNR_GRID_DB, metavar="DB,DB,...",
+                       help=f"comma-separated dB values (default {DEFAULT_SNR_GRID_DB[0]:g}..{DEFAULT_SNR_GRID_DB[-1]:g})")
     sweep.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     sweep.add_argument("--out", default=None, metavar="PATH",
                        help=f"output file (relative paths resolve under ${OUT_DIR_ENV}); stdout if omitted")

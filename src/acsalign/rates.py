@@ -209,36 +209,26 @@ def estimate_dof(
     return fit_dof(grid, [r.sum_rate for r in reports], [r.per_receiver for r in reports])
 
 
-def baseline_circsym(channel: ComplexChannelMatrix, powers) -> np.ndarray:
-    """Per-user rates when everyone sends one circularly-symmetric stream per
-    symbol and receivers treat interference as noise (unit noise power)."""
-    if channel.num_rx != channel.num_tx:
-        raise ValueError("the per-symbol baseline needs a square channel")
-    p = np.asarray(powers, dtype=float)
-    if p.shape != (channel.num_tx,):
-        raise ValueError(f"expected {channel.num_tx} powers, got shape {p.shape}")
-    if not np.all(np.isfinite(p) & (p >= 0)):
-        raise ValueError("powers must be nonnegative and finite")
-    g = channel.magnitude ** 2
-    rates = np.empty(channel.num_rx)
-    with _overflow_guard(f"powers {p.tolist()}"):
-        for k in range(channel.num_rx):
-            interference = float(g[k] @ p) - g[k, k] * p[k]
-            rates[k] = np.log2(1.0 + g[k, k] * p[k] / (1.0 + interference))
-    return rates
-
-
 def baseline_rate_profile(channel: ComplexChannelMatrix, snr: float) -> np.ndarray:
     """Per-user rates of the better per-symbol baseline mode at this snr.
 
+    Each user sends one circularly-symmetric stream per symbol and each
+    receiver treats interference as noise of power 2 * NOISE_VAR_PER_REAL_DIM.
     Compares everybody-at-full-power against the best single user operating
     alone, and returns the winning mode's rate vector.  An snr that would
     overflow the lone user's rate overflows the full-power mode first.
     """
     _snr_values((snr,))
+    if channel.num_rx != channel.num_tx:
+        raise ValueError("the per-symbol baseline needs a square channel")
     k = channel.num_tx
-    full = baseline_circsym(channel, np.full(k, snr))
+    p = np.full(k, float(snr))
     g = channel.magnitude ** 2
+    full = np.empty(k)
+    with _overflow_guard(f"snr {float(snr)!r}"):
+        for rx in range(k):
+            interference = float(g[rx] @ p) - g[rx, rx] * p[rx]
+            full[rx] = np.log2(1.0 + g[rx, rx] * p[rx] / (2 * NOISE_VAR_PER_REAL_DIM + interference))
     best = int(np.argmax(np.diag(g)))
     single = np.zeros(k)
     single[best] = np.log2(1.0 + g[best, best] * snr)

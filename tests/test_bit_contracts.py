@@ -61,7 +61,7 @@ def test_stack_with_a_candidate_axis_is_the_per_column_matvec(phases, S, draws, 
         assert single.flags.c_contiguous and np.array_equal(single, expected)
 
 
-# Free blocks of mixed widths, so the draw is split into two stacked QRs.
+# Free blocks of mixed widths: the draw goes through five stacked QRs, one per block.
 MIXED = SchemeSpec(
     "mixed-widths", "x-channel", extension=3,
     stream_rx=((0, 0, 1, 1), (0, 0, 1, 1)),

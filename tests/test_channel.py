@@ -39,6 +39,8 @@ def test_rotation_basics():
 def test_rotation_rejects_nonfinite():
     with pytest.raises(ValueError):
         rotation_matrix(np.nan)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        ExtendedRotation(np.nan, 2)
 
 
 @given(angles, angles)
@@ -210,6 +212,12 @@ def test_channel_rejects_bad_shapes():
         ComplexChannelMatrix(-np.ones((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         sample_channel(0, 0, 3)
+    with pytest.raises(ValueError, match="2-d array"):
+        ComplexChannelMatrix(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="at least one receiver"):
+        ComplexChannelMatrix(np.ones((0, 3)), np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="even length"):
+        unlift([1.0, 2.0, 3.0])
 
 
 def test_coefficient_round_trip():

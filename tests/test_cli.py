@@ -535,6 +535,13 @@ def test_usage_errors_exit_with_two(capsys):
     assert exc.value.code == 2
     assert "argument --snr-grid: snr grid needs at least 4 points" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scheme", "acs-ic3", "--snr-grid", "60,70,abc,90"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("argument --snr-grid: '60,70,abc,90' is not a comma-separated list of dB values"
+            in captured.err)
+    with pytest.raises(SystemExit) as exc:
         main(["sweep", "--scheme", "baseline", "--snr-grid", "60,nan,80,90"])
     assert exc.value.code == 2
     captured = capsys.readouterr()

@@ -17,7 +17,6 @@ from acsalign.channel import (
 from acsalign.rates import (
     DEFAULT_SNR_GRID_DB,
     RankDeficientReceiverError,
-    baseline_circsym,
     baseline_rate_profile,
     estimate_dof,
     fit_dof,
@@ -232,30 +231,24 @@ def test_treat_interference_as_noise_hand_example():
         np.array([[1.0, 0.5], [0.5, 1.0]]),
         np.zeros((2, 2)),
     )
-    rates = baseline_circsym(chn, [4.0, 9.0])
-    assert np.isclose(rates[0], np.log2(1.0 + 4.0 / (1.0 + 0.25 * 9.0)))
-    assert np.isclose(rates[1], np.log2(1.0 + 9.0 / (1.0 + 0.25 * 4.0)))
+    # At snr 4 both users at full power (2 x 1.58 bits) beat one alone (2.32).
+    rates = baseline_rate_profile(chn, 4.0)
+    assert np.allclose(rates, np.log2(1.0 + 4.0 / (1.0 + 0.25 * 4.0)))
 
 
 def test_baseline_input_validation():
     chn = sample_feasible_channel("acs-ic3", 0)
     with pytest.raises(ValueError):
-        baseline_circsym(chn, [1.0, 1.0])
-    with pytest.raises(ValueError):
-        baseline_circsym(chn, [1.0, -1.0, 1.0])
-    with pytest.raises(ValueError):
         baseline_rate_profile(chn, 0.0)
     for snr in (np.nan, np.inf):
         with pytest.raises(ValueError, match="snr must be positive and finite"):
             baseline_rate_profile(chn, snr)
-    for powers in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0]):
-        with pytest.raises(ValueError, match="powers must be nonnegative and finite"):
-            baseline_circsym(chn, powers)
+    wide = ComplexChannelMatrix(np.ones((2, 4)), np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="the per-symbol baseline needs a square channel"):
+        baseline_rate_profile(wide, 1.0)
     # Overflow in the interference sum raises instead of a plausible-looking
     # profile with every other user at rate 0.
-    with pytest.raises(ValueError, match=r"rate arithmetic overflows at powers \[1e\+308, 1.0, 1.0\]"):
-        baseline_circsym(chn, [1e308, 1.0, 1.0])
-    with pytest.raises(ValueError, match="rate arithmetic overflows"):
+    with pytest.raises(ValueError, match=r"rate arithmetic overflows at snr 1e\+308"):
         baseline_rate_profile(chn, 1e308)
 
 
