@@ -16,13 +16,13 @@ _HOMES = {name: home for home, names in (
         "NUM_CROSS_SUMS", "TWO_PI", "ComplexChannelMatrix", "ExtendedRotation",
         "construct_special_channel", "dump_channel",
         "implicated_receiver", "lift", "load_channel", "mod_distance",
-        "rotation_matrix", "sample_channel", "special_channel_kinds", "unlift",
+        "rotation_matrix", "sample_channel", "special_channel_kinds",
     )),
     ("rates", (
         "DEFAULT_SNR_GRID_DB", "DofEstimate", "RankDeficientReceiverError",
         "RateReport", "baseline_rate_profile",
         "estimate_baseline_dof", "estimate_dof", "fit_dof", "rate_reports", "sum_rate",
-        "validate_snr_grid", "zf_receive",
+        "validate_snr_grid",
     )),
     ("schemes", (
         "CANDIDATE_DRAWS", "GENERIC_PHASE_MARGIN", "SCHEME_TAGS", "SCHEMES",

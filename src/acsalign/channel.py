@@ -40,14 +40,6 @@ def lift(vec) -> np.ndarray:
     return out
 
 
-def unlift(data) -> np.ndarray:
-    """Inverse of lift: rebuild the complex vector from interleaved reals."""
-    x = np.asarray(data, dtype=float).reshape(-1)
-    if x.size % 2:
-        raise ValueError("lifted data must have even length")
-    return x[0::2] + 1j * x[1::2]
-
-
 def mod_distance(value: float, modulus: float = np.pi) -> float:
     """Distance from value to the nearest integer multiple of modulus.
 

@@ -1,9 +1,10 @@
 """Command-line front end: verification, rate sweeps, the allocation bound, demos.
 
-Exit codes: 0 when everything requested passed, 1 when a check failed or no
-trial produced results, 2 on usage errors.  Sweep reports are written as
-JSON-lines or CSV with floats at 12 significant digits; identical configs
-(including the master seed) produce byte-identical files, serial or parallel.
+Exit codes: 0 when everything requested passed, 1 when a check failed, no
+trial produced results or a reader closed stdout early, 2 on usage errors.
+Sweep reports are written as JSON-lines or CSV with floats at 12 significant
+digits; identical configs (including the master seed) produce byte-identical
+files, serial or parallel.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from typing import TYPE_CHECKING
 from .bound import _num_feasible, max_dof
 
 if TYPE_CHECKING:
+    from typing import Callable
+
     from .channel import ComplexChannelMatrix
 
 __all__ = [
@@ -42,18 +45,17 @@ VERIFY_RESIDUAL_PASS = 1e-9
 DEMO_RESIDUAL_PASS = 1e-10
 
 
-def _resolve_channel(args: argparse.Namespace, shape: tuple[int, int]) -> ComplexChannelMatrix:
-    """Turn the channel-source flags into a channel; `shape` is (num_rx, num_tx)
-    and only steers the random draw, fixed sources keep their own shape."""
-    from .channel import construct_special_channel, load_channel, sample_channel
+def _resolve_channel(args: argparse.Namespace,
+                     sample: Callable[[int], ComplexChannelMatrix]) -> ComplexChannelMatrix:
+    """Turn the channel-source flags into a channel: a named or loaded channel
+    as given, else `sample` of the channel seed (default 0)."""
+    from .channel import construct_special_channel, load_channel
 
     if args.special is not None:
         return construct_special_channel(args.special)
     if args.channel_file is not None:
         return load_channel(args.channel_file)
-    seed = args.channel_seed if args.channel_seed is not None else 0
-    num_rx, num_tx = shape
-    return sample_channel(seed, num_tx, num_rx)
+    return sample(args.channel_seed if args.channel_seed is not None else 0)
 
 
 # -- report formatting --------------------------------------------------------
@@ -141,7 +143,7 @@ def run_verify(args: argparse.Namespace) -> int:
 
     scheme = args.scheme
     spec = scheme_spec(scheme)
-    channel = _resolve_channel(args, spec.shape)
+    channel = _resolve_channel(args, spec.sample)
     report, failed = spec.gate(channel)
     payload: dict = {"scheme": scheme, "conditions": report.to_dict(), "failed_conditions": list(failed)}
     if channel.magnitude.shape == (3, 3):
@@ -228,7 +230,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     scheme = args.scheme
     fixed = None
     if args.special is not None or args.channel_file is not None or args.channel_seed is not None:
-        fixed = _resolve_channel(args, scheme_spec(scheme).shape)
+        fixed = _resolve_channel(args, scheme_spec(scheme).sample)
     trial = partial(_sweep_trial, scheme, args.snr_grid, fixed)
     seeds = range(args.master_seed, args.master_seed + args.trials)
     # A fork-started pool launches every worker up front: no more than one per trial.
@@ -261,9 +263,10 @@ def run_bound(args: argparse.Namespace) -> int:
 # -- containment demo ---------------------------------------------------------
 
 def run_demo_containment(args: argparse.Namespace) -> int:
+    from .channel import sample_channel
     from .verify import DegenerateAnglesError, demonstrate_containment
 
-    channel = _resolve_channel(args, (3, 3))
+    channel = _resolve_channel(args, partial(sample_channel, num_tx=3, num_rx=3))
     try:
         demo = demonstrate_containment(channel, seed=args.seed)
     except DegenerateAnglesError as exc:
@@ -361,7 +364,8 @@ def _add_channel_source(sub: argparse.ArgumentParser) -> None:
 
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--channel-seed", type=_nonnegative_int, default=None, metavar="N",
-                       help="draw the channel from this seed (default 0)")
+                       help="use the channel of seed N: sweep trial N's for a scheme, the plain 3x3 "
+                            "draw for demo-containment (default 0)")
     group.add_argument("--special", choices=special_channel_kinds(), default=None,
                        help="use a named constructed channel")
     group.add_argument("--channel-file", default=None, metavar="PATH",
@@ -434,6 +438,11 @@ def main(argv=None) -> int:
         parser.error("need 1 <= --s-min <= --s-max")
     try:
         return args.run(args)
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): end quietly, with stdout
+        # on devnull so the interpreter's last flush has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -68,17 +68,6 @@ def _zf_solve(beamformers: BeamformerSet, channel: ComplexChannelMatrix):
             yield rx, key, w, float(w @ own)
 
 
-def zf_receive(beamformers: BeamformerSet, channel: ComplexChannelMatrix) -> dict[tuple[int, int], np.ndarray]:
-    """Per-stream unit combiners, each orthogonal to every other effective column.
-
-    The effective columns at a receiver are its desired stream images plus the
-    deduplicated interference basis.  The combiner for a stream is the
-    residual of its own image after projecting onto the span of all the
-    others; its inner product with the own image is therefore positive.
-    """
-    return {key: w for _, key, w, _ in _zf_solve(beamformers, channel)}
-
-
 @dataclass(frozen=True)
 class RateReport:
     scheme: str

@@ -87,6 +87,14 @@ class SchemeSpec:
     alignments: tuple[AlignmentPair, ...] = ()
     removed_streams: frozenset[tuple[int, int, int]] = frozenset()
 
+    def __post_init__(self):
+        # A stack wider than its 2S rows cannot be zero-forced, and an SVD of it
+        # returns only 2S singular values, blind to its null space.
+        for rx, (_, keys) in enumerate(self._layout):
+            if len(keys) > 2 * self.extension:
+                raise ValueError(f"{self.tag}: receiver {rx} stacks {len(keys)} columns "
+                                 f"in {2 * self.extension} real dimensions")
+
     @property
     def shape(self) -> tuple[int, int]:
         """(num_rx, num_tx): the channel shape the gate reads."""

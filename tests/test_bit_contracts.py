@@ -63,7 +63,7 @@ def test_stack_with_a_candidate_axis_is_the_per_column_matvec(phases, S, draws, 
 
 # Free blocks of mixed widths: the draw goes through five stacked QRs, one per block.
 MIXED = SchemeSpec(
-    "mixed-widths", "x-channel", extension=3,
+    "mixed-widths", "x-channel", extension=4,
     stream_rx=((0, 0, 1, 1), (0, 0, 1, 1)),
     free_blocks=((0, (0, 1)), (1, (2,)), (0, (2, 3)), (1, (0,)), (1, (1, 3))),
 )

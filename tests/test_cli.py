@@ -3,13 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acsalign import schemes, verify
+import acsalign
+from acsalign import verify
 from acsalign.bound import max_dof
 from acsalign.channel import (
     ComplexChannelMatrix,
@@ -22,8 +26,8 @@ from acsalign.channel import (
 )
 from acsalign.cli import main
 from acsalign.rates import estimate_baseline_dof, estimate_dof
-from acsalign.schemes import SCHEME_TAGS, SCHEMES, build_scheme
-from acsalign.verify import check_conditions, independence_margin
+from acsalign.schemes import GENERIC_PHASE_MARGIN, SCHEME_TAGS, SCHEMES, build_scheme
+from acsalign.verify import independence_margin
 
 
 def run_cli(argv, capsys):
@@ -617,18 +621,55 @@ def test_subcommand_help_names_the_choices(capsys):
 
 def test_verify_evaluates_each_condition_set_once(monkeypatch, capsys):
     calls = []
+    evaluate = verify._evaluate
 
-    def counted(channel, which):
+    def counted(channel, which, gate):
         calls.append(which)
-        return check_conditions(channel, which)
+        return evaluate(channel, which, gate)
 
-    # run_verify imports check_conditions from verify when it runs; the gate
-    # calls the name schemes holds.
-    for module in (verify, schemes):
-        monkeypatch.setattr(module, "check_conditions", counted)
+    # The sampler and the gate both ask for the channel's acs-ic3 report: it
+    # is evaluated once.
+    monkeypatch.setattr(verify, "_evaluate", counted)
     code, _ = run_cli(["verify", "--scheme", "acs-ic3", "--channel-seed", "0"], capsys)
     assert code == 0
     assert sorted(calls) == ["acs-ic3", "singularity"]
+
+
+# Seeds whose plain draw comes within GENERIC_PHASE_MARGIN of the degenerate
+# set, so the scheme's sampler redraws them.
+REDRAWN_SEEDS = [("acs-ic3", 4), ("baseline", 4), ("x-channel", 130), ("cognitive-x", 130), ("uplinks", 24)]
+
+
+@pytest.mark.parametrize("scheme,seed", REDRAWN_SEEDS)
+def test_channel_seed_names_the_channel_of_that_sweep_trial(scheme, seed, capsys):
+    spec = SCHEMES[scheme]
+    num_rx, num_tx = spec.shape
+    assert spec.sample(seed) != sample_channel(seed, num_tx, num_rx)
+    trial = ["sweep", "--scheme", scheme, "--master-seed", str(seed), "--trials", "1"]
+    assert run_cli(trial + ["--channel-seed", str(seed)], capsys) == run_cli(trial, capsys)
+
+
+def test_verify_checks_the_redrawn_channel_of_its_seed(capsys):
+    code, out = run_cli(["verify", "--scheme", "acs-ic3", "--channel-seed", "4"], capsys)
+    assert code == 0
+    distances = [rec["distance"] for rec in json.loads(out)["conditions"]["conditions"]]
+    assert min(distances) >= GENERIC_PHASE_MARGIN
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--scheme", "x-channel", "--trials", "200"],
+                                  ["sweep", "--scheme", "x-channel", "--trials", "200", "--workers", "2"],
+                                  ["bound", "--s-max", "100"]], ids=["sweep", "sweep-pool", "bound"])
+def test_a_reader_that_closes_early_ends_the_run_quietly(argv):
+    # A reader takes one line and closes the pipe.  Each output (some 220 KB
+    # of sweep records, 160 KB of bound rows) overfills a 64 KB pipe buffer,
+    # so a write fails after the close whatever the timing.
+    env = dict(os.environ, PYTHONPATH=str(Path(acsalign.__file__).parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "acsalign.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 def test_demo_containment_exit_codes(capsys):

@@ -1,6 +1,7 @@
 """Zero-forcing rates, slope regression, and the per-symbol baseline."""
 
 import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -23,11 +24,11 @@ from acsalign.rates import (
     rate_reports,
     sum_rate,
     validate_snr_grid,
-    zf_receive,
 )
 from acsalign.schemes import (
     SCHEME_TAGS,
     SCHEMES,
+    SchemeSpec,
     build_acs_ic3,
     build_phase_alignment,
     build_scheme,
@@ -36,10 +37,15 @@ from acsalign.schemes import (
 from acsalign.verify import _GATES, InfeasibleChannelError, independence_margin
 
 
+def _combiners(bf, chn) -> dict:
+    """Each stream's unit zero-forcing combiner, keyed (tx, column)."""
+    return {key: w for _, key, w, _ in rates._zf_solve(bf, chn)}
+
+
 def test_orthogonal_images_give_unit_gain_and_closed_form_sinr():
     chn = construct_special_channel("phase-example")
     bf = build_phase_alignment(chn)
-    combiners = zf_receive(bf, chn)
+    combiners = _combiners(bf, chn)
     assert np.allclose(np.abs(combiners[(0, 0)]), [1.0, 0.0], atol=1e-12)
     rotations = chn.link_rotations(1)
     for (t, c), w in combiners.items():
@@ -54,7 +60,7 @@ def test_orthogonal_images_give_unit_gain_and_closed_form_sinr():
 def test_combiners_null_every_other_stream_image():
     chn = sample_feasible_channel("acs-ic3", 0)
     bf = build_acs_ic3(chn, seed=0)
-    combiners = zf_receive(bf, chn)
+    combiners = _combiners(bf, chn)
     S = bf.spec.extension
     for t, c, rx in bf.spec.streams():
         w = combiners[(t, c)]
@@ -140,7 +146,7 @@ def test_rank_deficient_receiver_is_reported(idx, rx):
     chn = construct_special_channel(f"acs-violating-{idx}")
     bf = build_acs_ic3(chn, seed=3, check=False)
     # Solving and adding up are one loop in rate_reports: it reports the same receiver.
-    for call in (lambda: zf_receive(bf, chn), lambda: rate_reports(bf, chn, DEFAULT_SNR_GRID_DB),
+    for call in (lambda: list(rates._zf_solve(bf, chn)), lambda: rate_reports(bf, chn, DEFAULT_SNR_GRID_DB),
                  lambda: sum_rate(bf, chn, 1e6)):
         with pytest.raises(RankDeficientReceiverError) as exc:
             call()
@@ -175,6 +181,21 @@ def test_no_slope_for_a_receiver_verify_does_not_call_independent(eps):
         estimate_dof(builder, chn, 0)
     assert exc.value.rx == 0
     assert statuses[0] in str(exc.value)
+
+
+@pytest.mark.parametrize("overfull", [
+    # One stream per user in one slot, unaligned: 3 columns in 2 rows.
+    lambda: SchemeSpec("wide", "acs-ic3", extension=1, stream_rx=((0,), (1,), (2,)),
+                       free_blocks=((0, (0,)), (1, (0,)), (2, (0,)))),
+    # acs-ic3 with a fifth stream at transmitter 1, past the 6/5 bound: 11 columns in 10 rows.
+    lambda: replace(SCHEMES["acs-ic3"], stream_rx=((0,) * 4, (1,) * 5, (2,) * 4),
+                    free_blocks=((0, (0, 1)), (1, (0, 1, 4)), (2, (0, 1)))),
+], ids=["wide", "five-streams"])
+def test_a_stack_wider_than_2s_is_refused_at_construction(overfull):
+    # An SVD of a wide stack returns one singular value per row and would call
+    # it independent; such a layout cannot be built, gated or rated.
+    with pytest.raises(ValueError, match=r"receiver 0 stacks \d+ columns in \d+ real dimensions"):
+        overfull()
 
 
 def _gating_sum_moved(chn: ComplexChannelMatrix, terms, eps: float) -> ComplexChannelMatrix:

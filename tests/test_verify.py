@@ -11,7 +11,7 @@ from acsalign.channel import (
     sample_channel,
     special_channel_kinds,
 )
-from acsalign.rates import sum_rate, zf_receive
+from acsalign.rates import sum_rate
 from acsalign.schemes import BeamformerSet, build_acs_ic3, build_scheme
 from acsalign.verify import (
     CONDITION_SETS,
@@ -168,7 +168,7 @@ def test_beamformers_and_channel_must_agree_on_dimensions():
     bf = build_acs_ic3(sample_channel(7, 3, 3), seed=0)
     for chn, what in ((sample_channel(0, 2, 3), r"acs-ic3 needs a 3x3 channel \(receivers x transmitters\), got 3x2"),
                       (sample_channel(0, 3, 2), r"acs-ic3 needs a 3x3 channel \(receivers x transmitters\), got 2x3")):
-        for probe in (alignment_residual, independence_margin, zf_receive):
+        for probe in (alignment_residual, independence_margin):
             with pytest.raises(ValueError, match=what):
                 probe(bf, chn)
         with pytest.raises(ValueError, match=what):
