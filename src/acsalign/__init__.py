@@ -21,7 +21,7 @@ _HOMES = {name: home for home, names in (
     ("rates", (
         "DEFAULT_SNR_GRID_DB", "DofEstimate", "RankDeficientReceiverError",
         "RateReport", "baseline_rate_profile",
-        "estimate_baseline_dof", "estimate_dof", "fit_dof", "rate_reports", "sum_rate",
+        "estimate_baseline_dof", "estimate_dof", "fit_dof", "sum_rate",
         "validate_snr_grid",
     )),
     ("schemes", (

@@ -70,41 +70,30 @@ def _zf_solve(beamformers: BeamformerSet, channel: ComplexChannelMatrix):
 
 @dataclass(frozen=True)
 class RateReport:
-    scheme: str
-    snr: float
-    extension: int
     per_receiver: tuple[float, ...]
     sum_rate: float
 
 
-def _vector(values, what: str) -> np.ndarray:
-    """`values` as a float array, or ValueError naming its shape unless non-empty and 1-d."""
-    array = np.asarray(values, dtype=float)
-    if array.ndim != 1 or array.size == 0:
-        raise ValueError(f"{what} must be a non-empty 1-d sequence, got shape {array.shape}")
-    return array
+def _snr_value(snr) -> float:
+    """`snr` as a float, or ValueError unless it is one positive finite number."""
+    value = np.asarray(snr, dtype=float)
+    if value.ndim:
+        raise ValueError(f"snr must be one number, got shape {value.shape}")
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"snr must be positive and finite, got {float(value)!r}")
+    return float(value)
 
 
-def _snr_values(snrs) -> np.ndarray:
-    """`snrs` as a float array, or ValueError unless it is a non-empty 1-d
-    sequence of positive finite values."""
-    values = _vector(snrs, "snrs")
-    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
-    if bad.size:
-        raise ValueError(f"snr must be positive and finite, got {float(values[bad[0]])!r}")
-    return values
-
-
-def rate_reports(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snrs) -> tuple[RateReport, ...]:
-    """Achieved rates under zero forcing at each operating SNR (linear scale).
+def _block_rates(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snrs: np.ndarray) -> np.ndarray:
+    """Each receiver's zero-forcing rate per S-slot block at each of `snrs`, linear
+    positive finite SNRs: an array of shape (snrs, receivers).
 
     Stream power is S*snr*share, the desired gain is the squared projection
     of the rotated column on the combiner times the link magnitude squared,
     and residual interference is exactly nulled, so SINR = 2 * power * gain.
-    The combiners do not depend on the SNR, so one zero-forcing pass, after
-    _snr_values, adds each stream's rates over the grid to its receiver's.
+    The combiners do not depend on the SNR, so one zero-forcing pass adds each
+    stream's rates over the grid to its receiver's.
     """
-    snrs = _snr_values(snrs)
     spec = beamformers.spec
     S = spec.extension
     per_rx = np.zeros((snrs.size, spec.shape[0]))
@@ -113,13 +102,15 @@ def rate_reports(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snrs
             share = 1.0 / len(spec.stream_rx[t])
             sinr = S * snrs * share * channel.magnitude[rx, t] ** 2 * gain ** 2 / NOISE_VAR_PER_REAL_DIM
             per_rx[:, rx] += 0.5 * np.log2(1.0 + sinr)
-    return tuple(RateReport(spec.tag, float(snr), S, tuple(float(x) / S for x in row), float(row.sum()) / S)
-                 for snr, row in zip(snrs, per_rx))
+    return per_rx
 
 
 def sum_rate(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snr: float) -> RateReport:
-    """Achieved rates under zero forcing at one operating SNR (linear scale)."""
-    return rate_reports(beamformers, channel, (snr,))[0]
+    """Achieved rates under zero forcing at one operating SNR (linear scale),
+    per complex channel use."""
+    S = beamformers.spec.extension
+    (row,) = _block_rates(beamformers, channel, np.array([_snr_value(snr)]))
+    return RateReport(tuple(float(x) / S for x in row), float(row.sum()) / S)
 
 
 @dataclass(frozen=True)
@@ -145,7 +136,9 @@ def validate_snr_grid(snr_grid_db) -> np.ndarray:
     to stay in floating range, high enough that the log(1+x) curvature has
     died out.
     """
-    grid = _vector(snr_grid_db, "snr grid")
+    grid = np.asarray(snr_grid_db, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"snr grid must be a non-empty 1-d sequence, got shape {grid.shape}")
     if grid.size < 4:
         raise ValueError("snr grid needs at least 4 points")
     bad = np.flatnonzero(~np.isfinite(grid))
@@ -163,21 +156,23 @@ def _db_to_linear(grid_db) -> list[float]:
     return [10.0 ** (db / 10.0) for db in grid_db]
 
 
-def fit_dof(snr_grid_db, sum_rates, per_user_rates) -> DofEstimate:
+def fit_dof(snr_grid_db, block_rates, extension=1) -> DofEstimate:
     """Least-squares line through sum rates against log2(snr); the slope is
-    the DoF estimate.  The secant over the top two grid points comes along as
-    a check on it.  `per_user_rates` holds, per grid point, the per-user rates
-    whose sum is that point's sum rate; it is kept, not refitted.  The grid is
-    taken as already validated."""
+    the DoF estimate.  `block_rates` holds, per grid point, each user's rate
+    per block of `extension` slots; divided by it, they are the per-user rates
+    the `DofEstimate` keeps, and their sums the sum rates it fits.  The secant
+    over the top two grid points comes along as a check on the slope.  The
+    grid is taken as already validated."""
     grid_db = np.asarray(snr_grid_db, dtype=float)
+    rows = np.asarray(block_rates, dtype=float)
     x = grid_db / 10.0 * np.log2(10.0)
-    y = np.asarray(sum_rates)
+    y = rows.sum(axis=1) / extension
     slope, intercept = np.polyfit(x, y, 1)
     fit = slope * x + intercept
     rms = float(np.sqrt(np.mean((fit - y) ** 2)))
     secant = float((y[-1] - y[-2]) / (x[-1] - x[-2]))
     return DofEstimate(tuple(float(g) for g in grid_db), tuple(float(r) for r in y),
-                       tuple(tuple(float(r) for r in row) for row in per_user_rates),
+                       tuple(tuple(float(r) for r in row) for row in rows / extension),
                        float(slope), float(intercept), rms, secant)
 
 
@@ -194,8 +189,8 @@ def estimate_dof(
     """
     grid = validate_snr_grid(snr_grid_db)
     beamformers = builder(channel, seed)
-    reports = rate_reports(beamformers, channel, _db_to_linear(grid))
-    return fit_dof(grid, [r.sum_rate for r in reports], [r.per_receiver for r in reports])
+    return fit_dof(grid, _block_rates(beamformers, channel, np.array(_db_to_linear(grid))),
+                   beamformers.spec.extension)
 
 
 def baseline_rate_profile(channel: ComplexChannelMatrix, snr: float) -> np.ndarray:
@@ -207,14 +202,14 @@ def baseline_rate_profile(channel: ComplexChannelMatrix, snr: float) -> np.ndarr
     alone, and returns the winning mode's rate vector.  An snr that would
     overflow the lone user's rate overflows the full-power mode first.
     """
-    _snr_values((snr,))
+    snr = _snr_value(snr)
     if channel.num_rx != channel.num_tx:
         raise ValueError("the per-symbol baseline needs a square channel")
     k = channel.num_tx
-    p = np.full(k, float(snr))
+    p = np.full(k, snr)
     g = channel.magnitude ** 2
     full = np.empty(k)
-    with _overflow_guard(f"snr {float(snr)!r}"):
+    with _overflow_guard(f"snr {snr!r}"):
         for rx in range(k):
             interference = float(g[rx] @ p) - g[rx, rx] * p[rx]
             full[rx] = np.log2(1.0 + g[rx, rx] * p[rx] / (2 * NOISE_VAR_PER_REAL_DIM + interference))
@@ -225,6 +220,7 @@ def baseline_rate_profile(channel: ComplexChannelMatrix, snr: float) -> np.ndarr
 
 
 def estimate_baseline_dof(channel: ComplexChannelMatrix, snr_grid_db=DEFAULT_SNR_GRID_DB) -> DofEstimate:
+    """Least-squares slope of the per-symbol baseline's sum rate against
+    log2(snr) over a dB grid: `baseline_rate_profile` at each grid point."""
     grid = validate_snr_grid(snr_grid_db)
-    profiles = [baseline_rate_profile(channel, snr) for snr in _db_to_linear(grid)]
-    return fit_dof(grid, [float(p.sum()) for p in profiles], profiles)
+    return fit_dof(grid, [baseline_rate_profile(channel, snr) for snr in _db_to_linear(grid)])

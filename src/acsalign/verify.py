@@ -85,21 +85,13 @@ class ConditionReport:
     records: tuple[ConditionRecord, ...]
 
     @property
-    def all_satisfied(self) -> bool:
-        return all(r.satisfied for r in self.records)
-
-    @property
     def failed(self) -> tuple[str, ...]:
         return tuple(r.cid for r in self.records if not r.satisfied)
-
-    @property
-    def satisfied_ids(self) -> tuple[str, ...]:
-        return tuple(r.cid for r in self.records if r.satisfied)
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "all_satisfied": self.all_satisfied,
+            "all_satisfied": not self.failed,
             "conditions": [r.to_dict() for r in self.records],
         }
 
@@ -353,7 +345,7 @@ def demonstrate_containment(channel: ComplexChannelMatrix, seed: int) -> Contain
     phase-alignment scheme needs, and there the containment genuinely fails.
     """
     _require_shape(channel, (3, 3), "containment demo")
-    if "closure" in check_conditions(channel, "phase-align").satisfied_ids:
+    if "closure" not in check_conditions(channel, "phase-align").failed:
         raise DegenerateAnglesError(
             "cyclic phase sum sits on a multiple of pi; the containment construction degenerates"
         )

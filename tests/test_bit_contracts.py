@@ -5,10 +5,12 @@ stacked batch, and the recorded sweep digests hold only because each stacked
 operation gives, per candidate, exactly the bits of the one-at-a-time
 operation it replaces.  Likewise the rate layer adds each stream's rate into
 its receiver's column inside the zero-forcing pass, and must give the bits of
-the transmitter-major sums.  Each identity gets its own test here, so a change
-in the numerical stack (numpy, its BLAS or LAPACK) fails at the named contract
-rather than as an opaque digest mismatch.  Every comparison is np.array_equal
-or ==, never a tolerance.
+the transmitter-major sums; and the slope fit, which sums and divides every
+grid point's rates at once, must give the bits of the per-point sums.  Each
+identity gets its own test here, so a change in the numerical stack (numpy,
+its BLAS or LAPACK) fails at the named contract rather than as an opaque
+digest mismatch.  Every comparison is np.array_equal or ==, never a
+tolerance.
 """
 
 import numpy as np
@@ -17,8 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acsalign import schemes
-from acsalign.channel import ComplexChannelMatrix, construct_special_channel
-from acsalign.rates import DEFAULT_SNR_GRID_DB, NOISE_VAR_PER_REAL_DIM, _db_to_linear, rate_reports
+from acsalign.channel import ComplexChannelMatrix, construct_special_channel, sample_channel
+from acsalign.rates import (
+    DEFAULT_SNR_GRID_DB,
+    NOISE_VAR_PER_REAL_DIM,
+    _block_rates,
+    _db_to_linear,
+    baseline_rate_profile,
+    estimate_baseline_dof,
+    estimate_dof,
+)
 from acsalign.schemes import (
     CANDIDATE_DRAWS,
     SCHEME_TAGS,
@@ -118,8 +128,8 @@ def test_stacked_derivations_are_the_per_candidate_products(tag):
                 assert np.array_equal(columns[pair.dropped][d], block[:, k])
 
 
-def _transmitter_major_rates(bf, chn, snrs: np.ndarray) -> list[tuple[tuple[float, ...], float]]:
-    """Per grid point, (per_receiver, sum_rate) computed apart from the pass:
+def _transmitter_major_block(bf, chn, snrs: np.ndarray) -> np.ndarray:
+    """Per grid point, each receiver's block rate computed apart from the pass:
     combiners and gains solved into a dict keyed by (tx, column), then gains,
     power shares and link gains gathered in transmitter order into arrays,
     one SINR and rate block over grid points x streams, summed by receiver."""
@@ -142,21 +152,47 @@ def _transmitter_major_rates(bf, chn, snrs: np.ndarray) -> list[tuple[tuple[floa
     block = np.zeros((snrs.size, spec.shape[0]))
     for k, (_, _, rx) in enumerate(streams):
         block[:, rx] += rate[:, k]
-    return [(tuple(float(x) / S for x in row), float(row.sum()) / S) for row in block]
+    return block
 
 
 GRID_21_DB = tuple(60 + 2.5 * i for i in range(21))
 
 
-@pytest.mark.parametrize("tag", SCHEME_TAGS)
-def test_rates_added_up_in_the_zero_forcing_pass_are_the_transmitter_major_sums(tag):
+def _rated_sets(tag):
+    """(seed, channel, beamformers) for three seeds of `tag`."""
     for seed in range(3):
         if scheme_spec(tag).sampleable:
             chn = sample_feasible_channel(tag, seed)
         else:
             chn = construct_special_channel("phase-example")
-        bf = build_scheme(tag, chn, seed)
+        yield seed, chn, build_scheme(tag, chn, seed)
+
+
+@pytest.mark.parametrize("tag", SCHEME_TAGS)
+def test_rates_added_up_in_the_zero_forcing_pass_are_the_transmitter_major_sums(tag):
+    for _, chn, bf in _rated_sets(tag):
         for grid in (DEFAULT_SNR_GRID_DB, GRID_21_DB):
             snrs = np.array(_db_to_linear(grid))
-            reports = rate_reports(bf, chn, snrs)
-            assert [(r.per_receiver, r.sum_rate) for r in reports] == _transmitter_major_rates(bf, chn, snrs)
+            assert np.array_equal(_block_rates(bf, chn, snrs), _transmitter_major_block(bf, chn, snrs))
+
+
+@pytest.mark.parametrize("tag", SCHEME_TAGS)
+def test_the_fits_sums_are_the_per_row_sums(tag):
+    # The fit divides and sums all grid points at once; each value must be the
+    # one a per-point report gives, float(row.sum()) / S and float(x) / S.
+    for seed, chn, bf in _rated_sets(tag):
+        S = bf.spec.extension
+        for grid in (DEFAULT_SNR_GRID_DB, GRID_21_DB):
+            block = _block_rates(bf, chn, np.array(_db_to_linear(grid)))
+            est = estimate_dof(lambda ch, s: bf, chn, seed, grid)
+            assert est.sum_rates == tuple(float(row.sum()) / S for row in block)
+            assert est.per_user_rates == tuple(tuple(float(x) / S for x in row) for row in block)
+
+
+def test_the_baseline_fits_sums_are_the_profile_sums():
+    for chn in [construct_special_channel("phase-example")] + [sample_channel(seed, 3, 3) for seed in range(10)]:
+        for grid in (DEFAULT_SNR_GRID_DB, GRID_21_DB):
+            profiles = [baseline_rate_profile(chn, snr) for snr in _db_to_linear(grid)]
+            est = estimate_baseline_dof(chn, grid)
+            assert est.sum_rates == tuple(float(p.sum()) for p in profiles)
+            assert est.per_user_rates == tuple(tuple(float(r) for r in p) for p in profiles)

@@ -18,10 +18,10 @@ from acsalign.channel import (
 from acsalign.rates import (
     DEFAULT_SNR_GRID_DB,
     RankDeficientReceiverError,
+    RateReport,
     baseline_rate_profile,
     estimate_dof,
     fit_dof,
-    rate_reports,
     sum_rate,
     validate_snr_grid,
 )
@@ -91,7 +91,7 @@ GRID_21 = tuple(10.0 ** ((60 + 2.5 * i) / 10.0) for i in range(21))
 
 
 @pytest.mark.parametrize("tag", SCHEME_TAGS)
-def test_rate_reports_solve_once_and_match_per_point_sum_rate(tag, monkeypatch):
+def test_block_rates_solve_once_and_match_per_point_sum_rate(tag, monkeypatch):
     if tag == "phase-align":
         chn = construct_special_channel("phase-example")
     else:
@@ -106,47 +106,43 @@ def test_rate_reports_solve_once_and_match_per_point_sum_rate(tag, monkeypatch):
         return real_stack(beamformers, channel, rx)
 
     monkeypatch.setattr(verify, "receiver_stack", counting_stack)
-    reports = rate_reports(bf, chn, GRID_21)
+    block = rates._block_rates(bf, chn, np.array(GRID_21))
     assert sorted(calls) == list(range(bf.spec.shape[0]))
     monkeypatch.undo()
-    assert reports == tuple(sum_rate(bf, chn, snr) for snr in GRID_21)
+    S = bf.spec.extension
+    for snr, row in zip(GRID_21, block):
+        assert sum_rate(bf, chn, snr) == RateReport(tuple(float(x) / S for x in row), float(row.sum()) / S)
 
 
 def test_invalid_snr_is_rejected(monkeypatch):
     chn = sample_feasible_channel("acs-ic3", 0)
     bf = build_acs_ic3(chn, seed=0)
     for bad in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"snr must be positive and finite, got {bad!r}")):
             sum_rate(bf, chn, bad)
-        for pos in (0, 3, 5):
-            grid = [1e6, 1e7, 1e8, 1e9, 1e10, 1e11]
-            grid[pos] = bad
-            with pytest.raises(ValueError, match="positive and finite"):
-                rate_reports(bf, chn, grid)
     # A finite snr so large that the SINR product overflows is rejected by name,
     # not returned as an infinite rate.
     with pytest.raises(ValueError, match=r"rate arithmetic overflows at snr 1e\+308"):
         sum_rate(bf, chn, 1e308)
+    # Over a grid, the overflow names its largest snr.
     with pytest.raises(ValueError, match=r"rate arithmetic overflows at snr 1e\+308"):
-        rate_reports(bf, chn, [1e6, 1e308])
-    # Anything but a non-empty 1-d sequence is rejected before zero forcing runs.
+        rates._block_rates(bf, chn, np.array([1e6, 1e308]))
+    # Anything but one number is rejected by its shape before zero forcing runs.
     def no_zero_forcing(*args):
         raise AssertionError("zero forcing ran")
 
     monkeypatch.setattr(rates, "_zf_solve", no_zero_forcing)
-    for snrs, shape in (([], (0,)), (1e6, ()), ([[1e6, 1e7]], (1, 2))):
-        with pytest.raises(ValueError, match=re.escape(f"snrs must be a non-empty 1-d sequence, got shape {shape}")):
-            rate_reports(bf, chn, snrs)
-    with pytest.raises(ValueError, match="non-empty 1-d sequence"):
-        sum_rate(bf, chn, [])
+    for snr, shape in (([], (0,)), ([1e6], (1,)), ([[1e6]], (1, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"snr must be one number, got shape {shape}")):
+            sum_rate(bf, chn, snr)
 
 
 @pytest.mark.parametrize("idx,rx", [(1, 0), (4, 1), (6, 2)])
 def test_rank_deficient_receiver_is_reported(idx, rx):
     chn = construct_special_channel(f"acs-violating-{idx}")
     bf = build_acs_ic3(chn, seed=3, check=False)
-    # Solving and adding up are one loop in rate_reports: it reports the same receiver.
-    for call in (lambda: list(rates._zf_solve(bf, chn)), lambda: rate_reports(bf, chn, DEFAULT_SNR_GRID_DB),
+    # Solving and adding up are one loop in _block_rates: it reports the same receiver.
+    for call in (lambda: list(rates._zf_solve(bf, chn)), lambda: estimate_dof(lambda ch, s: bf, chn, 0),
                  lambda: sum_rate(bf, chn, 1e6)):
         with pytest.raises(RankDeficientReceiverError) as exc:
             call()
@@ -221,7 +217,7 @@ def _verdict_cases():
 
 def test_builder_rates_and_independence_margin_read_one_verdict():
     seen = set()
-    snrs = [10.0 ** (db / 10.0) for db in DEFAULT_SNR_GRID_DB]
+    snrs = np.array([10.0 ** (db / 10.0) for db in DEFAULT_SNR_GRID_DB])
     for tag, chn in _verdict_cases():
         bf = build_scheme(tag, chn, seed=0, check=False)
         statuses = [r.status for r in independence_margin(bf, chn).receivers]
@@ -229,11 +225,11 @@ def test_builder_rates_and_independence_margin_read_one_verdict():
         failing = [rx for rx, status in enumerate(statuses) if status != "independent"]
         if failing:
             with pytest.raises(RankDeficientReceiverError) as exc:
-                rate_reports(bf, chn, snrs)
+                rates._block_rates(bf, chn, snrs)
             assert exc.value.rx == failing[0], (tag, statuses)
             assert statuses[failing[0]] in str(exc.value)
         else:
-            assert len(rate_reports(bf, chn, snrs)) == len(snrs)
+            assert rates._block_rates(bf, chn, snrs).shape == (len(snrs), bf.spec.shape[0])
         if SCHEMES[tag].gate(chn)[1]:
             continue
         # Past the feasibility conditions, the builder's conditioning gate
@@ -264,6 +260,8 @@ def test_baseline_input_validation():
     for snr in (np.nan, np.inf):
         with pytest.raises(ValueError, match="snr must be positive and finite"):
             baseline_rate_profile(chn, snr)
+    with pytest.raises(ValueError, match=re.escape("snr must be one number, got shape (1,)")):
+        baseline_rate_profile(chn, [1e6])
     wide = ComplexChannelMatrix(np.ones((2, 4)), np.zeros((2, 4)))
     with pytest.raises(ValueError, match="the per-symbol baseline needs a square channel"):
         baseline_rate_profile(wide, 1.0)
@@ -315,7 +313,7 @@ def test_slope_estimate_on_one_channel():
 
 def test_fit_on_exactly_linear_rates_is_asymptotic():
     rates = [1.2 * db / 10.0 * np.log2(10.0) - 3.0 for db in DEFAULT_SNR_GRID_DB]
-    est = fit_dof(DEFAULT_SNR_GRID_DB, rates, [(r,) for r in rates])
+    est = fit_dof(DEFAULT_SNR_GRID_DB, [(r,) for r in rates])
     assert est.per_user_rates == tuple((r,) for r in rates)
     assert est.secant == pytest.approx(est.slope, abs=1e-12)
     assert est.slope == pytest.approx(1.2, abs=1e-12)
