@@ -186,7 +186,8 @@ class ComplexChannelMatrix:
         """Lifted link rotations for `extension` slots, one read-only array of
         shape (num_rx, num_tx, 2S, 2S): entry [rx][tx] is the (rx, tx) link's
         2S x 2S matrix.  Built by one ExtendedRotation over the phase grid on
-        first use for each extension and kept with the channel."""
+        first use for each extension, or kept from the block of trials a build
+        rotated the channel in, and kept with the channel."""
         return self._derived(("rotations", extension), lambda: ExtendedRotation(self.phase, extension).matrix)
 
 

@@ -170,51 +170,82 @@ def _record(scheme: str, seed: int, kind: str, snr_db, total, per_user, **fields
             "per_user_rates": per_user, "record": kind, **fields}
 
 
-def _sweep_trial(scheme: str, grid, fixed, trial_seed: int) -> list[dict]:
-    """One trial, module level so worker processes can unpickle it.
+# How many trials a sweep runs through each stage together: one numpy call per
+# stage and block.  Larger blocks save little more and cost memory.
+TRIAL_BLOCK = 4
 
-    Trial i draws its channel from seed master+i (redrawn away from the
-    degenerate set for the randomized schemes) and reuses the same seed for
-    the free beamformer columns.  Its records are the library's estimate: one
-    rate record per grid point and a closing dof record; a fit that is not
-    asymptotic says so in the dof record's reason.
-    """
-    from .rates import estimate_baseline_dof, estimate_dof
-    from .schemes import SCHEMES, build_scheme
+
+def _trial_records(scheme: str, seed: int, outcome) -> list[dict]:
+    """One trial's records: a skip record for an InfeasibleChannelError, else
+    the estimate's one rate record per grid point and a closing dof record; a
+    fit that is not asymptotic says so in the dof record's reason."""
     from .verify import InfeasibleChannelError
 
-    try:
-        channel = fixed if fixed is not None else SCHEMES[scheme].sample(trial_seed)
-        if scheme == "baseline":
-            est = estimate_baseline_dof(channel, grid)
-        else:
-            est = estimate_dof(partial(build_scheme, scheme), channel, trial_seed, grid)
-    except InfeasibleChannelError as exc:
-        return [_record(scheme, trial_seed, "skip", None, None, None, reason=str(exc))]
-    records = [_record(scheme, trial_seed, "rate", db, total, per_user)
-               for db, total, per_user in zip(est.snr_grid_db, est.sum_rates, est.per_user_rates)]
-    fit = {"slope": est.slope, "intercept": est.intercept, "rms_residual": est.rms_residual}
-    if not est.asymptotic:
-        fit["reason"] = (f"fit: slope {est.slope:.4f} strays from the top-grid secant "
-                         f"{est.secant:.4f}; the grid has not reached the asymptotic regime")
-    records.append(_record(scheme, trial_seed, "dof", None, None, None, **fit))
+    if isinstance(outcome, InfeasibleChannelError):
+        return [_record(scheme, seed, "skip", None, None, None, reason=str(outcome))]
+    records = [_record(scheme, seed, "rate", db, total, per_user)
+               for db, total, per_user in zip(outcome.snr_grid_db, outcome.sum_rates, outcome.per_user_rates)]
+    fit = {"slope": outcome.slope, "intercept": outcome.intercept, "rms_residual": outcome.rms_residual}
+    if not outcome.asymptotic:
+        fit["reason"] = (f"fit: slope {outcome.slope:.4f} strays from the top-grid secant "
+                         f"{outcome.secant:.4f}; the grid has not reached the asymptotic regime")
+    records.append(_record(scheme, seed, "dof", None, None, None, **fit))
     return records
 
 
-def _write_sweep(trials, args: argparse.Namespace) -> int:
-    """Write each trial's records as the trial comes in, flushed at its end.
-    The output opens only once the first trial is in, so a sweep whose first
-    trial raises writes nothing."""
-    trials = iter(trials)
-    first = next(trials)
+def _sweep_block(scheme: str, grid, fixed, seeds: range) -> list[list[dict]]:
+    """A block of trials, module level so worker processes can unpickle it:
+    each trial's records, in seed order.
+
+    Trial i draws its channel from seed i (redrawn away from the degenerate
+    set for the randomized schemes) and reuses the same seed for the free
+    beamformer columns.  Sampling and the gate stay per trial; the trials
+    whose channels are in go through the library's block estimate together,
+    and a trial that its sampler, gate or conditioning refuses gets a skip
+    record while its neighbours go on.
+    """
+    from .rates import _estimate_block, estimate_baseline_dof
+    from .schemes import SCHEMES
+    from .verify import InfeasibleChannelError
+
+    spec = SCHEMES[scheme]
+    outcomes, channels = {}, {}
+    for seed in seeds:
+        try:
+            channels[seed] = fixed if fixed is not None else spec.sample(seed)
+        except InfeasibleChannelError as exc:
+            outcomes[seed] = exc
+    if scheme == "baseline":
+        outcomes.update((seed, estimate_baseline_dof(channel, grid)) for seed, channel in channels.items())
+    elif channels:
+        outcomes.update(zip(channels, _estimate_block(spec, list(channels.values()), list(channels), grid)))
+    return [_trial_records(scheme, seed, outcomes[seed]) for seed in seeds]
+
+
+def _blocks(seeds: range) -> list[range]:
+    return [seeds[i:i + TRIAL_BLOCK] for i in range(0, len(seeds), TRIAL_BLOCK)]
+
+
+def _sweep_run(block, seeds: range) -> list[list[list[dict]]]:
+    """A worker's contiguous run of trials, walked in blocks by `block`."""
+    return [block(part) for part in _blocks(seeds)]
+
+
+def _write_sweep(blocks, args: argparse.Namespace) -> int:
+    """Write each block's records as the block comes in, flushed at its end.
+    The output opens only once the first block is in, so a sweep whose first
+    block raises writes nothing."""
+    blocks = iter(blocks)
+    first = next(blocks)
     produced = False
     with _emit(args.out) as fh:
         write = _record_writer(fh, args.format)
-        for records in chain([first], trials):
-            for record in records:
-                write(record)
+        for block in chain([first], blocks):
+            for records in block:
+                for record in records:
+                    write(record)
+                produced = produced or records[-1]["record"] == "dof"
             fh.flush()
-            produced = produced or records[-1]["record"] == "dof"
     return 0 if produced else 1
 
 
@@ -229,20 +260,22 @@ def run_sweep(args: argparse.Namespace) -> int:
     fixed = None
     if args.special is not None or args.channel_file is not None or args.channel_seed is not None:
         fixed = _resolve_channel(args, scheme_spec(scheme).sample)
-    trial = partial(_sweep_trial, scheme, args.snr_grid, fixed)
+    block = partial(_sweep_block, scheme, args.snr_grid, fixed)
     seeds = range(args.master_seed, args.master_seed + args.trials)
     # A fork-started pool launches every worker up front: no more than one per trial.
     workers = min(args.workers, args.trials)
     if workers > 1:
         # The pool's modules (multiprocessing and its kin) load only here and
         # after numpy, which in the other order peaks higher in memory; each
-        # worker gets one contiguous block of trials, and pool.map, like map,
-        # yields the trials in seed order.
+        # worker gets one contiguous run of trials, which it walks in blocks,
+        # and pool.map, like map, yields the runs in seed order.
         from concurrent.futures import ProcessPoolExecutor
 
+        size = -(-args.trials // workers)
+        runs = [seeds[i:i + size] for i in range(0, args.trials, size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _write_sweep(pool.map(trial, seeds, chunksize=-(-args.trials // workers)), args)
-    return _write_sweep(map(trial, seeds), args)
+            return _write_sweep(chain.from_iterable(pool.map(partial(_sweep_run, block), runs)), args)
+    return _write_sweep(map(block, _blocks(seeds)), args)
 
 
 # -- bound --------------------------------------------------------------------

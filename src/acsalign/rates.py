@@ -17,8 +17,8 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 from . import _exports
 from .channel import ComplexChannelMatrix
-from .schemes import BeamformerSet
-from .verify import _receivers
+from .schemes import BeamformerSet, SchemeSpec, _build_block
+from .verify import _receivers, _verdict
 
 __all__ = _exports(__name__)
 
@@ -27,9 +27,8 @@ DEFAULT_SNR_GRID_DB = (60.0, 70.0, 80.0, 90.0, 100.0, 110.0)
 NOISE_VAR_PER_REAL_DIM = 0.5
 
 # numpy's private stacked least-squares gufunc (LAPACK gelsd), which
-# np.linalg.lstsq calls on one matrix at a time: numpy 2 names it lstsq, numpy
-# 1.x lstsq_n for the tall matrices solved here.  Pinned by a bit contract.
-_LSTSQ = getattr(_umath_linalg, "lstsq", None) or _umath_linalg.lstsq_n
+# np.linalg.lstsq calls on one matrix at a time.  Pinned by a bit contract.
+_LSTSQ = _umath_linalg.lstsq
 
 # A fitted slope further than this from the secant over the top two grid points
 # was not fitted in the asymptotic regime: two thirds of the acceptance suite's
@@ -68,29 +67,38 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _LSTSQ(a, b, np.finfo(float).eps * max(a.shape[-2:]), signature="ddd->ddid")[0]
 
 
-def _zf_solve(beamformers: BeamformerSet, channel: ComplexChannelMatrix):
-    """The one pass over desired streams, receiver by receiver: `(rx, unit combiners,
-    gains on their own images)`, a row and an entry per desired stream in
-    desired_streams order.  A receiver that verify's verdict does not call
-    independent raises RankDeficientReceiverError; at any other, no residual is
-    below the stack's smallest singular value.
+def _zf_solve(spec: SchemeSpec, receivers):
+    """The one pass over desired streams of a block of trials, receiver by
+    receiver: `(rx, unit combiners (trials, d, rows), gains on their own images
+    (trials, d))`, a row and an entry per desired stream in desired_streams
+    order.  `receivers` holds the block's receiver stacks and their singular
+    values in verify's per-receiver form.  A receiver that verify's verdict does
+    not call independent raises RankDeficientReceiverError, for the first trial
+    and receiver in that order; at any other, no residual is below the stack's
+    smallest singular value.
 
     Stream j's combiner is its own image less the least-squares fit of the other
-    columns.  A receiver's d solves are one stacked gelsd call (see _lstsq) on
-    C-contiguous copies made by index array, and its residuals, norms and gains
-    are stacked matmuls: the bits of one np.linalg.lstsq, matvec and dot product
-    per stream on np.delete copies."""
-    for rx, stack, d, svals, verdict in _receivers(beamformers, channel):
-        if verdict != "independent":
-            raise RankDeficientReceiverError(rx, f"its stack is {verdict}, smallest singular value {svals.min():.3g}")
-        rows, n = stack.shape
-        # others[j] is the stack without column j.
+    columns.  A receiver's solves over the block are one stacked gelsd call (see
+    _lstsq) on C-contiguous copies made by an index array on every axis, and
+    its residuals, norms and gains are stacked matmuls: the bits of one
+    np.linalg.lstsq, matvec and dot product per trial and stream on np.delete
+    copies."""
+    for trial in zip(*(svals for _, svals in receivers)):
+        for rx, svals in enumerate(trial):
+            verdict = _verdict(float(svals.min()))
+            if verdict != "independent":
+                raise RankDeficientReceiverError(rx, f"its stack is {verdict}, smallest singular value {svals.min():.3g}")
+    for rx, (stack, _) in enumerate(receivers):
+        trials, rows, n = stack.shape
+        d = len(spec.desired_streams(rx))
+        # others[i, j] is trial i's stack without column j.
         k = np.arange(n - 1)
-        others = stack[np.arange(rows)[:, None], k + (k >= np.arange(d)[:, None, None])]
-        own = stack[:, :d].T.copy()[..., None]
+        others = stack[np.arange(trials)[:, None, None, None], np.arange(rows)[:, None],
+                       k + (k >= np.arange(d)[:, None, None])]
+        own = np.ascontiguousarray(np.swapaxes(stack[..., :d], -1, -2))[..., None]
         w = own - np.matmul(others, _lstsq(others, own))
         w = w / np.sqrt(np.matmul(np.swapaxes(w, -1, -2), w))
-        yield rx, w[..., 0], np.matmul(np.swapaxes(w, -1, -2), own)[:, 0, 0]
+        yield rx, w[..., 0], np.matmul(np.swapaxes(w, -1, -2), own)[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -109,39 +117,46 @@ def _snr_value(snr) -> float:
     return float(value)
 
 
-def _block_rates(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snrs: np.ndarray) -> np.ndarray:
+def _block_rates(spec: SchemeSpec, magnitudes: np.ndarray, receivers, snrs: np.ndarray) -> np.ndarray:
     """Each receiver's zero-forcing rate per S-slot block at each of `snrs`, linear
-    positive finite SNRs: an array of shape (snrs, receivers).
+    positive finite SNRs, for a block of trials: an array of shape (trials, snrs,
+    receivers).  `magnitudes` holds the trials' link magnitudes, (trials, num_rx,
+    num_tx), and `receivers` their receiver stacks (see _zf_solve).
 
     Stream power is S*snr*share, the desired gain is the squared projection
     of the rotated column on the combiner times the link magnitude squared,
     and residual interference is exactly nulled, so SINR = 2 * power * gain.
     The combiners do not depend on the SNR, so one zero-forcing pass gives each
-    receiver one SINR block over the grid and its streams.  The squares are
-    libm's pow, the bits of a per-stream `x ** 2`, which numpy's array square
-    can miss in the last place; the stream rates are added in desired order,
-    which a sum over the axis would reassociate.
+    receiver one SINR block over the trials, the grid and its streams.  The
+    squares are libm's pow, the bits of a per-stream `x ** 2`, which numpy's
+    array square can miss in the last place; the stream rates are added in
+    desired order, which a sum over the axis would reassociate.
     """
-    spec = beamformers.spec
     S = spec.extension
-    per_rx = np.zeros((snrs.size, spec.shape[0]))
+    per_rx = np.zeros((len(magnitudes), snrs.size, spec.shape[0]))
     with _overflow_guard(f"snr {float(snrs.max())!r}"):
-        for rx, _, gains in _zf_solve(beamformers, channel):
+        for rx, _, gains in _zf_solve(spec, receivers):
             tx = [t for t, _ in spec.desired_streams(rx)]
             share = np.array([1.0 / len(spec.stream_rx[t]) for t in tx])
-            link = np.float_power(channel.magnitude[rx, tx], 2)
-            sinr = S * snrs[:, None] * share * link * np.float_power(gains, 2) / NOISE_VAR_PER_REAL_DIM
+            link = np.float_power(magnitudes[:, rx, tx], 2)[:, None]
+            sinr = S * snrs[:, None] * share * link * np.float_power(gains, 2)[:, None] / NOISE_VAR_PER_REAL_DIM
             rates = 0.5 * np.log2(1.0 + sinr)
             for j in range(len(tx)):
-                per_rx[:, rx] += rates[:, j]
+                per_rx[..., rx] += rates[..., j]
     return per_rx
+
+
+def _set_rates(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snrs: np.ndarray) -> np.ndarray:
+    """_block_rates of one set on one channel, (snrs, receivers): a block of one
+    whose stacks come from the set's columns."""
+    return _block_rates(beamformers.spec, channel.magnitude[None], _receivers(beamformers, channel), snrs)[0]
 
 
 def sum_rate(beamformers: BeamformerSet, channel: ComplexChannelMatrix, snr: float) -> RateReport:
     """Achieved rates under zero forcing at one operating SNR (linear scale),
     per complex channel use."""
     S = beamformers.spec.extension
-    (row,) = _block_rates(beamformers, channel, np.array([_snr_value(snr)]))
+    (row,) = _set_rates(beamformers, channel, np.array([_snr_value(snr)]))
     return RateReport(tuple(float(x) / S for x in row), float(row.sum()) / S)
 
 
@@ -221,8 +236,24 @@ def estimate_dof(
     """
     grid = validate_snr_grid(snr_grid_db)
     beamformers = builder(channel, seed)
-    return fit_dof(grid, _block_rates(beamformers, channel, np.array(_db_to_linear(grid))),
-                   beamformers.spec.extension)
+    return fit_dof(grid, _set_rates(beamformers, channel, np.array(_db_to_linear(grid))), beamformers.spec.extension)
+
+
+def _estimate_block(spec: SchemeSpec, channels, seeds, snr_grid_db) -> list:
+    """estimate_dof with spec's builder for a block of trials, trial i on
+    channels[i] from seeds[i]: each trial's DofEstimate, or the
+    InfeasibleChannelError that refused its build, in trial order.  The rates
+    read the stacks and singular values the builder's scoring computed, and the
+    block's rates are one pass; only the slope fit runs trial by trial."""
+    grid = validate_snr_grid(snr_grid_db)
+    outcomes, receivers = _build_block(spec, channels, seeds)
+    built = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, BeamformerSet)]
+    if built:
+        magnitudes = np.stack([channels[i].magnitude for i in built])
+        block = _block_rates(spec, magnitudes, receivers, np.array(_db_to_linear(grid)))
+        for i, rates in zip(built, block):
+            outcomes[i] = fit_dof(grid, rates, spec.extension)
+    return outcomes
 
 
 def baseline_rate_profile(channel: ComplexChannelMatrix, snr: float) -> np.ndarray:

@@ -24,6 +24,8 @@ from .verify import (
     SV_INDEPENDENT,
     ConditionReport,
     InfeasibleChannelError,
+    _factored,
+    _per_receiver,
     _require_shape,
     _stacks,
     _verdict,
@@ -206,54 +208,61 @@ class BeamformerSet:
         return self.matrices[tx][:, col]
 
 
-def _free_columns(spec: SchemeSpec, rng: np.random.Generator, draws: int) -> dict:
-    """Every candidate's free columns, keyed (tx, column), each (draws, 2S).
+def _free_columns(spec: SchemeSpec, seeds, draws: int) -> dict:
+    """Every candidate's free columns for a block of trials, keyed (tx, column),
+    each (trials, draws, 2S).
 
-    One standard_normal call fills all free blocks candidate-major, so candidate
-    i's block (tx, columns) holds the normals a sequential (2S, k) draw per block
-    would.  The blocks of each width then go through one stacked QR, a QR per
-    candidate and block, whose sign is fixed so the draw is reproducible at the
-    bit level.
+    Trial i's draws come from one rng seeded with seeds[i]: one standard_normal
+    call fills all its free blocks candidate-major, so candidate j's block
+    (tx, columns) holds the normals a sequential (2S, k) draw per block would.
+    The blocks of each width, over all trials and candidates, then go through
+    one stacked QR, a QR per trial, candidate and block, whose sign is fixed so
+    the draw is reproducible at the bit level.
     """
+    if not spec.free_blocks:
+        return {}
     dim = 2 * spec.extension
     sizes = [dim * len(cols) for _, cols in spec.free_blocks]
     starts = np.cumsum([0, *sizes[:-1]])
-    normals = rng.standard_normal((draws, sum(sizes)))
+    normals = np.stack([np.random.default_rng(seed).standard_normal((draws, sum(sizes))) for seed in seeds])
     widths: dict[int, list[int]] = {}
     for b, (_, cols) in enumerate(spec.free_blocks):
         widths.setdefault(len(cols), []).append(b)
     columns = {}
     for width, blocks in widths.items():
-        taken = normals[:, starts[blocks][:, None] + np.arange(dim * width)]
-        q, r = np.linalg.qr(taken.reshape(draws, len(blocks), dim, width))
+        taken = normals[..., starts[blocks][:, None] + np.arange(dim * width)]
+        q, r = np.linalg.qr(taken.reshape(len(seeds), draws, len(blocks), dim, width))
         signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
         signs[signs == 0] = 1.0
         q = q * signs[..., None, :]
         for i, b in enumerate(blocks):
             tx, cols = spec.free_blocks[b]
             for k, c in enumerate(cols):
-                columns[tx, c] = q[:, i, :, k]
+                columns[tx, c] = q[..., i, :, k]
     return columns
 
 
-def _derivations(spec: SchemeSpec, phase: np.ndarray) -> list[tuple[np.ndarray, list[AlignmentPair]]]:
-    """Each derivation rotation p[rx, kept_tx] - p[rx, dropped_tx], all built by
-    one ExtendedRotation, with the run of consecutive alignment pairs that
-    shares it."""
+def _derivations(spec: SchemeSpec, phases: np.ndarray) -> list[tuple[np.ndarray, list[AlignmentPair]]]:
+    """Each derivation rotation p[rx, kept_tx] - p[rx, dropped_tx] of every
+    trial of a block, `phases` being the block's (trials, num_rx, num_tx) phase
+    grids, all built by one ExtendedRotation: per run of consecutive alignment
+    pairs sharing a rotation, the block's rotations (trials, 2S, 2S) and the run."""
     pairs = (pair for pair in spec.alignments if not pair.up_to_sign)
     runs = [(key, list(group)) for key, group in groupby(pairs, key=lambda p: (p.rx, p.kept[0], p.dropped[0]))]
     rx, ktx, dtx = np.array([key for key, _ in runs], dtype=int).reshape(-1, 3).T
-    rotations = ExtendedRotation(phase[rx, ktx] - phase[rx, dtx], spec.extension).matrix
-    return [(rot, group) for rot, (_, group) in zip(rotations, runs)]
+    rotations = ExtendedRotation(phases[:, rx, ktx] - phases[:, rx, dtx], spec.extension).matrix
+    return [(rotations[:, i], group) for i, (_, group) in enumerate(runs)]
 
 
 def _derive_columns(derivations: list[tuple[np.ndarray, list[AlignmentPair]]], columns: dict) -> None:
-    """Fill in every dropped column of `columns`, each (draws, 2S), by rotating
-    its kept partner onto the same receive image.  A run of pairs goes through
-    one stacked matmul (a matrix product per candidate) and a lone pair through
-    a matvec per candidate: the built bits, and with them every sweep file,
-    depend on that grouping."""
+    """Fill in every dropped column of `columns`, each (trials, draws, 2S), by
+    rotating its kept partner onto the same receive image with its trial's
+    rotation.  A run of pairs goes through one stacked matmul (a matrix product
+    per trial and candidate) and a lone pair through a matvec per trial and
+    candidate: the built bits, and with them every sweep file, depend on that
+    grouping."""
     for rot, group in derivations:
+        rot = rot[:, None]
         if len(group) == 1:
             columns[group[0].dropped] = np.matmul(rot, columns[group[0].kept][..., None])[..., 0]
             continue
@@ -262,56 +271,91 @@ def _derive_columns(derivations: list[tuple[np.ndarray, list[AlignmentPair]]], c
             columns[pair.dropped] = block[..., k]
 
 
-def _candidates(spec: SchemeSpec, channel: ComplexChannelMatrix, seed: int) -> tuple[dict, np.ndarray]:
-    """All candidate column sets of one build as one stacked batch, and their scores.
+def _candidates(spec: SchemeSpec, channels, seeds) -> tuple[dict, list, np.ndarray]:
+    """All candidate column sets of a block of builds as one stacked batch, their
+    receiver stacks and their scores.
 
-    The columns are keyed (tx, column), each (candidates, 2S): CANDIDATE_DRAWS
-    draws of the free blocks from one rng seeded with `seed`, or the fixed
-    columns once.  A candidate's score is the smallest singular value of any
-    receiver's stacked desired and interference images; receivers whose
-    stacks have the same width share one stacked SVD.
+    Trial i builds on channels[i] from seeds[i].  The columns are keyed
+    (tx, column), each (trials, candidates, 2S): CANDIDATE_DRAWS draws of the
+    free blocks from one rng per trial, or the fixed columns once.  The stacks
+    are verify's factored groups, (members, stacks, singular values), with
+    the same two leading axes.  A candidate's score is the smallest singular
+    value of any receiver's stacked desired and interference images: an array
+    (trials, candidates).  Receivers whose stacks have the same width share one
+    stacked SVD over the block, and every link and derivation rotation of the
+    block comes from one ExtendedRotation each.
     """
+    phases = np.stack([channel.phase for channel in channels])
     draws = CANDIDATE_DRAWS if spec.free_blocks else 1
-    columns = {key: np.tile(col, (draws, 1)) for key, col in spec.fixed_columns}
-    columns.update(_free_columns(spec, np.random.default_rng(seed), draws))
-    _derive_columns(_derivations(spec, channel.phase), columns)
-    stacks = _stacks(lambda t, c: columns[t, c], channel.link_rotations(spec.extension),
-                     [(rx, keys) for rx, (_, keys) in enumerate(spec._layout)])
-    scores = np.min([np.linalg.svd(group, compute_uv=False).min(axis=(-2, -1)) for _, group in stacks], axis=0)
-    return columns, scores
+    columns = {key: np.tile(col, (len(channels), draws, 1)) for key, col in spec.fixed_columns}
+    columns.update(_free_columns(spec, seeds, draws))
+    _derive_columns(_derivations(spec, phases), columns)
+    links = ExtendedRotation(phases, spec.extension).matrix
+    for channel, own in zip(channels, links):
+        # Kept with the channel, so a later reader of the set built on it reuses them.
+        channel._derived(("rotations", spec.extension), lambda: own)
+    groups = _factored(_stacks(lambda t, c: columns[t, c], links,
+                               [(rx, keys) for rx, (_, keys) in enumerate(spec._layout)]))
+    scores = np.min([svals.min(axis=(-2, -1)) for _, _, svals in groups], axis=0)
+    return columns, groups, scores
 
 
-def _build(spec: SchemeSpec, channel: ComplexChannelMatrix, seed: int = 0, check: bool = True) -> BeamformerSet:
-    """Build a scheme from its spec; `check=False` skips the feasibility and
+def _build_block(spec: SchemeSpec, channels, seeds, check: bool = True) -> tuple[list, list]:
+    """Build a scheme from its spec for a block of trials, trial i on
+    channels[i] from seeds[i]; `check=False` skips the feasibility and
     conditioning gates, to probe what happens on channels that violate them.
 
-    All candidates are drawn, derived and scored as one stacked batch (see
-    _candidates) and the first best scored one is kept; a spec with fixed
-    columns has a single candidate.  A channel so close to the degenerate set
-    that verify's verdict on the best score is not "independent" fails the
-    gate.  Only the winner becomes a (validated) BeamformerSet.  The result is
-    deterministic in (channel, seed), and equals, bit for bit, drawing,
-    deriving and scoring the candidates one at a time from a sequential rng;
-    the first candidate reproduces a single plain draw.
+    Returns each trial's outcome, a validated BeamformerSet or the
+    InfeasibleChannelError that refused it, and the built trials' receiver
+    stacks and singular values (verify's per-receiver form, one row per built
+    trial in trial order), which the candidate scoring already computed.  Each
+    trial's gate is its own.  All candidates of the trials past their gates
+    are drawn, derived and scored as one stacked batch (see _candidates) and
+    each trial keeps its first best scored one; a spec with fixed columns has
+    a single candidate.  A channel so close to the degenerate set that
+    verify's verdict on its best score is not "independent" fails the gate,
+    and its neighbours in the block go on.  The result is deterministic in
+    each (channel, seed), and equals, bit for bit, drawing, deriving and
+    scoring the candidates one at a time from a sequential rng; the first
+    candidate reproduces a single plain draw.
     """
     if not spec.stream_rx:
         raise ValueError(f"{spec.tag!r} sends no beamformed streams; only its rates can be swept")
-    _require_shape(channel, spec.shape, spec.tag)
-    failed = spec.gate(channel)[1] if check else ()
-    if failed:
-        raise InfeasibleChannelError(spec.tag, failed)
-    columns, scores = _candidates(spec, channel, seed)
-    best = int(np.argmax(scores))
-    if check and _verdict(float(scores[best])) != "independent":
-        raise InfeasibleChannelError(
-            spec.tag, ("conditioning",),
-            f"smallest receive singular value {scores[best]:.3g} <= {SV_INDEPENDENT:g}",
-        )
-    empty = np.empty((2 * spec.extension, 0))  # the matrix of a transmitter without streams
-    return BeamformerSet(spec, tuple(
-        np.column_stack([columns[t, c][best] for c in range(len(rxs))]) if rxs else empty
-        for t, rxs in enumerate(spec.stream_rx)
-    ))
+    outcomes: list = [None] * len(channels)
+    for i, channel in enumerate(channels):
+        _require_shape(channel, spec.shape, spec.tag)
+        failed = spec.gate(channel)[1] if check else ()
+        if failed:
+            outcomes[i] = InfeasibleChannelError(spec.tag, failed)
+    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if not live:
+        return outcomes, []
+    columns, groups, scores = _candidates(spec, [channels[i] for i in live], [seeds[i] for i in live])
+    best = np.argmax(scores, axis=-1)
+    built = []
+    for j, i in enumerate(live):
+        score = float(scores[j, best[j]])
+        if check and _verdict(score) != "independent":
+            outcomes[i] = InfeasibleChannelError(
+                spec.tag, ("conditioning",), f"smallest receive singular value {score:.3g} <= {SV_INDEPENDENT:g}")
+        else:
+            built.append(j)
+    # The winners' columns, one (trials, 2S, d_t) array per transmitter.
+    take = (np.array(built, dtype=int), best[built])
+    winners = [np.stack([columns[t, c][take] for c in range(len(rxs))], axis=-1) if rxs
+               else np.empty((len(built), 2 * spec.extension, 0)) for t, rxs in enumerate(spec.stream_rx)]
+    for k, j in enumerate(built):
+        outcomes[live[j]] = BeamformerSet(spec, tuple(m[k] for m in winners))
+    return outcomes, _per_receiver([(members, stacks[take], svals[take]) for members, stacks, svals in groups])
+
+
+def _build(spec: SchemeSpec, channel: ComplexChannelMatrix, seed: int = 0, check: bool = True) -> BeamformerSet:
+    """Build a scheme from its spec on one channel: _build_block on a block of
+    one, raising the InfeasibleChannelError that refuses it."""
+    (outcome,), _ = _build_block(spec, [channel], [seed], check)
+    if isinstance(outcome, InfeasibleChannelError):
+        raise outcome
+    return outcome
 
 
 SCHEMES: dict[str, SchemeSpec] = {spec.tag: spec for spec in (

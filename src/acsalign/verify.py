@@ -192,16 +192,17 @@ def _links(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> np.nd
 def _stacks(column, links: np.ndarray, stacks) -> list[tuple[list[int], np.ndarray]]:
     """The receive images of each (rx, keys) entry of `stacks`, the (tx, c)
     streams `keys` seen through receiver rx's links, as the columns of one
-    matrix per entry.
+    matrix per entry, for every trial of a block.
 
-    Entries whose stacks have the same width are made together: per width, the
-    positions of its entries in `stacks` and one C-contiguous array whose
-    [..., i, :, :] is the stack of its i-th entry.  column(tx, c) may carry a
-    leading candidate axis, which the array then carries too.  Every image is
-    links[rx, tx] times the column, one matvec each, all of a width made by a
-    single stacked matmul: an image has the same bits with or without the
-    candidate axis, so candidate scoring and every later reader of the built
-    set agree."""
+    `links` holds the block's link rotations, (B, num_rx, num_tx, 2S, 2S), and
+    column(tx, c) the block's columns, (B, 2S), or (B, candidates, 2S) with a
+    candidate axis, which the stacks then carry too.  Entries whose stacks have
+    the same width are made together: per width, the positions of its entries
+    in `stacks` and one C-contiguous array whose [..., i, :, :] is the stack of
+    its i-th entry.  Every image is its trial's links[rx, tx] times the column,
+    one matvec each, all of a width made by a single stacked matmul: an image
+    has the same bits with or without the block and candidate axes, so
+    candidate scoring, the rate layer and every reader of a built set agree."""
     widths: dict[int, list[int]] = {}
     for i, (_, keys) in enumerate(stacks):
         widths.setdefault(len(keys), []).append(i)
@@ -209,12 +210,19 @@ def _stacks(column, links: np.ndarray, stacks) -> list[tuple[list[int], np.ndarr
     for width, members in widths.items():
         entries = [(stacks[i][0], t, c) for i in members for t, c in stacks[i][1]]
         rx, tx, _ = np.array(entries, dtype=int).T
-        rotations = links[rx, tx].reshape(len(members), width, *links.shape[-2:])
         columns = np.stack([column(t, c) for _, t, c in entries], axis=-2)
-        columns = columns.reshape(*columns.shape[:-2], len(members), width, columns.shape[-1], 1)
+        lead = columns.shape[:-2]
+        rotations = links[np.arange(len(links))[:, None], rx, tx]
+        rotations = rotations.reshape(len(links), *(1,) * (len(lead) - 1), len(members), width, *links.shape[-2:])
+        columns = columns.reshape(*lead, len(members), width, columns.shape[-1], 1)
         images = np.matmul(rotations, columns)[..., 0]
         found.append((members, np.ascontiguousarray(np.swapaxes(images, -1, -2))))
     return found
+
+
+def _set_stacks(beamformers: "BeamformerSet", channel: ComplexChannelMatrix, stacks):
+    """_stacks for one set on one channel: a block of one."""
+    return _stacks(lambda t, c: beamformers.column(t, c)[None], _links(beamformers, channel)[None], stacks)
 
 
 def receiver_stack(
@@ -223,8 +231,8 @@ def receiver_stack(
     """Receiver rx's desired images, then its deduplicated interference basis,
     as columns of one matrix; also how many columns are desired."""
     desired, keys = beamformers.spec._layout[rx]
-    ((_, stack),) = _stacks(beamformers.column, _links(beamformers, channel), [(rx, keys)])
-    return stack[0], len(desired)
+    ((_, stack),) = _set_stacks(beamformers, channel, [(rx, keys)])
+    return stack[0, 0], len(desired)
 
 
 def alignment_residual(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> float:
@@ -235,11 +243,10 @@ def alignment_residual(beamformers: "BeamformerSet", channel: ComplexChannelMatr
     rounding level; a perturbed column shows up at the perturbation scale.
     """
     pairs = beamformers.spec.alignments
-    images = _stacks(beamformers.column, _links(beamformers, channel),
-                     [(pair.rx, (pair.kept, pair.dropped)) for pair in pairs])
+    images = _set_stacks(beamformers, channel, [(pair.rx, (pair.kept, pair.dropped)) for pair in pairs])
     worst = 0.0
     for members, stacks in images:
-        for i, stack in zip(members, stacks):
+        for i, stack in zip(members, stacks[0]):
             left, right = stack.T
             d = float(np.linalg.norm(left - right))
             if pairs[i].up_to_sign:
@@ -296,26 +303,38 @@ def _verdict(smallest: float) -> str:
     return "dependent" if smallest < SV_DEPENDENT else "indeterminate"
 
 
-def _receivers(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> list[tuple]:
-    """Per receiver, in order: (rx, stack, number of desired columns, singular
-    values, verdict).  Receivers whose stacks have the same width share one
-    stacked SVD."""
+def _factored(groups) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Each (members, stacks) group of _stacks with the singular values of its
+    stacks, one stacked SVD per group: (members, stacks, singular values)."""
+    return [(members, stacks, np.linalg.svd(stacks, compute_uv=False)) for members, stacks in groups]
+
+
+def _per_receiver(groups) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The factored groups of a block's receiver stacks, receiver by receiver:
+    (stacks (B, rows, cols), singular values (B, cols)) in receiver order."""
+    found = {rx: (stacks[:, i], svals[:, i]) for members, stacks, svals in groups for i, rx in enumerate(members)}
+    return [found[rx] for rx in range(len(found))]
+
+
+def _receivers(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The set's receiver stacks and their singular values on `channel`, as a
+    block of one (see _per_receiver).  Receivers whose stacks have the same
+    width share one stacked SVD."""
     layout = beamformers.spec._layout
-    found = [None] * len(layout)
-    stacks = _stacks(beamformers.column, _links(beamformers, channel),
-                     [(rx, keys) for rx, (_, keys) in enumerate(layout)])
-    for members, group in stacks:
-        for rx, stack, svals in zip(members, group, np.linalg.svd(group, compute_uv=False)):
-            found[rx] = (rx, stack, len(layout[rx][0]), svals, _verdict(float(svals.min())))
-    return found
+    return _per_receiver(_factored(_set_stacks(beamformers, channel,
+                                               [(rx, keys) for rx, (_, keys) in enumerate(layout)])))
 
 
 def independence_margin(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> IndependenceReport:
     """Stack each receiver's desired images with its deduplicated interference
     basis and judge linear independence by the smallest singular value."""
-    return IndependenceReport(beamformers.spec.tag, tuple(
-        ReceiverIndependence(rx, *stack.shape, svals, _principal_angle(stack[:, :d], stack[:, d:]), verdict)
-        for rx, stack, d, svals, verdict in _receivers(beamformers, channel)))
+    layout = beamformers.spec._layout
+    receivers = []
+    for rx, ((stack,), (svals,)) in enumerate(_receivers(beamformers, channel)):
+        d = len(layout[rx][0])
+        receivers.append(ReceiverIndependence(rx, *stack.shape, svals, _principal_angle(stack[:, :d], stack[:, d:]),
+                                              _verdict(float(svals.min()))))
+    return IndependenceReport(beamformers.spec.tag, tuple(receivers))
 
 
 def solve_phasor_pair(alpha: float, beta: float) -> tuple[float, float]:

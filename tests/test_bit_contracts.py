@@ -1,14 +1,15 @@
 """The numerical identities the stacked builder and rate layer rely on, pinned bit for bit.
 
-A sweep trial makes one numpy call per stage over all the small matrices the
-stage handles: the rotations of all links or derivations, the QRs of all free
-blocks of a width, the stacks and SVDs of all receivers of a width, the
-least-squares solves of all desired streams of a receiver, and one SINR block
-per receiver.  The builder also draws, derives and scores all candidates of
-one build as one stacked batch.  The recorded sweep digests hold only because
-each stacked operation gives, per item, exactly the bits of the one-at-a-time
-operation it replaces; and the slope fit, which sums and divides every grid
-point's rates at once, must give the bits of the per-point sums.  Each
+A sweep runs its trials in blocks, and each stage makes one numpy call per
+block over all the small matrices the stage handles: the rotations of all
+links or derivations, the QRs of all free blocks of a width, the stacks and
+SVDs of all receivers of a width, the least-squares solves of all desired
+streams of a receiver, and one SINR block per receiver.  The builder also
+draws, derives and scores all candidates of each build as one stacked batch.
+The recorded sweep digests hold only because each stacked operation gives,
+per item, exactly the bits of the one-at-a-time operation it replaces, on the
+trial axis as on the others; and the slope fit, which sums and divides every
+grid point's rates at once, must give the bits of the per-point sums.  Each
 identity gets its own test here, so a change in the numerical stack (numpy,
 its BLAS or LAPACK) fails at the named contract rather than as an opaque
 digest mismatch.  Every comparison is np.array_equal or ==, never a
@@ -33,6 +34,7 @@ from acsalign.rates import (
     NOISE_VAR_PER_REAL_DIM,
     _block_rates,
     _db_to_linear,
+    _set_rates,
     baseline_rate_profile,
     estimate_baseline_dof,
     estimate_dof,
@@ -87,6 +89,15 @@ def _built(spec: SchemeSpec):
         yield seed, chn, schemes._build(spec, chn, seed)
 
 
+# A block of trials: five seeds, so no stage's trial axis matches another axis.
+BLOCK_SEEDS = [0, 1, 2, 3, 4]
+
+
+def _block(spec: SchemeSpec) -> tuple[list, list]:
+    """The channels and seeds of BLOCK_SEEDS's trials of `spec`."""
+    return [_channel(spec, seed) for seed in BLOCK_SEEDS], BLOCK_SEEDS
+
+
 def _sequential_block(rng: np.random.Generator, dim: int, cols: int) -> np.ndarray:
     """One free block drawn, QR'd and sign-fixed on its own."""
     q, r = np.linalg.qr(rng.standard_normal((dim, cols)))
@@ -115,9 +126,26 @@ def test_link_and_derivation_rotations_are_the_per_phase_rotations(tag):
         assert links.shape == (*chn.phase.shape, 2 * S, 2 * S) and not links.flags.writeable
         for (rx, tx), phase in np.ndenumerate(chn.phase):
             assert np.array_equal(links[rx][tx], _lifted(phase, S))
-        for rot, group in schemes._derivations(spec, chn.phase):
+        for rot, group in schemes._derivations(spec, chn.phase[None]):
             rx, ktx, dtx = group[0].rx, group[0].kept[0], group[0].dropped[0]
-            assert np.array_equal(rot, _lifted(chn.phase[rx, ktx] - chn.phase[rx, dtx], S))
+            assert np.array_equal(rot[0], _lifted(chn.phase[rx, ktx] - chn.phase[rx, dtx], S))
+
+
+@pytest.mark.parametrize("tag", SCHEMES)
+def test_a_blocks_rotations_are_each_trials_rotations(tag):
+    # All link rotations of a block come from one ExtendedRotation over the
+    # (trials, num_rx, num_tx) phases, and so do all derivation rotations.
+    spec = scheme_spec(tag)
+    channels, _ = _block(spec)
+    phases = np.stack([chn.phase for chn in channels])
+    links = ExtendedRotation(phases, spec.extension).matrix
+    derivations = schemes._derivations(spec, phases)
+    for i, chn in enumerate(channels):
+        assert np.array_equal(links[i], chn.link_rotations(spec.extension))
+        single = schemes._derivations(spec, phases[i:i + 1])
+        assert [group for _, group in single] == [group for _, group in derivations]
+        for (rot, _), (alone, _) in zip(derivations, single):
+            assert np.array_equal(rot[i], alone[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,10 +155,12 @@ def test_link_and_derivation_rotations_are_the_per_phase_rotations(tag):
     draws=st.integers(1, CANDIDATE_DRAWS),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stack_with_a_candidate_axis_is_the_per_column_matvec(phases, S, draws, seed):
-    links = ComplexChannelMatrix(np.ones((2, 3)), np.reshape(phases, (2, 3))).link_rotations(S)
-    # Columns are strided views into (draws, 2S, 2) blocks, as drawn free columns are.
-    blocks = np.random.default_rng(seed).standard_normal((3, draws, 2 * S, 2))
+def test_stack_with_trial_and_candidate_axes_is_the_per_column_matvec(phases, S, draws, seed):
+    # Two trials' channels: the second's phases are the first's reversed.
+    grids = np.reshape(phases, (2, 3)), np.reshape(phases[::-1], (2, 3))
+    links = np.stack([ComplexChannelMatrix(np.ones((2, 3)), grid).link_rotations(S) for grid in grids])
+    # Columns are strided views into (trials, draws, 2S, 2) blocks, as drawn free columns are.
+    blocks = np.random.default_rng(seed).standard_normal((3, 2, draws, 2 * S, 2))
     keys = [(t, c) for t in range(3) for c in range(2)]
     # Three receivers' stacks, two of one width and one of another.
     entries = [(0, keys), (1, keys[1:4]), (1, keys[::-1])]
@@ -138,27 +168,32 @@ def test_stack_with_a_candidate_axis_is_the_per_column_matvec(phases, S, draws, 
     assert sorted(i for members, _ in groups for i in members) == [0, 1, 2]
     for members, stacked in groups:
         width = len(entries[members[0]][1])
-        assert stacked.shape == (draws, len(members), 2 * S, width) and stacked.flags.c_contiguous
-    for d in range(draws):
-        singles = verify._stacks(lambda t, c: blocks[t][d][:, c], links, entries)
-        assert [members for members, _ in singles] == [members for members, _ in groups]
-        for (members, stacked), (_, single) in zip(groups, singles):
-            assert single.shape == stacked.shape[1:] and single.flags.c_contiguous
-            for i, index in enumerate(members):
-                rx, stack_keys = entries[index]
-                expected = np.column_stack([links[rx][t] @ blocks[t][d][:, c] for t, c in stack_keys])
-                assert np.array_equal(stacked[d, i], expected) and np.array_equal(single[i], expected)
+        assert stacked.shape == (2, draws, len(members), 2 * S, width) and stacked.flags.c_contiguous
+    for b in range(2):
+        for d in range(draws):
+            singles = verify._stacks(lambda t, c: blocks[t][b, d][None, :, c], links[b:b + 1], entries)
+            assert [members for members, _ in singles] == [members for members, _ in groups]
+            for (members, stacked), (_, single) in zip(groups, singles):
+                assert single.shape == (1, *stacked.shape[2:]) and single.flags.c_contiguous
+                for i, index in enumerate(members):
+                    rx, stack_keys = entries[index]
+                    expected = np.column_stack([links[b, rx, t] @ blocks[t][b, d][:, c] for t, c in stack_keys])
+                    assert np.array_equal(stacked[b, d, i], expected) and np.array_equal(single[0, i], expected)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.tag)
 def test_batched_draw_is_the_sequential_draws(spec):
-    columns = schemes._free_columns(spec, np.random.default_rng(3), CANDIDATE_DRAWS)
-    rng = np.random.default_rng(3)
-    for d in range(CANDIDATE_DRAWS):
-        for tx, cols in spec.free_blocks:
-            block = _sequential_block(rng, 2 * spec.extension, len(cols))
-            for k, c in enumerate(cols):
-                assert np.array_equal(columns[tx, c][d], block[:, k])
+    # Each trial's normals come from its own rng; all trials' blocks of a width
+    # go through one stacked QR.
+    columns = schemes._free_columns(spec, BLOCK_SEEDS, CANDIDATE_DRAWS)
+    assert set(columns) == {(tx, c) for tx, cols in spec.free_blocks for c in cols}
+    for b, seed in enumerate(BLOCK_SEEDS):
+        rng = np.random.default_rng(seed)
+        for d in range(CANDIDATE_DRAWS):
+            for tx, cols in spec.free_blocks:
+                block = _sequential_block(rng, 2 * spec.extension, len(cols))
+                for k, c in enumerate(cols):
+                    assert np.array_equal(columns[tx, c][b, d], block[:, k])
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.tag)
@@ -166,65 +201,104 @@ def test_all_receiver_stacks_and_svds_are_the_per_receiver_ones(spec):
     for seed, chn, bf in _built(spec):
         links = chn.link_rotations(spec.extension)
         receivers = verify._receivers(bf, chn)
+        assert len(receivers) == spec.shape[0]
         for rx, (desired, keys) in enumerate(spec._layout):
             expected = np.column_stack([links[rx][t] @ bf.column(t, c) for t, c in keys])
-            got_rx, stack, num_desired, svals, _ = receivers[rx]
-            assert (got_rx, num_desired) == (rx, len(desired))
+            (stack,), (svals,) = receivers[rx]
             assert stack.flags.c_contiguous and np.array_equal(stack, expected)
             assert np.array_equal(svals, np.linalg.svd(expected, compute_uv=False))
-            own, _ = receiver_stack(bf, chn, rx)
+            own, num_desired = receiver_stack(bf, chn, rx)
+            assert num_desired == len(desired)
             assert own.flags.c_contiguous and np.array_equal(own, expected)
         # With the candidate axis: each score is the least of the per-receiver SVDs.
-        columns, scores = schemes._candidates(spec, chn, seed)
-        for i, score in enumerate(scores):
+        columns, _, scores = schemes._candidates(spec, [chn], [seed])
+        for i, score in enumerate(scores[0]):
             assert score == min(
-                np.linalg.svd(np.column_stack([links[rx][t] @ columns[t, c][i] for t, c in keys]),
+                np.linalg.svd(np.column_stack([links[rx][t] @ columns[t, c][0, i] for t, c in keys]),
                               compute_uv=False).min()
                 for rx, (_, keys) in enumerate(spec._layout))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.tag)
+def test_a_blocks_scoring_stacks_and_svds_are_each_trials(spec):
+    # One stacked matmul and one SVD per receiver-stack width over the block's
+    # trials and candidates.
+    channels, seeds = _block(spec)
+    columns, groups, scores = schemes._candidates(spec, channels, seeds)
+    assert scores.shape == (len(seeds), CANDIDATE_DRAWS if spec.free_blocks else 1)
+    for i, (chn, seed) in enumerate(zip(channels, seeds)):
+        alone_columns, alone_groups, alone_scores = schemes._candidates(spec, [chn], [seed])
+        assert np.array_equal(scores[i], alone_scores[0])
+        for key, col in alone_columns.items():
+            assert np.array_equal(columns[key][i], col[0])
+        assert [members for members, _, _ in groups] == [members for members, _, _ in alone_groups]
+        for (_, stacks, svals), (_, alone_stacks, alone_svals) in zip(groups, alone_groups):
+            assert stacks.flags.c_contiguous
+            assert np.array_equal(stacks[i], alone_stacks[0]) and np.array_equal(svals[i], alone_svals[0])
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.tag)
+def test_the_winners_stacks_from_scoring_are_the_built_sets_own(spec):
+    # The rate layer reads the stacks and singular values the builder's
+    # scoring computed; a set a caller built gets the same bits from its columns.
+    channels, seeds = _block(spec)
+    outcomes, receivers = schemes._build_block(spec, channels, seeds)
+    for i, (chn, seed, bf) in enumerate(zip(channels, seeds, outcomes)):
+        assert bf == schemes._build(spec, chn, seed)
+        for (stacks, svals), ((own,), (own_svals,)) in zip(receivers, verify._receivers(bf, chn)):
+            assert stacks[i].flags.c_contiguous and np.array_equal(stacks[i], own)
+            assert np.array_equal(svals[i], own_svals)
 
 
 @pytest.mark.parametrize("tag", RANDOMIZED)
 def test_first_candidate_of_the_batch_is_a_lone_draw(tag, monkeypatch):
     spec, chn = scheme_spec(tag), sample_feasible_channel(tag, 2)
-    batch, scores = schemes._candidates(spec, chn, 2)
+    batch, _, scores = schemes._candidates(spec, [chn], [2])
     monkeypatch.setattr(schemes, "CANDIDATE_DRAWS", 1)
-    lone, lone_scores = schemes._candidates(spec, chn, 2)
-    assert lone_scores.shape == (1,) and lone_scores[0] == scores[0]
+    lone, _, lone_scores = schemes._candidates(spec, [chn], [2])
+    assert lone_scores.shape == (1, 1) and lone_scores[0, 0] == scores[0, 0]
     for key, col in lone.items():
-        assert np.array_equal(col[0], batch[key][0])
+        assert np.array_equal(col[0, 0], batch[key][0, 0])
 
 
 @pytest.mark.parametrize("tag", RANDOMIZED)
 def test_winning_score_is_the_built_sets_smallest_singular_value(tag):
     for seed in range(4):
         chn = sample_feasible_channel(tag, seed)
-        _, scores = schemes._candidates(scheme_spec(tag), chn, seed)
+        _, _, scores = schemes._candidates(scheme_spec(tag), [chn], [seed])
         report = independence_margin(build_scheme(tag, chn, seed), chn)
         assert scores.max() == min(r.singular_values.min() for r in report.receivers)
 
 
 @pytest.mark.parametrize("tag", RANDOMIZED)
 def test_stacked_derivations_are_the_per_candidate_products(tag):
-    # A lone pair is one matvec per candidate, a run of pairs one matrix product.
-    spec, chn = scheme_spec(tag), sample_feasible_channel(tag, 1)
-    derivations = schemes._derivations(spec, chn.phase)
-    columns = schemes._free_columns(spec, np.random.default_rng(1), CANDIDATE_DRAWS)
+    # A lone pair is one matvec per trial and candidate, a run of pairs one
+    # matrix product; the block's derived columns are each trial's.
+    spec = scheme_spec(tag)
+    channels, seeds = _block(spec)
+    phases = np.stack([chn.phase for chn in channels])
+    derivations = schemes._derivations(spec, phases)
+    columns = schemes._free_columns(spec, seeds, CANDIDATE_DRAWS)
     schemes._derive_columns(derivations, columns)
-    for d in range(CANDIDATE_DRAWS):
-        single = {key: col[d] for key, col in columns.items()}
-        for rot, group in derivations:
-            if len(group) == 1:
-                assert np.array_equal(columns[group[0].dropped][d], rot @ single[group[0].kept])
-                continue
-            block = rot @ np.column_stack([single[p.kept] for p in group])
-            for k, pair in enumerate(group):
-                assert np.array_equal(columns[pair.dropped][d], block[:, k])
+    for b, seed in enumerate(seeds):
+        alone = schemes._free_columns(spec, [seed], CANDIDATE_DRAWS)
+        schemes._derive_columns(schemes._derivations(spec, phases[b:b + 1]), alone)
+        assert all(np.array_equal(columns[key][b], col[0]) for key, col in alone.items())
+        for d in range(CANDIDATE_DRAWS):
+            single = {key: col[b, d] for key, col in columns.items()}
+            for rot, group in derivations:
+                if len(group) == 1:
+                    assert np.array_equal(columns[group[0].dropped][b, d], rot[b] @ single[group[0].kept])
+                    continue
+                block = rot[b] @ np.column_stack([single[p.kept] for p in group])
+                for k, pair in enumerate(group):
+                    assert np.array_equal(columns[pair.dropped][b, d], block[:, k])
 
 
 def test_the_rate_layer_binds_numpys_stacked_lstsq():
     from numpy.linalg import _umath_linalg
 
-    assert rates._LSTSQ is getattr(_umath_linalg, "lstsq", None) or rates._LSTSQ is _umath_linalg.lstsq_n
+    assert rates._LSTSQ is _umath_linalg.lstsq
     rng = np.random.default_rng(0)
     for rows, cols in ((10, 9), (6, 5), (4, 1), (2, 0)):
         a, b = rng.standard_normal((4, rows, cols)), rng.standard_normal((4, rows, 1))
@@ -249,14 +323,27 @@ def _per_stream_solve(stack: np.ndarray, j: int) -> tuple[np.ndarray, float]:
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.tag)
 def test_stacked_gelsd_residuals_and_gains_are_the_per_stream_solves(spec):
     for _, chn, bf in _built(spec):
-        solved = list(rates._zf_solve(bf, chn))
+        solved = list(rates._zf_solve(spec, verify._receivers(bf, chn)))
         assert [rx for rx, _, _ in solved] == list(range(spec.shape[0]))
-        for rx, combiners, gains in solved:
+        for rx, (combiners,), (gains,) in solved:
             stack, d = receiver_stack(bf, chn, rx)
             assert combiners.shape == (d, stack.shape[0]) and gains.shape == (d,)
             for j in range(d):
                 w, gain = _per_stream_solve(stack, j)
                 assert np.array_equal(combiners[j], w) and gains[j] == gain
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.tag)
+def test_a_blocks_gelsd_on_contiguous_copies_is_each_trials(spec):
+    # A receiver's "others" copies over the block are made by an index array on
+    # every axis, so each is C-contiguous and matmul picks the per-trial kernel.
+    channels, seeds = _block(spec)
+    outcomes, receivers = schemes._build_block(spec, channels, seeds)
+    solved = list(rates._zf_solve(spec, receivers))
+    for i, (chn, bf) in enumerate(zip(channels, outcomes)):
+        for (rx, combiners, gains), (_, (alone,), (alone_gains,)) in zip(
+                solved, rates._zf_solve(spec, verify._receivers(bf, chn))):
+            assert np.array_equal(combiners[i], alone) and np.array_equal(gains[i], alone_gains)
 
 
 def test_batched_squares_are_the_scalar_squares():
@@ -312,22 +399,49 @@ def test_rates_added_up_in_the_zero_forcing_pass_are_the_transmitter_major_sums(
     for _, chn, bf in _built(spec):
         for grid in (DEFAULT_SNR_GRID_DB, GRID_21_DB):
             snrs = np.array(_db_to_linear(grid))
-            block = _block_rates(bf, chn, snrs)
+            block = _set_rates(bf, chn, snrs)
             assert np.array_equal(block, _per_stream_block(bf, chn, snrs))
             assert np.array_equal(block, _transmitter_major_block(bf, chn, snrs))
 
 
-@pytest.mark.parametrize("seed", [38, 108])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.tag)
+def test_a_blocks_sinr_sums_are_each_trials(spec):
+    # One (trials, grid, streams) SINR block per receiver, its streams' rates
+    # added one at a time in desired order.
+    channels, seeds = _block(spec)
+    outcomes, receivers = schemes._build_block(spec, channels, seeds)
+    magnitudes = np.stack([chn.magnitude for chn in channels])
+    for grid in (DEFAULT_SNR_GRID_DB, GRID_21_DB):
+        snrs = np.array(_db_to_linear(grid))
+        block = _block_rates(spec, magnitudes, receivers, snrs)
+        assert block.shape == (len(seeds), len(grid), spec.shape[0])
+        for i, (chn, bf) in enumerate(zip(channels, outcomes)):
+            assert np.array_equal(block[i], _set_rates(bf, chn, snrs))
+            assert np.array_equal(block[i], _per_stream_block(bf, chn, snrs))
+
+
+SQUARE_SEEDS = [38, 108]
+
+
+@pytest.mark.parametrize("seed", SQUARE_SEEDS)
 def test_sinr_blocks_square_as_the_per_stream_rows_do(seed):
     # With glibc's libm, acs-ic3 seed 38 has a gain, and seed 108 a link
     # magnitude, whose x * x is not pow(x, 2); both reach the block rates on
-    # the 21-point grid.
+    # the 21-point grid, for a set of its own and as one trial of a block.
+    spec = scheme_spec("acs-ic3")
     chn = sample_feasible_channel("acs-ic3", seed)
     bf = build_scheme("acs-ic3", chn, seed)
-    gains = np.concatenate([g for _, _, g in rates._zf_solve(bf, chn)])
-    links = np.concatenate([chn.magnitude[rx, [t for t, _ in bf.spec.desired_streams(rx)]] for rx in range(3)])
+    gains = np.concatenate([g[0] for _, _, g in rates._zf_solve(spec, verify._receivers(bf, chn))])
+    links = np.concatenate([chn.magnitude[rx, [t for t, _ in spec.desired_streams(rx)]] for rx in range(3)])
     snrs = np.array(_db_to_linear(GRID_21_DB))
-    assert np.array_equal(_block_rates(bf, chn, snrs), _per_stream_block(bf, chn, snrs))
+    expected = _per_stream_block(bf, chn, snrs)
+    assert np.array_equal(_set_rates(bf, chn, snrs), expected)
+    seeds = SQUARE_SEEDS + [0]
+    channels = [sample_feasible_channel("acs-ic3", s) for s in seeds]
+    outcomes, receivers = schemes._build_block(spec, channels, seeds)
+    block = _block_rates(spec, np.stack([c.magnitude for c in channels]), receivers, snrs)
+    i = seeds.index(seed)
+    assert outcomes[i] == bf and np.array_equal(block[i], expected)
     squared = np.concatenate([gains, links])
     if np.array_equal(squared * squared, np.float_power(squared, 2)):
         pytest.skip("this libm's pow(x, 2) is x * x on these values, so the seed cannot tell the squares apart")
@@ -340,7 +454,7 @@ def test_the_fits_sums_are_the_per_row_sums(tag):
     for seed, chn, bf in _built(scheme_spec(tag)):
         S = bf.spec.extension
         for grid in (DEFAULT_SNR_GRID_DB, GRID_21_DB):
-            block = _block_rates(bf, chn, np.array(_db_to_linear(grid)))
+            block = _set_rates(bf, chn, np.array(_db_to_linear(grid)))
             est = estimate_dof(lambda ch, s: bf, chn, seed, grid)
             assert est.sum_rates == tuple(float(row.sum()) / S for row in block)
             assert est.per_user_rates == tuple(tuple(float(x) / S for x in row) for row in block)

@@ -168,7 +168,7 @@ def test_sweep_on_a_fixed_channel_is_identical_serial_or_parallel(tmp_path, caps
 
 def test_sweep_pool_never_outnumbers_the_trials(tmp_path, capsys, monkeypatch):
     pools = []
-    chunksizes = []
+    runs = []
 
     class RecordingPool:
         """Stands in for ProcessPoolExecutor and maps in this process."""
@@ -182,8 +182,8 @@ def test_sweep_pool_never_outnumbers_the_trials(tmp_path, capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            chunksizes.append(chunksize)
+        def map(self, fn, items):
+            runs.append([len(run) for run in items])
             return map(fn, items)
 
     def sweep(trials, workers):
@@ -199,38 +199,42 @@ def test_sweep_pool_never_outnumbers_the_trials(tmp_path, capsys, monkeypatch):
     assert pools == [2]
     assert sweep(1, 8) == sweep(1, 1)
     assert pools == [2]
-    # Each worker is handed one contiguous block: 5 trials split 3 and 2.
+    # Each worker is handed one contiguous run: 5 trials split 3 and 2.
     assert sweep(5, 2) == sweep(5, 1)
     assert pools == [2, 2]
-    assert chunksizes == [1, 3]
+    assert runs == [[1, 1], [3, 2]]
     capsys.readouterr()
 
 
-def test_sweep_writes_each_trial_before_the_next_starts(tmp_path, capsys, monkeypatch):
+def test_sweep_writes_each_block_before_the_next_starts(tmp_path, capsys, monkeypatch):
     from acsalign import cli
 
-    # Lines in the output file as each trial starts; the file opens with the first trial's records.
+    # Lines in the output file as each block starts; the file opens with the
+    # first block's records.  Two full blocks and a ragged one of two trials.
     out = tmp_path / "sweep.jsonl"
-    written = []
-    real_trial = cli._sweep_trial
+    written, sizes = [], []
+    real_block = cli._sweep_block
 
-    def sweep_trial(*args):
+    def sweep_block(*args):
         written.append(len(out.read_text().splitlines()) if out.exists() else 0)
-        return real_trial(*args)
+        sizes.append(len(args[-1]))
+        return real_block(*args)
 
-    monkeypatch.setattr(cli, "_sweep_trial", sweep_trial)
-    assert main(["sweep", "--scheme", "acs-ic3", "--trials", "4", "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, "_sweep_block", sweep_block)
+    trials = 2 * cli.TRIAL_BLOCK + 2
+    assert main(["sweep", "--scheme", "acs-ic3", "--trials", str(trials), "--out", str(out)]) == 0
     capsys.readouterr()
-    assert written == [0, 7, 14, 21]
-    assert len(sweep_lines(out)) == 28
+    assert sizes == [cli.TRIAL_BLOCK, cli.TRIAL_BLOCK, 2]
+    assert written == [0, 7 * cli.TRIAL_BLOCK, 14 * cli.TRIAL_BLOCK]
+    assert len(sweep_lines(out)) == 7 * trials
 
 
-def test_sweep_to_an_unwritable_path_stops_after_the_first_trial(tmp_path, capsys, monkeypatch):
+def test_sweep_to_an_unwritable_path_stops_after_the_first_block(tmp_path, capsys, monkeypatch):
     from acsalign import cli
 
     calls = []
-    real_trial = cli._sweep_trial
-    monkeypatch.setattr(cli, "_sweep_trial", lambda *args: calls.append(args) or real_trial(*args))
+    real_block = cli._sweep_block
+    monkeypatch.setattr(cli, "_sweep_block", lambda *args: calls.append(args) or real_block(*args))
     blocker = tmp_path / "file"
     blocker.write_text("")
     argv = ["sweep", "--scheme", "acs-ic3", "--trials", "50", "--out", str(blocker / "sweep.jsonl")]
@@ -349,6 +353,45 @@ def nudged_violating_channel(idx: int, delta: float, path) -> None:
     rx = implicated_receiver(idx - 1)
     phase[rx, rx] += delta
     dump_channel(ComplexChannelMatrix(np.array(chn.magnitude), phase), path)
+
+
+# Sweep trials 0-23 on acs-violating-1 with link (0, 0)'s phase lowered by
+# 3e-6: the best of these seeds' eight draws fails the conditioning check.
+CONDITIONING_SKIPS = {0, 5, 8, 11, 15, 16, 17, 18, 21, 22}
+
+
+def test_a_sweep_with_skips_inside_its_blocks_is_the_same_at_any_block_size_or_pool(tmp_path, capsys, monkeypatch):
+    from acsalign import cli
+
+    path = tmp_path / "chan.txt"
+    nudged_violating_channel(1, -3e-6, path)
+    full = cli.TRIAL_BLOCK
+
+    def sweep(block, workers):
+        # Forked pool workers inherit the block size.
+        monkeypatch.setattr(cli, "TRIAL_BLOCK", block)
+        out = tmp_path / f"{block}-{workers}.jsonl"
+        argv = ["sweep", "--scheme", "acs-ic3", "--trials", "24", "--channel-file", str(path),
+                "--workers", str(workers), "--out", str(out)]
+        assert main(argv) == 0
+        return out.read_bytes()
+
+    reference = sweep(1, 1)
+    capsys.readouterr()
+    records = [json.loads(line) for line in reference.splitlines()]
+    assert [r["seed"] for r in records if r["record"] in ("skip", "dof")] == list(range(24))
+    skips = [r for r in records if r["record"] == "skip"]
+    assert {r["seed"] for r in skips} == CONDITIONING_SKIPS
+    assert all(r["reason"].startswith("channel infeasible for scheme 'acs-ic3'; failed conditions: conditioning ")
+               for r in skips)
+    # Full blocks, a ragged last block (24 trials in blocks of 5), and one block
+    # of all trials; two workers run 12 trials each, three run 8.
+    for block in (full, 5, 24):
+        assert sweep(block, 1) == reference, block
+    for workers in (2, 3):
+        for block in (1, full, 5):
+            assert sweep(block, workers) == reference, (block, workers)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("delta", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2])

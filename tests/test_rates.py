@@ -39,7 +39,7 @@ from acsalign.verify import _GATES, InfeasibleChannelError, independence_margin
 
 def _combiners(bf, chn) -> dict:
     """Each stream's unit zero-forcing combiner, keyed (tx, column)."""
-    return {key: w for rx, combiners, _ in rates._zf_solve(bf, chn)
+    return {key: w for rx, (combiners,), _ in rates._zf_solve(bf.spec, verify._receivers(bf, chn))
             for key, w in zip(bf.spec.desired_streams(rx), combiners)}
 
 
@@ -109,7 +109,7 @@ def test_block_rates_solve_once_and_match_per_point_sum_rate(tag, monkeypatch):
         return groups
 
     monkeypatch.setattr(verify, "_stacks", counting_stacks)
-    block = rates._block_rates(bf, chn, np.array(GRID_21))
+    block = rates._set_rates(bf, chn, np.array(GRID_21))
     (groups,) = calls
     assert len(groups) == len({len(keys) for _, keys in bf.spec._layout})
     assert sorted(rx for group in groups for rx in group) == list(range(bf.spec.shape[0]))
@@ -131,7 +131,7 @@ def test_invalid_snr_is_rejected(monkeypatch):
         sum_rate(bf, chn, 1e308)
     # Over a grid, the overflow names its largest snr.
     with pytest.raises(ValueError, match=r"rate arithmetic overflows at snr 1e\+308"):
-        rates._block_rates(bf, chn, np.array([1e6, 1e308]))
+        rates._set_rates(bf, chn, np.array([1e6, 1e308]))
     # Anything but one number is rejected by its shape before zero forcing runs.
     def no_zero_forcing(*args):
         raise AssertionError("zero forcing ran")
@@ -146,9 +146,9 @@ def test_invalid_snr_is_rejected(monkeypatch):
 def test_rank_deficient_receiver_is_reported(idx, rx):
     chn = construct_special_channel(f"acs-violating-{idx}")
     bf = build_acs_ic3(chn, seed=3, check=False)
-    # Solving and adding up are one loop in _block_rates: it reports the same receiver.
-    for call in (lambda: list(rates._zf_solve(bf, chn)), lambda: estimate_dof(lambda ch, s: bf, chn, 0),
-                 lambda: sum_rate(bf, chn, 1e6)):
+    # Solving and adding up are one pass in _block_rates: it reports the same receiver.
+    for call in (lambda: list(rates._zf_solve(bf.spec, verify._receivers(bf, chn))),
+                 lambda: estimate_dof(lambda ch, s: bf, chn, 0), lambda: sum_rate(bf, chn, 1e6)):
         with pytest.raises(RankDeficientReceiverError) as exc:
             call()
         assert exc.value.rx == rx
@@ -230,11 +230,11 @@ def test_builder_rates_and_independence_margin_read_one_verdict():
         failing = [rx for rx, status in enumerate(statuses) if status != "independent"]
         if failing:
             with pytest.raises(RankDeficientReceiverError) as exc:
-                rates._block_rates(bf, chn, snrs)
+                rates._set_rates(bf, chn, snrs)
             assert exc.value.rx == failing[0], (tag, statuses)
             assert statuses[failing[0]] in str(exc.value)
         else:
-            assert rates._block_rates(bf, chn, snrs).shape == (len(snrs), bf.spec.shape[0])
+            assert rates._set_rates(bf, chn, snrs).shape == (len(snrs), bf.spec.shape[0])
         if SCHEMES[tag].gate(chn)[1]:
             continue
         # Past the feasibility conditions, the builder's conditioning gate

@@ -238,8 +238,14 @@ def test_beamformer_validation_rejects_bad_inputs():
         BeamformerSet(spec, (good, np.eye(4)))
     with pytest.raises(ValueError, match="unit norm"):
         BeamformerSet(spec, (good, good * 2.0))
+    dependent = np.column_stack([good[:, :3], good[:, 0]])
     with pytest.raises(ValueError, match="linearly dependent"):
-        BeamformerSet(spec, (good, np.column_stack([good[:, :3], good[:, 0]])))
+        BeamformerSet(spec, (good, dependent))
+    # The first transmitter that fails is named, whatever fails later.
+    with pytest.raises(ValueError, match="^transmitter 0: columns are linearly dependent$"):
+        BeamformerSet(spec, (dependent, good * 2.0))
+    with pytest.raises(ValueError, match="^transmitter 0: columns must be unit norm$"):
+        BeamformerSet(spec, (good * 2.0, dependent))
 
 
 @pytest.mark.parametrize("scale, accepted", [(1 + 1e-13, True), (1 + 1e-6, False), (np.nan, False)])
@@ -276,7 +282,7 @@ def test_scheme_entry_is_a_complete_recipe(tag):
     assert sorted(made) == sorted(streams)
 
 
-def test_build_validates_only_the_winner(monkeypatch):
+def test_build_validates_only_the_winners(monkeypatch):
     validated = []
     post_init = BeamformerSet.__post_init__
 
@@ -287,6 +293,11 @@ def test_build_validates_only_the_winner(monkeypatch):
     monkeypatch.setattr(BeamformerSet, "__post_init__", counted)
     bf = build_acs_ic3(sample_feasible_channel("acs-ic3", 0), seed=0)
     assert len(validated) == 1 and validated[0] is bf
+    # A block of trials validates one set per built trial, its winner.
+    validated.clear()
+    spec = scheme_spec("acs-ic3")
+    outcomes, _ = schemes._build_block(spec, [spec.sample(seed) for seed in range(5)], range(5))
+    assert validated == outcomes
 
 
 def test_beamformer_sets_compare_and_hash_by_value():
@@ -375,17 +386,24 @@ def rotation_builds(monkeypatch):
 def test_each_rotation_is_built_once_per_channel(rotation_builds):
     # acs-ic3: one build of the six derivation rotations, shared by the
     # candidate draws, and one of the nine link rotations over the channel's
-    # phase grid, shared by the candidate scoring and the rates.
+    # phase grid, shared by the candidate scoring and the rates; a build is a
+    # block of one trial.
     chn = sample_feasible_channel("acs-ic3", 4)
     estimate_dof(build_acs_ic3, chn, 4)
-    assert [np.shape(r.phase) for r in rotation_builds] == [(6,), (3, 3)]
-    assert np.array_equal(rotation_builds[1].phase, chn.phase)
+    assert [np.shape(r.phase) for r in rotation_builds] == [(1, 6), (1, 3, 3)]
+    assert np.array_equal(rotation_builds[1].phase[0], chn.phase)
     rotation_builds.clear()
     # x-channel: two derivation groups of two pairs each, and four links.
     chn = sample_feasible_channel("x-channel", 4)
     build_x_channel(chn, seed=4)
-    assert [np.shape(r.phase) for r in rotation_builds] == [(2,), (2, 2)]
-    assert np.array_equal(rotation_builds[1].phase, chn.phase)
+    assert [np.shape(r.phase) for r in rotation_builds] == [(1, 2), (1, 2, 2)]
+    assert np.array_equal(rotation_builds[1].phase[0], chn.phase)
+    rotation_builds.clear()
+    # A block of trials: one build of each kind for all of them.
+    spec = scheme_spec("acs-ic3")
+    channels = [spec.sample(seed) for seed in range(5)]
+    schemes._build_block(spec, channels, range(5))
+    assert [np.shape(r.phase) for r in rotation_builds] == [(5, 6), (5, 3, 3)]
 
 
 def test_a_sampled_trial_evaluates_its_gate_once(monkeypatch):
