@@ -72,10 +72,11 @@ def _zf_solve(spec: SchemeSpec, receivers):
     receiver: `(rx, unit combiners (trials, d, rows), gains on their own images
     (trials, d))`, a row and an entry per desired stream in desired_streams
     order.  `receivers` holds the block's receiver stacks and their singular
-    values in verify's per-receiver form.  A receiver that verify's verdict does
-    not call independent raises RankDeficientReceiverError, for the first trial
-    and receiver in that order; at any other, no residual is below the stack's
-    smallest singular value.
+    values, one (stack (trials, rows, n), singular values (trials, n)) pair per
+    receiver in receiver order (see verify._stacks).  A receiver that verify's
+    verdict does not call independent raises RankDeficientReceiverError, for
+    the first trial and receiver in that order; at any other, no residual is
+    below the stack's smallest singular value.
 
     Stream j's combiner is its own image less the least-squares fit of the other
     columns.  A receiver's solves over the block are one stacked gelsd call (see

@@ -24,8 +24,6 @@ from .verify import (
     SV_INDEPENDENT,
     ConditionReport,
     InfeasibleChannelError,
-    _factored,
-    _per_receiver,
     _require_shape,
     _stacks,
     _verdict,
@@ -151,8 +149,14 @@ class SchemeSpec:
             layout.append((desired, desired + basis))
         return tuple(layout)
 
+    def _receiver(self, rx: int) -> tuple[tuple, tuple]:
+        """Receiver rx's entry of _layout; an rx outside 0..num_rx-1 is refused."""
+        if not 0 <= rx < len(self._layout):
+            raise ValueError(f"rx must be in 0..{len(self._layout) - 1}, got {rx}")
+        return self._layout[rx]
+
     def desired_streams(self, rx: int) -> tuple[tuple[int, int], ...]:
-        return self._layout[rx][0]
+        return self._receiver(rx)[0]
 
     def interference_basis(self, rx: int) -> tuple[tuple[int, int], ...]:
         """Interfering (tx, column) pairs at rx, deduplicated and genie-filtered.
@@ -160,7 +164,7 @@ class SchemeSpec:
         Aligned duplicates land on a kept column's image, so dropping them
         loses nothing; removed_streams never enter at all.
         """
-        desired, keys = self._layout[rx]
+        desired, keys = self._receiver(rx)
         return keys[len(desired):]
 
 
@@ -278,12 +282,11 @@ def _candidates(spec: SchemeSpec, channels, seeds) -> tuple[dict, list, np.ndarr
     Trial i builds on channels[i] from seeds[i].  The columns are keyed
     (tx, column), each (trials, candidates, 2S): CANDIDATE_DRAWS draws of the
     free blocks from one rng per trial, or the fixed columns once.  The stacks
-    are verify's factored groups, (members, stacks, singular values), with
+    are each receiver's (stack, singular values) from verify's _stacks, with
     the same two leading axes.  A candidate's score is the smallest singular
     value of any receiver's stacked desired and interference images: an array
-    (trials, candidates).  Receivers whose stacks have the same width share one
-    stacked SVD over the block, and every link and derivation rotation of the
-    block comes from one ExtendedRotation each.
+    (trials, candidates).  Every link and derivation rotation of the block
+    comes from one ExtendedRotation each.
     """
     phases = np.stack([channel.phase for channel in channels])
     draws = CANDIDATE_DRAWS if spec.free_blocks else 1
@@ -294,10 +297,10 @@ def _candidates(spec: SchemeSpec, channels, seeds) -> tuple[dict, list, np.ndarr
     for channel, own in zip(channels, links):
         # Kept with the channel, so a later reader of the set built on it reuses them.
         channel._derived(("rotations", spec.extension), lambda: own)
-    groups = _factored(_stacks(lambda t, c: columns[t, c], links,
-                               [(rx, keys) for rx, (_, keys) in enumerate(spec._layout)]))
-    scores = np.min([svals.min(axis=(-2, -1)) for _, _, svals in groups], axis=0)
-    return columns, groups, scores
+    receivers = _stacks(lambda t, c: columns[t, c], links,
+                        [(rx, keys) for rx, (_, keys) in enumerate(spec._layout)])
+    scores = np.min([svals.min(axis=-1) for _, svals in receivers], axis=0)
+    return columns, receivers, scores
 
 
 def _build_block(spec: SchemeSpec, channels, seeds, check: bool = True) -> tuple[list, list]:
@@ -307,12 +310,12 @@ def _build_block(spec: SchemeSpec, channels, seeds, check: bool = True) -> tuple
 
     Returns each trial's outcome, a validated BeamformerSet or the
     InfeasibleChannelError that refused it, and the built trials' receiver
-    stacks and singular values (verify's per-receiver form, one row per built
-    trial in trial order), which the candidate scoring already computed.  Each
-    trial's gate is its own.  All candidates of the trials past their gates
-    are drawn, derived and scored as one stacked batch (see _candidates) and
-    each trial keeps its first best scored one; a spec with fixed columns has
-    a single candidate.  A channel so close to the degenerate set that
+    stacks and singular values (one (stack, singular values) pair per
+    receiver, one row per built trial in trial order), which the candidate
+    scoring already computed.  Each trial's gate is its own.  All candidates
+    of the trials past their gates are drawn, derived and scored as one
+    stacked batch (see _candidates) and each trial keeps its first best
+    scored one; a spec with fixed columns has a single candidate.  A channel so close to the degenerate set that
     verify's verdict on its best score is not "independent" fails the gate,
     and its neighbours in the block go on.  The result is deterministic in
     each (channel, seed), and equals, bit for bit, drawing, deriving and
@@ -330,7 +333,7 @@ def _build_block(spec: SchemeSpec, channels, seeds, check: bool = True) -> tuple
     live = [i for i, outcome in enumerate(outcomes) if outcome is None]
     if not live:
         return outcomes, []
-    columns, groups, scores = _candidates(spec, [channels[i] for i in live], [seeds[i] for i in live])
+    columns, receivers, scores = _candidates(spec, [channels[i] for i in live], [seeds[i] for i in live])
     best = np.argmax(scores, axis=-1)
     built = []
     for j, i in enumerate(live):
@@ -346,7 +349,7 @@ def _build_block(spec: SchemeSpec, channels, seeds, check: bool = True) -> tuple
                else np.empty((len(built), 2 * spec.extension, 0)) for t, rxs in enumerate(spec.stream_rx)]
     for k, j in enumerate(built):
         outcomes[live[j]] = BeamformerSet(spec, tuple(m[k] for m in winners))
-    return outcomes, _per_receiver([(members, stacks[take], svals[take]) for members, stacks, svals in groups])
+    return outcomes, [(stack[take], svals[take]) for stack, svals in receivers]
 
 
 def _build(spec: SchemeSpec, channel: ComplexChannelMatrix, seed: int = 0, check: bool = True) -> BeamformerSet:

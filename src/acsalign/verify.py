@@ -182,31 +182,26 @@ def _evaluate(channel: ComplexChannelMatrix, which: str, gate: _Gate) -> Conditi
     return ConditionReport(which, tuple(records))
 
 
-def _links(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> np.ndarray:
-    """The channel's link rotations, (num_rx, num_tx, 2S, 2S), once the channel
-    is checked against the set."""
-    _require_shape(channel, beamformers.spec.shape, beamformers.spec.tag)
-    return channel.link_rotations(beamformers.spec.extension)
-
-
-def _stacks(column, links: np.ndarray, stacks) -> list[tuple[list[int], np.ndarray]]:
+def _stacks(column, links: np.ndarray, stacks) -> list[tuple[np.ndarray, np.ndarray]]:
     """The receive images of each (rx, keys) entry of `stacks`, the (tx, c)
     streams `keys` seen through receiver rx's links, as the columns of one
-    matrix per entry, for every trial of a block.
+    matrix per entry, for every trial of a block, with its singular values.
 
     `links` holds the block's link rotations, (B, num_rx, num_tx, 2S, 2S), and
     column(tx, c) the block's columns, (B, 2S), or (B, candidates, 2S) with a
-    candidate axis, which the stacks then carry too.  Entries whose stacks have
-    the same width are made together: per width, the positions of its entries
-    in `stacks` and one C-contiguous array whose [..., i, :, :] is the stack of
-    its i-th entry.  Every image is its trial's links[rx, tx] times the column,
-    one matvec each, all of a width made by a single stacked matmul: an image
-    has the same bits with or without the block and candidate axes, so
-    candidate scoring, the rate layer and every reader of a built set agree."""
+    candidate axis, which the stacks then carry too.  Returns one (stack,
+    singular values) pair per entry, in entry order: stack[..., :, :] is a
+    C-contiguous (rows, width) matrix per trial and candidate.  Entries whose
+    stacks have the same width are made together, as views into one array:
+    every image is its trial's links[rx, tx] times the column, one matvec each,
+    all of a width made by a single stacked matmul and factored by a single
+    stacked SVD.  An image has the same bits with or without the block and
+    candidate axes, so candidate scoring, the rate layer and every reader of a
+    built set agree."""
     widths: dict[int, list[int]] = {}
     for i, (_, keys) in enumerate(stacks):
         widths.setdefault(len(keys), []).append(i)
-    found = []
+    found: list = [None] * len(stacks)
     for width, members in widths.items():
         entries = [(stacks[i][0], t, c) for i in members for t, c in stacks[i][1]]
         rx, tx, _ = np.array(entries, dtype=int).T
@@ -216,13 +211,20 @@ def _stacks(column, links: np.ndarray, stacks) -> list[tuple[list[int], np.ndarr
         rotations = rotations.reshape(len(links), *(1,) * (len(lead) - 1), len(members), width, *links.shape[-2:])
         columns = columns.reshape(*lead, len(members), width, columns.shape[-1], 1)
         images = np.matmul(rotations, columns)[..., 0]
-        found.append((members, np.ascontiguousarray(np.swapaxes(images, -1, -2))))
+        group = np.ascontiguousarray(np.swapaxes(images, -1, -2))
+        svals = np.linalg.svd(group, compute_uv=False)
+        for k, i in enumerate(members):
+            found[i] = group[..., k, :, :], svals[..., k, :]
     return found
 
 
 def _set_stacks(beamformers: "BeamformerSet", channel: ComplexChannelMatrix, stacks):
-    """_stacks for one set on one channel: a block of one."""
-    return _stacks(lambda t, c: beamformers.column(t, c)[None], _links(beamformers, channel)[None], stacks)
+    """_stacks for one set on one channel, once the channel is checked against
+    the set: a block of one."""
+    spec = beamformers.spec
+    _require_shape(channel, spec.shape, spec.tag)
+    links = channel.link_rotations(spec.extension)
+    return _stacks(lambda t, c: beamformers.column(t, c)[None], links[None], stacks)
 
 
 def receiver_stack(
@@ -230,9 +232,9 @@ def receiver_stack(
 ) -> tuple[np.ndarray, int]:
     """Receiver rx's desired images, then its deduplicated interference basis,
     as columns of one matrix; also how many columns are desired."""
-    desired, keys = beamformers.spec._layout[rx]
-    ((_, stack),) = _set_stacks(beamformers, channel, [(rx, keys)])
-    return stack[0, 0], len(desired)
+    desired, keys = beamformers.spec._receiver(rx)
+    ((stack, _),) = _set_stacks(beamformers, channel, [(rx, keys)])
+    return stack[0], len(desired)
 
 
 def alignment_residual(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> float:
@@ -245,13 +247,12 @@ def alignment_residual(beamformers: "BeamformerSet", channel: ComplexChannelMatr
     pairs = beamformers.spec.alignments
     images = _set_stacks(beamformers, channel, [(pair.rx, (pair.kept, pair.dropped)) for pair in pairs])
     worst = 0.0
-    for members, stacks in images:
-        for i, stack in zip(members, stacks[0]):
-            left, right = stack.T
-            d = float(np.linalg.norm(left - right))
-            if pairs[i].up_to_sign:
-                d = min(d, float(np.linalg.norm(left + right)))
-            worst = max(worst, d)
+    for pair, (stack, _) in zip(pairs, images):
+        left, right = stack[0].T
+        d = float(np.linalg.norm(left - right))
+        if pair.up_to_sign:
+            d = min(d, float(np.linalg.norm(left + right)))
+        worst = max(worst, d)
     return worst
 
 
@@ -303,26 +304,12 @@ def _verdict(smallest: float) -> str:
     return "dependent" if smallest < SV_DEPENDENT else "indeterminate"
 
 
-def _factored(groups) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-    """Each (members, stacks) group of _stacks with the singular values of its
-    stacks, one stacked SVD per group: (members, stacks, singular values)."""
-    return [(members, stacks, np.linalg.svd(stacks, compute_uv=False)) for members, stacks in groups]
-
-
-def _per_receiver(groups) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The factored groups of a block's receiver stacks, receiver by receiver:
-    (stacks (B, rows, cols), singular values (B, cols)) in receiver order."""
-    found = {rx: (stacks[:, i], svals[:, i]) for members, stacks, svals in groups for i, rx in enumerate(members)}
-    return [found[rx] for rx in range(len(found))]
-
-
 def _receivers(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
     """The set's receiver stacks and their singular values on `channel`, as a
-    block of one (see _per_receiver).  Receivers whose stacks have the same
-    width share one stacked SVD."""
+    block of one, in receiver order: (stack (1, rows, cols), singular values
+    (1, cols)) per receiver (see _stacks)."""
     layout = beamformers.spec._layout
-    return _per_receiver(_factored(_set_stacks(beamformers, channel,
-                                               [(rx, keys) for rx, (_, keys) in enumerate(layout)])))
+    return _set_stacks(beamformers, channel, [(rx, keys) for rx, (_, keys) in enumerate(layout)])
 
 
 def independence_margin(beamformers: "BeamformerSet", channel: ComplexChannelMatrix) -> IndependenceReport:

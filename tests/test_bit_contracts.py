@@ -16,6 +16,8 @@ digest mismatch.  Every comparison is np.array_equal or ==, never a
 tolerance.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,26 @@ def _sequential_block(rng: np.random.Generator, dim: int, cols: int) -> np.ndarr
     return q * signs
 
 
+@contextmanager
+def _numpy_calls():
+    """How many times np.matmul and np.linalg.svd are called while the block runs."""
+    counts = {"matmul": 0, "svd": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "matmul", counted(np, "matmul"))
+        patch.setattr(np.linalg, "svd", counted(np.linalg, "svd"))
+        yield counts
+
+
 def _lifted(phase: float, S: int) -> np.ndarray:
     """One phase's block rotation as the kron of its 2x2 rotation."""
     return np.kron(np.eye(S), rotation_matrix(phase))
@@ -162,23 +184,26 @@ def test_stack_with_trial_and_candidate_axes_is_the_per_column_matvec(phases, S,
     # Columns are strided views into (trials, draws, 2S, 2) blocks, as drawn free columns are.
     blocks = np.random.default_rng(seed).standard_normal((3, 2, draws, 2 * S, 2))
     keys = [(t, c) for t in range(3) for c in range(2)]
-    # Three receivers' stacks, two of one width and one of another.
+    # Three receivers' stacks, two of one width and one of another: one stacked
+    # matmul and one stacked SVD per width.
     entries = [(0, keys), (1, keys[1:4]), (1, keys[::-1])]
-    groups = verify._stacks(lambda t, c: blocks[t][..., c], links, entries)
-    assert sorted(i for members, _ in groups for i in members) == [0, 1, 2]
-    for members, stacked in groups:
-        width = len(entries[members[0]][1])
-        assert stacked.shape == (2, draws, len(members), 2 * S, width) and stacked.flags.c_contiguous
+    with _numpy_calls() as calls:
+        found = verify._stacks(lambda t, c: blocks[t][..., c], links, entries)
+    assert calls == {"matmul": 2, "svd": 2}
+    assert len(found) == len(entries)
+    for (_, stack_keys), (stack, svals) in zip(entries, found):
+        assert stack.shape == (2, draws, 2 * S, len(stack_keys))
+        assert svals.shape == (2, draws, min(2 * S, len(stack_keys)))
     for b in range(2):
         for d in range(draws):
             singles = verify._stacks(lambda t, c: blocks[t][b, d][None, :, c], links[b:b + 1], entries)
-            assert [members for members, _ in singles] == [members for members, _ in groups]
-            for (members, stacked), (_, single) in zip(groups, singles):
-                assert single.shape == (1, *stacked.shape[2:]) and single.flags.c_contiguous
-                for i, index in enumerate(members):
-                    rx, stack_keys = entries[index]
-                    expected = np.column_stack([links[b, rx, t] @ blocks[t][b, d][:, c] for t, c in stack_keys])
-                    assert np.array_equal(stacked[b, d, i], expected) and np.array_equal(single[0, i], expected)
+            for (rx, stack_keys), (stack, svals), (single, single_svals) in zip(entries, found, singles):
+                expected = np.column_stack([links[b, rx, t] @ blocks[t][b, d][:, c] for t, c in stack_keys])
+                assert stack[b, d].flags.c_contiguous and np.array_equal(stack[b, d], expected)
+                assert single.shape == (1, *expected.shape) and single.flags.c_contiguous
+                assert np.array_equal(single[0], expected)
+                expected_svals = np.linalg.svd(expected, compute_uv=False)
+                assert np.array_equal(svals[b, d], expected_svals) and np.array_equal(single_svals[0], expected_svals)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.tag)
@@ -220,20 +245,33 @@ def test_all_receiver_stacks_and_svds_are_the_per_receiver_ones(spec):
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.tag)
-def test_a_blocks_scoring_stacks_and_svds_are_each_trials(spec):
-    # One stacked matmul and one SVD per receiver-stack width over the block's
-    # trials and candidates.
+def test_a_blocks_scoring_stacks_and_svds_are_each_trials(spec, monkeypatch):
+    # One stacked matmul and one SVD per receiver-stack width (two on ragged,
+    # one on every other spec) over the block's trials and candidates.
     channels, seeds = _block(spec)
-    columns, groups, scores = schemes._candidates(spec, channels, seeds)
-    assert scores.shape == (len(seeds), CANDIDATE_DRAWS if spec.free_blocks else 1)
+    calls = []
+    real_stacks = schemes._stacks
+
+    def counting_stacks(*args):
+        with _numpy_calls() as counts:
+            found = real_stacks(*args)
+        calls.append(counts)
+        return found
+
+    monkeypatch.setattr(schemes, "_stacks", counting_stacks)
+    columns, receivers, scores = schemes._candidates(spec, channels, seeds)
+    monkeypatch.undo()
+    widths = len({len(keys) for _, keys in spec._layout})
+    assert calls == [{"matmul": widths, "svd": widths}]
+    draws = CANDIDATE_DRAWS if spec.free_blocks else 1
+    assert scores.shape == (len(seeds), draws) and len(receivers) == spec.shape[0]
     for i, (chn, seed) in enumerate(zip(channels, seeds)):
-        alone_columns, alone_groups, alone_scores = schemes._candidates(spec, [chn], [seed])
+        alone_columns, alone_receivers, alone_scores = schemes._candidates(spec, [chn], [seed])
         assert np.array_equal(scores[i], alone_scores[0])
         for key, col in alone_columns.items():
             assert np.array_equal(columns[key][i], col[0])
-        assert [members for members, _, _ in groups] == [members for members, _, _ in alone_groups]
-        for (_, stacks, svals), (_, alone_stacks, alone_svals) in zip(groups, alone_groups):
-            assert stacks.flags.c_contiguous
+        for (stacks, svals), (alone_stacks, alone_svals) in zip(receivers, alone_receivers):
+            assert all(stack.flags.c_contiguous for stack in stacks[i])
             assert np.array_equal(stacks[i], alone_stacks[0]) and np.array_equal(svals[i], alone_svals[0])
 
 

@@ -100,19 +100,33 @@ def test_block_rates_solve_once_and_match_per_point_sum_rate(tag, monkeypatch):
     bf = build_scheme(tag, chn, seed=3)
     calls = []
     # The rate layer reads every receiver's stack through one call of verify's
-    # stack builder, which makes one batch per stack width.
+    # stack builder, which makes one stacked matmul and one stacked SVD per
+    # stack width.
     real_stacks = verify._stacks
 
     def counting_stacks(column, links, stacks):
-        groups = real_stacks(column, links, stacks)
-        calls.append([[stacks[i][0] for i in members] for members, _ in groups])
-        return groups
+        counts = {"matmul": 0, "svd": 0}
+
+        def counted(real, name):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "matmul", counted(np.matmul, "matmul"))
+            patch.setattr(np.linalg, "svd", counted(np.linalg.svd, "svd"))
+            found = real_stacks(column, links, stacks)
+        calls.append(([rx for rx, _ in stacks], counts, len(found)))
+        return found
 
     monkeypatch.setattr(verify, "_stacks", counting_stacks)
     block = rates._set_rates(bf, chn, np.array(GRID_21))
-    (groups,) = calls
-    assert len(groups) == len({len(keys) for _, keys in bf.spec._layout})
-    assert sorted(rx for group in groups for rx in group) == list(range(bf.spec.shape[0]))
+    (call,) = calls
+    widths = len({len(keys) for _, keys in bf.spec._layout})
+    num_rx = bf.spec.shape[0]
+    assert call == (list(range(num_rx)), {"matmul": widths, "svd": widths}, num_rx)
     monkeypatch.undo()
     S = bf.spec.extension
     for snr, row in zip(GRID_21, block):

@@ -1,5 +1,6 @@
 """Beamformer builders: geometry, feasibility gating, determinism, validation."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -203,6 +204,28 @@ def test_cognitive_side_information_empties_one_basis():
     bf = build_cognitive_x(chn)
     assert bf.spec.interference_basis(1) == ()
     assert bf.spec.interference_basis(0) == ((0, 1),)
+
+
+@pytest.mark.parametrize("tag", ["acs-ic3", "x-channel"])
+def test_receiver_indices_outside_the_channel_are_refused(tag):
+    # Negative indices do not wrap round to the last receiver, and one past it
+    # does not reach a bare IndexError.
+    chn = sample_feasible_channel(tag, 0)
+    bf = build_scheme(tag, chn, seed=0)
+    spec = bf.spec
+    last = spec.shape[0] - 1
+    desired = tuple((t, c) for t, c, rx in spec.streams() if rx == last)
+    assert spec.desired_streams(last) == desired
+    keys = desired + spec.interference_basis(last)
+    links = chn.link_rotations(spec.extension)[last]
+    stack, num_desired = verify.receiver_stack(bf, chn, last)
+    assert num_desired == len(desired)
+    assert np.array_equal(stack, np.column_stack([links[t] @ bf.column(t, c) for t, c in keys]))
+    accessors = (spec.desired_streams, spec.interference_basis, lambda rx: verify.receiver_stack(bf, chn, rx))
+    for accessor in accessors:
+        for rx in (-1, last + 1):
+            with pytest.raises(ValueError, match=re.escape(f"rx must be in 0..{last}, got {rx}")):
+                accessor(rx)
 
 
 def test_streams_enumerates_in_transmitter_major_order():
