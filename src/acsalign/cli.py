@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -194,8 +194,7 @@ def _trial_records(scheme: str, seed: int, outcome) -> list[dict]:
 
 
 def _sweep_block(scheme: str, grid, fixed, seeds: range) -> list[list[dict]]:
-    """A block of trials, module level so worker processes can unpickle it:
-    each trial's records, in seed order.
+    """A block of trials: each trial's records, in seed order.
 
     Trial i draws its channel from seed i (redrawn away from the degenerate
     set for the randomized schemes) and reuses the same seed for the free
@@ -249,9 +248,63 @@ def _write_sweep(blocks, args: argparse.Namespace) -> int:
     return 0 if produced else 1
 
 
+def _forked_runs(block, runs: list[range]):
+    """Each run's `_sweep_run(block, run)`, in run order, each computed in a
+    child process forked for that run.
+
+    A child pickles (True, its blocks) or (False, its exception) to its own
+    pipe and ends with os._exit.  The parent reads the pipes in order, reaps
+    each child and re-raises a child's exception; a child that ends without a
+    result is a ChildProcessError.  However the reader stops, every child still
+    running is then killed and every child reaped."""
+    import pickle
+    import signal
+
+    pids, readers = [], []
+    try:
+        for run in runs:
+            read, write = os.pipe()
+            readers.append(os.fdopen(read, "rb"))
+            with os.fdopen(write, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        try:
+                            result = True, _sweep_run(block, run)
+                        except Exception as exc:
+                            result = False, exc
+                        pickle.dump(result, writer)
+                        writer.flush()
+                        os._exit(0)
+                    finally:
+                        # Reached only when the result could not be written.
+                        os._exit(1)
+            pids.append(pid)
+        for pid, reader, run in zip(list(pids), readers, runs):
+            try:
+                ok, value = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                ok = None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pids.remove(pid)
+            if ok is None:
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(f"sweep worker for trials {run[0]}..{run[-1]} "
+                                        f"ended without a result ({how})")
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
+
+
 def run_sweep(args: argparse.Namespace) -> int:
     # The trials' rate layer (and through it schemes, verify and channel) loads
-    # before the pool starts, so forked workers inherit it instead of each
+    # before any worker forks, so the workers inherit it instead of each
     # importing it.
     from . import rates
     from .schemes import scheme_spec
@@ -262,19 +315,15 @@ def run_sweep(args: argparse.Namespace) -> int:
         fixed = _resolve_channel(args, scheme_spec(scheme).sample)
     block = partial(_sweep_block, scheme, args.snr_grid, fixed)
     seeds = range(args.master_seed, args.master_seed + args.trials)
-    # A fork-started pool launches every worker up front: no more than one per trial.
     workers = min(args.workers, args.trials)
     if workers > 1:
-        # The pool's modules (multiprocessing and its kin) load only here and
-        # after numpy, which in the other order peaks higher in memory; each
-        # worker gets one contiguous run of trials, which it walks in blocks,
-        # and pool.map, like map, yields the runs in seed order.
-        from concurrent.futures import ProcessPoolExecutor
-
+        # Each worker gets one contiguous run of ⌈trials / workers⌉ trials (the
+        # last may be shorter, and there may be fewer runs than workers), which
+        # it walks in blocks; the runs come back in seed order.
         size = -(-args.trials // workers)
         runs = [seeds[i:i + size] for i in range(0, args.trials, size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _write_sweep(chain.from_iterable(pool.map(partial(_sweep_run, block), runs)), args)
+        with closing(_forked_runs(block, runs)) as results:
+            return _write_sweep(chain.from_iterable(results), args)
     return _write_sweep(map(block, _blocks(seeds)), args)
 
 
@@ -343,6 +392,13 @@ def _int_at_least(text: str, low: int) -> int:
 
 _positive_int = partial(_int_at_least, low=1)
 _nonnegative_int = partial(_int_at_least, low=0)
+
+
+def _workers_arg(text: str) -> int:
+    value = _positive_int(text)
+    if value > 1 and not hasattr(os, "fork"):
+        raise argparse.ArgumentTypeError("more than one worker needs os.fork, which this platform lacks")
+    return value
 
 
 def _extension_arg(text: str) -> int:
@@ -427,7 +483,7 @@ def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     sweep.add_argument("--out", default=None, metavar="PATH",
                        help=f"output file (relative paths resolve under ${OUT_DIR_ENV}); stdout if omitted")
-    sweep.add_argument("--workers", type=_positive_int, default=1)
+    sweep.add_argument("--workers", type=_workers_arg, default=1)
     _add_channel_source(sweep)
 
 

@@ -156,7 +156,7 @@ def test_sweep_is_identical_serial_or_parallel(tmp_path, capsys):
 
 
 def test_sweep_on_a_fixed_channel_is_identical_serial_or_parallel(tmp_path, capsys):
-    # The fixed channel is pickled into every worker's task.
+    # Every forked worker inherits the fixed channel.
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"
     base = ["sweep", "--scheme", "acs-ic3", "--channel-seed", "5", "--trials", "2"]
@@ -167,24 +167,15 @@ def test_sweep_on_a_fixed_channel_is_identical_serial_or_parallel(tmp_path, caps
 
 
 def test_sweep_pool_never_outnumbers_the_trials(tmp_path, capsys, monkeypatch):
-    pools = []
+    from acsalign import cli
+
     runs = []
+    real_runner = cli._forked_runs
 
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor and maps in this process."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            runs.append([len(run) for run in items])
-            return map(fn, items)
+    def forked_runs(block, items):
+        """Stands in for the fork runner and runs each run in this process."""
+        runs.append([len(run) for run in items])
+        return (cli._sweep_run(block, run) for run in items)
 
     def sweep(trials, workers):
         out = tmp_path / f"{trials}-{workers}.jsonl"
@@ -193,16 +184,104 @@ def test_sweep_pool_never_outnumbers_the_trials(tmp_path, capsys, monkeypatch):
         assert main(argv) == 0
         return out.read_bytes()
 
-    # run_sweep imports the pool from concurrent.futures when it starts one.
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    # The runner forks one child per run it is handed.
+    monkeypatch.setattr(cli, "_forked_runs", forked_runs)
     assert sweep(2, 64) == sweep(2, 1)
-    assert pools == [2]
+    assert runs == [[1, 1]]
     assert sweep(1, 8) == sweep(1, 1)
-    assert pools == [2]
+    assert runs == [[1, 1]]
     # Each worker is handed one contiguous run: 5 trials split 3 and 2.
     assert sweep(5, 2) == sweep(5, 1)
-    assert pools == [2, 2]
     assert runs == [[1, 1], [3, 2]]
+    # Four workers on 5 trials take runs of 2, 2 and 1: no child sits idle.
+    assert sweep(5, 4) == sweep(5, 1)
+    assert runs == [[1, 1], [3, 2], [2, 2, 1]]
+
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "_forked_runs", real_runner)
+    monkeypatch.setattr(os, "fork", fork)
+    assert sweep(5, 4) == sweep(5, 1)
+    assert len(forks) == 3
+    capsys.readouterr()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_sweep_worker_outlives_a_sweep_whose_output_fails(tmp_path, capsys, monkeypatch):
+    import time
+
+    from acsalign import cli
+
+    parent = os.getpid()
+    real_block = cli._sweep_block
+
+    def sweep_block(scheme, grid, fixed, seeds):
+        # The last worker would run for a minute: it is killed, not waited for.
+        if os.getpid() != parent and seeds[0] == 20:
+            time.sleep(60)
+        return real_block(scheme, grid, fixed, seeds)
+
+    monkeypatch.setattr(cli, "_sweep_block", sweep_block)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["sweep", "--scheme", "x-channel", "--trials", "30", "--workers", "3",
+            "--out", str(blocker / "sweep.jsonl")]
+    start = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr().err.startswith("error: ")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure,message", [
+    ("kill", "sweep worker for trials 3..5 ended without a result (killed by signal 9)"),
+    ("raise", "no channel for trials 3..5"),
+])
+def test_a_failed_sweep_worker_is_reported_and_exits_2(failure, message, tmp_path, capsys, monkeypatch):
+    import signal
+
+    from acsalign import cli
+
+    parent = os.getpid()
+    real_block = cli._sweep_block
+
+    def sweep_block(scheme, grid, fixed, seeds):
+        if os.getpid() != parent and seeds[0] == 3:
+            if failure == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("no channel for trials 3..5")
+        return real_block(scheme, grid, fixed, seeds)
+
+    monkeypatch.setattr(cli, "_sweep_block", sweep_block)
+    out = tmp_path / "sweep.jsonl"
+    argv = ["sweep", "--scheme", "x-channel", "--trials", "9", "--workers", "3", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # The first worker's run was written before the second one failed.
+    assert [r["seed"] for r in sweep_lines(out) if r["record"] == "dof"] == [0, 1, 2]
+    assert_no_child_left()
+
+
+def test_more_than_one_worker_needs_fork(capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scheme", "x-channel", "--trials", "2", "--workers", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --workers: more than one worker needs os.fork" in captured.err
+    assert main(["sweep", "--scheme", "x-channel", "--trials", "1", "--workers", "1"]) == 0
     capsys.readouterr()
 
 
@@ -368,7 +447,7 @@ def test_a_sweep_with_skips_inside_its_blocks_is_the_same_at_any_block_size_or_p
     full = cli.TRIAL_BLOCK
 
     def sweep(block, workers):
-        # Forked pool workers inherit the block size.
+        # Forked workers inherit the block size.
         monkeypatch.setattr(cli, "TRIAL_BLOCK", block)
         out = tmp_path / f"{block}-{workers}.jsonl"
         argv = ["sweep", "--scheme", "acs-ic3", "--trials", "24", "--channel-file", str(path),
