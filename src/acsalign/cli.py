@@ -26,6 +26,7 @@ if TYPE_CHECKING:
     from typing import Callable
 
     from .channel import ComplexChannelMatrix
+    from .schemes import SchemeSpec
 
 __all__ = [
     "run_verify",
@@ -193,8 +194,8 @@ def _trial_records(scheme: str, seed: int, outcome) -> list[dict]:
     return records
 
 
-def _sweep_block(scheme: str, grid, fixed, seeds: range) -> list[list[dict]]:
-    """A block of trials: each trial's records, in seed order.
+def _sweep_block(spec: SchemeSpec, grid, fixed, seeds: range) -> list[list[dict]]:
+    """A block of trials of `spec`: each trial's records, in seed order.
 
     Trial i draws its channel from seed i (redrawn away from the degenerate
     set for the randomized schemes) and reuses the same seed for the free
@@ -203,22 +204,18 @@ def _sweep_block(scheme: str, grid, fixed, seeds: range) -> list[list[dict]]:
     and a trial that its sampler, gate or conditioning refuses gets a skip
     record while its neighbours go on.
     """
-    from .rates import _estimate_block, estimate_baseline_dof
-    from .schemes import SCHEMES
+    from .rates import _estimate_block
     from .verify import InfeasibleChannelError
 
-    spec = SCHEMES[scheme]
     outcomes, channels = {}, {}
     for seed in seeds:
         try:
             channels[seed] = fixed if fixed is not None else spec.sample(seed)
         except InfeasibleChannelError as exc:
             outcomes[seed] = exc
-    if scheme == "baseline":
-        outcomes.update((seed, estimate_baseline_dof(channel, grid)) for seed, channel in channels.items())
-    elif channels:
+    if channels:
         outcomes.update(zip(channels, _estimate_block(spec, list(channels.values()), list(channels), grid)))
-    return [_trial_records(scheme, seed, outcomes[seed]) for seed in seeds]
+    return [_trial_records(spec.tag, seed, outcomes[seed]) for seed in seeds]
 
 
 def _blocks(seeds: range) -> list[range]:
@@ -309,11 +306,11 @@ def run_sweep(args: argparse.Namespace) -> int:
     from . import rates
     from .schemes import scheme_spec
 
-    scheme = args.scheme
+    spec = scheme_spec(args.scheme)
     fixed = None
     if args.special is not None or args.channel_file is not None or args.channel_seed is not None:
-        fixed = _resolve_channel(args, scheme_spec(scheme).sample)
-    block = partial(_sweep_block, scheme, args.snr_grid, fixed)
+        fixed = _resolve_channel(args, spec.sample)
+    block = partial(_sweep_block, spec, args.snr_grid, fixed)
     seeds = range(args.master_seed, args.master_seed + args.trials)
     workers = min(args.workers, args.trials)
     if workers > 1:

@@ -41,7 +41,12 @@ class RankDeficientReceiverError(Exception):
 
     def __init__(self, rx: int, detail: str):
         self.rx = rx
+        self._detail = detail
         super().__init__(f"receiver {rx} is rank deficient: {detail}")
+
+    def __reduce__(self):
+        # Exception pickles its args, here only the message; rebuild from ours.
+        return type(self), (self.rx, self._detail), self.__dict__
 
 
 @contextmanager
@@ -245,8 +250,11 @@ def _estimate_block(spec: SchemeSpec, channels, seeds, snr_grid_db) -> list:
     channels[i] from seeds[i]: each trial's DofEstimate, or the
     InfeasibleChannelError that refused its build, in trial order.  The rates
     read the stacks and singular values the builder's scoring computed, and the
-    block's rates are one pass; only the slope fit runs trial by trial."""
+    block's rates are one pass; only the slope fit runs trial by trial.  A spec
+    without streams (the per-symbol baseline) is rated by estimate_baseline_dof."""
     grid = validate_snr_grid(snr_grid_db)
+    if not spec.stream_rx:
+        return [estimate_baseline_dof(channel, grid) for channel in channels]
     outcomes, receivers = _build_block(spec, channels, seeds)
     built = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, BeamformerSet)]
     if built:

@@ -37,12 +37,12 @@ __all__ = _exports(__name__)
 CANDIDATE_DRAWS = 8
 
 # Phase distance (radians) to the degenerate set below which a random draw is
-# rejected by sample_feasible_channel.  Feasibility is an open condition, so
+# rejected by SchemeSpec.sample.  Feasibility is an open condition, so
 # arbitrarily small margins are still feasible but condition the construction
 # badly; the receive-side singular values shrink roughly with this distance.
 GENERIC_PHASE_MARGIN = 1e-2
 
-# How many seeded draws sample_feasible_channel tries before giving up.
+# How many seeded draws SchemeSpec.sample tries before giving up.
 _SAMPLE_ATTEMPTS = 64
 
 
@@ -87,12 +87,43 @@ class SchemeSpec:
     removed_streams: frozenset[tuple[int, int, int]] = frozenset()
 
     def __post_init__(self):
+        if self.stream_rx:
+            self._check_recipe()
         # A stack wider than its 2S rows cannot be zero-forced, and an SVD of it
         # returns only 2S singular values, blind to its null space.
         for rx, (_, keys) in enumerate(self._layout):
             if len(keys) > 2 * self.extension:
                 raise ValueError(f"{self.tag}: receiver {rx} stacks {len(keys)} columns "
                                  f"in {2 * self.extension} real dimensions")
+
+    def _check_recipe(self) -> None:
+        """Refuse a recipe that routes a stream to no receiver of the gate's
+        shape, makes a stream other than exactly once (free, fixed, or derived
+        from a column made before it) or aligns a stream at its own receiver."""
+        num_rx, num_tx = self.shape
+        if len(self.stream_rx) != num_tx:
+            raise ValueError(f"{self.tag}: {len(self.stream_rx)} transmitters on a {num_rx}x{num_tx} channel")
+        routes = {(t, c): rx for t, c, rx in self.streams()}
+        for stream, rx in routes.items():
+            if not 0 <= rx < num_rx:
+                raise ValueError(f"{self.tag}: stream {stream} goes to receiver {rx}, not one of 0..{num_rx - 1}")
+        made = [(t, c) for t, cols in self.free_blocks for c in cols] + [key for key, _ in self.fixed_columns]
+        for pair in self.alignments:
+            for side in (pair.kept, pair.dropped):
+                if not 0 <= pair.rx < num_rx or routes.get(side, pair.rx) == pair.rx:
+                    raise ValueError(f"{self.tag}: {pair} aligns {side}, which is no stream interfering "
+                                     f"at receiver {pair.rx}")
+            if not pair.up_to_sign:
+                if pair.kept not in made:
+                    raise ValueError(f"{self.tag}: {pair} derives {pair.dropped} from {pair.kept}, "
+                                     "which is not made before it")
+                made.append(pair.dropped)
+        for column in made:
+            if column not in routes:
+                raise ValueError(f"{self.tag}: column {column} is made but is no stream")
+        for stream in routes:
+            if made.count(stream) != 1:
+                raise ValueError(f"{self.tag}: stream {stream} is made {made.count(stream)} times, not once")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -113,15 +144,28 @@ class SchemeSpec:
         return report, ("fully-connected",) if disconnected else report.failed
 
     def sample(self, seed: int) -> ComplexChannelMatrix:
-        """The random channel of one sweep trial.
+        """The random channel of one sweep trial, drawn by this spec's own gate.
 
-        Open gates get a draw redrawn off the degenerate set; a closure-gated
-        scheme gets the plain draw, which its gate then rejects.
+        Under an open gate, a draw whose gating phase sums come within
+        GENERIC_PHASE_MARGIN radians of a multiple of pi is redrawn, up to
+        _SAMPLE_ATTEMPTS times (deterministically: attempt k reseeds with
+        (seed, k)).  Attempt 0 is the plain sample_channel draw, so channels
+        that were already safe come back unchanged.  A closure-gated spec gets
+        the plain draw, which its gate then rejects.
         """
-        if self.sampleable:
-            return sample_feasible_channel(self.tag, seed)
         num_rx, num_tx = self.shape
-        return sample_channel(seed, num_tx, num_rx)
+        if not self.sampleable:
+            return sample_channel(seed, num_tx, num_rx)
+        for attempt in range(_SAMPLE_ATTEMPTS):
+            chn = sample_channel(seed if attempt == 0 else [seed, attempt], num_tx, num_rx)
+            report = check_conditions(chn, self.feasibility)
+            if min(rec.distance for rec in report.records) >= GENERIC_PHASE_MARGIN:
+                return chn
+        raise InfeasibleChannelError(
+            self.tag,
+            ("margin",),
+            f"no draw with margin >= {GENERIC_PHASE_MARGIN} within {_SAMPLE_ATTEMPTS} attempts",
+        )
 
     def descriptor(self) -> dict:
         """The scheme's stream layout and sum DoF, as `verify` reports them."""
@@ -449,15 +493,10 @@ def scheme_spec(tag: str) -> SchemeSpec:
 
 
 def sample_feasible_channel(scheme: str, seed: int) -> ComplexChannelMatrix:
-    """Draw a random channel for `scheme` with a safe feasibility margin.
-
-    A draw whose gating phase sums come within GENERIC_PHASE_MARGIN radians of
-    a multiple of pi is redrawn, up to _SAMPLE_ATTEMPTS times
-    (deterministically: attempt k reseeds with (seed, k)).  Attempt 0 is the
-    plain sample_channel draw, so channels that were already safe come back
-    unchanged.  Only schemes whose feasibility is an open condition can be
-    sampled; the closure-gated scheme needs specially constructed channels
-    instead.
+    """Draw a random channel for the table's `scheme` with a safe feasibility
+    margin: its SchemeSpec.sample.  Only schemes whose feasibility is an open
+    condition can be sampled; the closure-gated scheme needs specially
+    constructed channels instead.
     """
     spec = scheme_spec(scheme)
     if not spec.sampleable:
@@ -465,18 +504,7 @@ def sample_feasible_channel(scheme: str, seed: int) -> ComplexChannelMatrix:
             "random channels fail the closure condition almost surely; "
             "use construct_special_channel('phase-example') or a channel file"
         )
-    num_rx, num_tx = spec.shape
-    for attempt in range(_SAMPLE_ATTEMPTS):
-        entropy = seed if attempt == 0 else [seed, attempt]
-        chn = sample_channel(entropy, num_tx, num_rx)
-        report = check_conditions(chn, spec.feasibility)
-        if min(rec.distance for rec in report.records) >= GENERIC_PHASE_MARGIN:
-            return chn
-    raise InfeasibleChannelError(
-        scheme,
-        ("margin",),
-        f"no draw with margin >= {GENERIC_PHASE_MARGIN} within {_SAMPLE_ATTEMPTS} attempts",
-    )
+    return spec.sample(seed)
 
 
 def build_phase_alignment(channel: ComplexChannelMatrix) -> BeamformerSet:

@@ -46,10 +46,15 @@ class InfeasibleChannelError(Exception):
     def __init__(self, scheme: str, failed: tuple[str, ...], detail: str = ""):
         self.scheme = scheme
         self.failed = tuple(failed)
+        self._detail = detail
         msg = f"channel infeasible for scheme {scheme!r}; failed conditions: {', '.join(failed)}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # Exception pickles its args, here only the message; rebuild from ours.
+        return type(self), (self.scheme, self.failed, self._detail), self.__dict__
 
 
 class DegenerateAnglesError(ValueError):

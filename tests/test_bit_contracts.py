@@ -78,9 +78,9 @@ SPECS = [scheme_spec(tag) for tag in SCHEME_TAGS] + [MIXED, RAGGED, IDLE, LONE]
 
 
 def _channel(spec: SchemeSpec, seed: int) -> ComplexChannelMatrix:
-    """A channel `spec` builds on: seed's draw from its gate's sampler, or the phase example."""
+    """A channel `spec` builds on: its own sample of seed, or the phase example."""
     if spec.sampleable:
-        return sample_feasible_channel(spec.feasibility, seed)
+        return spec.sample(seed)
     return construct_special_channel("phase-example")
 
 
@@ -499,9 +499,14 @@ def test_the_fits_sums_are_the_per_row_sums(tag):
 
 
 def test_the_baseline_fits_sums_are_the_profile_sums():
-    for chn in [construct_special_channel("phase-example")] + [sample_channel(seed, 3, 3) for seed in range(10)]:
+    channels = [construct_special_channel("phase-example")] + [sample_channel(seed, 3, 3) for seed in range(10)]
+    for chn in channels:
         for grid in (DEFAULT_SNR_GRID_DB, GRID_21_DB):
             profiles = [baseline_rate_profile(chn, snr) for snr in _db_to_linear(grid)]
             est = estimate_baseline_dof(chn, grid)
             assert est.sum_rates == tuple(float(p.sum()) for p in profiles)
             assert est.per_user_rates == tuple(tuple(float(r) for r in p) for p in profiles)
+    # A block of a spec without streams is rated by the same fits.
+    for grid in (DEFAULT_SNR_GRID_DB, GRID_21_DB):
+        block = rates._estimate_block(SCHEMES["baseline"], channels, range(len(channels)), grid)
+        assert block == [estimate_baseline_dof(chn, grid) for chn in channels]

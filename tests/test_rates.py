@@ -1,5 +1,6 @@
 """Zero-forcing rates, slope regression, and the per-symbol baseline."""
 
+import pickle
 import re
 from dataclasses import replace
 from functools import partial
@@ -166,6 +167,13 @@ def test_rank_deficient_receiver_is_reported(idx, rx):
         with pytest.raises(RankDeficientReceiverError) as exc:
             call()
         assert exc.value.rx == rx
+
+
+def test_rank_deficient_receiver_error_survives_pickling():
+    exc = RankDeficientReceiverError(2, "its stack is dependent, smallest singular value 1e-16")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is RankDeficientReceiverError
+    assert str(back) == str(exc) and back.args == exc.args and back.rx == 2
 
 
 def _cross_sum_lowered(eps: float) -> ComplexChannelMatrix:

@@ -305,6 +305,28 @@ def test_scheme_entry_is_a_complete_recipe(tag):
     assert sorted(made) == sorted(streams)
 
 
+@pytest.mark.parametrize("make, message", [
+    # No column of either transmitter is drawn, fixed or derived.
+    (lambda: SchemeSpec("t", "x-channel", stream_rx=((0,), (1,))),
+     "t: stream (0, 0) is made 0 times, not once"),
+    # Stream (1, 3) goes to a receiver the 2x2 channel lacks.
+    (lambda: replace(SCHEMES["x-channel"], stream_rx=((0, 0, 1, 1), (0, 0, 1, 4))),
+     "x-channel: stream (1, 3) goes to receiver 4, not one of 0..1"),
+    # The second derivation comes first, from a column not yet made.
+    (lambda: replace(SCHEMES["phase-align"], alignments=tuple(SCHEMES["phase-align"].alignments[i] for i in (1, 0, 2))),
+     "phase-align: AlignmentPair(rx=0, kept=(2, 0), dropped=(1, 0), up_to_sign=False) derives (1, 0) "
+     "from (2, 0), which is not made before it"),
+    # The first pair aligns x-channel's streams at receiver 0, where (0, 0) is desired.
+    (lambda: replace(SCHEMES["x-channel"], alignments=(AlignmentPair(rx=0, kept=(0, 0), dropped=(1, 0)),
+                                                       *SCHEMES["x-channel"].alignments[1:])),
+     "x-channel: AlignmentPair(rx=0, kept=(0, 0), dropped=(1, 0), up_to_sign=False) aligns (0, 0), "
+     "which is no stream interfering at receiver 0"),
+], ids=["missing-column", "receiver-out-of-range", "derived-from-unmade", "own-receiver"])
+def test_an_incomplete_or_misrouted_recipe_is_refused_at_construction(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_build_validates_only_the_winners(monkeypatch):
     validated = []
     post_init = BeamformerSet.__post_init__
@@ -348,12 +370,16 @@ def test_alignment_pair_records_roles():
 
 @pytest.mark.parametrize("tag", ["acs-ic3", "x-channel", "cognitive-x", "uplinks"])
 def test_feasible_sampler_keeps_a_margin(tag):
+    spec = scheme_spec(tag)
+    # A spec samples by its own gate, whatever its tag: under a tag the table
+    # lacks, or under that of a scheme of another shape.
+    copies = [replace(spec, tag=f"{tag}-copy"), replace(spec, tag="x-channel" if spec.shape == (3, 3) else "acs-ic3")]
     for seed in range(5):
         chn = sample_feasible_channel(tag, seed)
-        spec = scheme_spec(tag)
         assert chn.magnitude.shape == spec.shape
         report = check_conditions(chn, spec.feasibility)
         assert min(rec.distance for rec in report.records) >= GENERIC_PHASE_MARGIN
+        assert [copy.sample(seed) for copy in copies] == [chn, chn]
 
 
 def test_feasible_sampler_is_deterministic_and_usually_plain():

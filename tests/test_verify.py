@@ -1,5 +1,7 @@
 """Condition checks, alignment residuals, independence tests, phasor lemmas."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -17,6 +19,7 @@ from acsalign.verify import (
     CONDITION_SETS,
     PHASE_TOL,
     DegenerateAnglesError,
+    InfeasibleChannelError,
     alignment_residual,
     check_conditions,
     demonstrate_containment,
@@ -29,6 +32,17 @@ def test_condition_sets_are_registered():
     assert set(CONDITION_SETS) == {"phase-align", "acs-ic3", "singularity", "x-channel", "uplinks"}
     with pytest.raises(ValueError):
         check_conditions(sample_channel(0, 3, 3), "nonsense")
+
+
+@pytest.mark.parametrize("detail", ["", "smallest receive singular value 1e-12 <= 1e-09"], ids=["plain", "detail"])
+def test_infeasible_channel_error_survives_pickling(detail):
+    # A forked sweep worker, or a caller's own process pool, pickles the
+    # exception to its parent: it must come back whole, not as a TypeError.
+    exc = InfeasibleChannelError("acs-ic3", ("margin", "rx1-a"), detail)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is InfeasibleChannelError
+    assert str(back) == str(exc) and back.args == exc.args
+    assert (back.scheme, back.failed) == ("acs-ic3", ("margin", "rx1-a"))
 
 
 def _reference_formulas(chn: ComplexChannelMatrix) -> tuple[dict, list | None]:
