@@ -143,14 +143,10 @@ class ComplexChannelMatrix:
         # Python hashes -0.0 like 0.0, so channels with equal entries hash equal.
         return hash((self.magnitude.shape, *self.magnitude.ravel().tolist(), *self.phase.ravel().tolist()))
 
-    def __getstate__(self):
-        # Just the two grids: derived values are rebuilt on first use.
-        return self.magnitude, self.phase
-
-    def __setstate__(self, state):
-        for name, grid in zip(("magnitude", "phase"), state):
-            grid.setflags(write=False)
-            object.__setattr__(self, name, grid)
+    def __reduce__(self):
+        # Pickling and copying rebuild through the constructor from the two
+        # grids alone, so derived values are rebuilt on first use.
+        return type(self), (self.magnitude, self.phase)
 
     @property
     def num_rx(self) -> int:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 # No part of the package is imported here: the bound, the numerical modules
 # and numpy load when a subcommand that needs them parses its arguments or runs.
 if TYPE_CHECKING:
-    from typing import Callable
+    from typing import Callable, Iterator
 
     from .channel import ComplexChannelMatrix
     from .schemes import SchemeSpec
@@ -45,16 +45,17 @@ DEMO_RESIDUAL_PASS = 1e-10
 
 
 def _resolve_channel(args: argparse.Namespace,
-                     sample: Callable[[int], ComplexChannelMatrix]) -> ComplexChannelMatrix:
-    """Turn the channel-source flags into a channel: a named or loaded channel
-    as given, else `sample` of the channel seed (default 0)."""
+                     sample: Callable[[int], ComplexChannelMatrix]) -> ComplexChannelMatrix | None:
+    """The one reader of the channel-source flags: a named or loaded channel as
+    given, else `sample` of the channel seed, or None where no seed is set (a
+    sweep given no channel flag, whose trials draw their own)."""
     from .channel import construct_special_channel, load_channel
 
     if args.special is not None:
         return construct_special_channel(args.special)
     if args.channel_file is not None:
         return load_channel(args.channel_file)
-    return sample(args.channel_seed if args.channel_seed is not None else 0)
+    return None if args.channel_seed is None else sample(args.channel_seed)
 
 
 # -- report formatting --------------------------------------------------------
@@ -137,7 +138,7 @@ def _emit(out: str | None):
 # -- verify -------------------------------------------------------------------
 
 def run_verify(args: argparse.Namespace) -> int:
-    from .schemes import build_scheme, scheme_spec
+    from .schemes import _build, scheme_spec
     from .verify import alignment_residual, check_conditions, independence_margin
 
     scheme = args.scheme
@@ -151,7 +152,7 @@ def run_verify(args: argparse.Namespace) -> int:
     if ok:
         # The gate's conditions were just checked, and independence is judged
         # below, so the build must not raise on a poorly conditioned channel.
-        beamformers = build_scheme(scheme, channel, seed=args.seed, check=False)
+        beamformers = _build(spec, channel, args.seed, check=False)
         residual = alignment_residual(beamformers, channel)
         independence = independence_margin(beamformers, channel)
         payload["descriptor"] = beamformers.spec.descriptor()
@@ -218,13 +219,11 @@ def _sweep_block(spec: SchemeSpec, grid, fixed, seeds: range) -> list[list[dict]
     return [_trial_records(spec.tag, seed, outcomes[seed]) for seed in seeds]
 
 
-def _blocks(seeds: range) -> list[range]:
-    return [seeds[i:i + TRIAL_BLOCK] for i in range(0, len(seeds), TRIAL_BLOCK)]
-
-
-def _sweep_run(block, seeds: range) -> list[list[list[dict]]]:
-    """A worker's contiguous run of trials, walked in blocks by `block`."""
-    return [block(part) for part in _blocks(seeds)]
+def _sweep_run(block, seeds: range) -> Iterator[list[list[dict]]]:
+    """A contiguous run of trials, the whole sweep's or one worker's: `block`
+    of each TRIAL_BLOCK trials in turn, yielded as it finishes."""
+    for i in range(0, len(seeds), TRIAL_BLOCK):
+        yield block(seeds[i:i + TRIAL_BLOCK])
 
 
 def _write_sweep(blocks, args: argparse.Namespace) -> int:
@@ -267,7 +266,7 @@ def _forked_runs(block, runs: list[range]):
                 if pid == 0:
                     try:
                         try:
-                            result = True, _sweep_run(block, run)
+                            result = True, list(_sweep_run(block, run))
                         except Exception as exc:
                             result = False, exc
                         pickle.dump(result, writer)
@@ -307,10 +306,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     from .schemes import scheme_spec
 
     spec = scheme_spec(args.scheme)
-    fixed = None
-    if args.special is not None or args.channel_file is not None or args.channel_seed is not None:
-        fixed = _resolve_channel(args, spec.sample)
-    block = partial(_sweep_block, spec, args.snr_grid, fixed)
+    block = partial(_sweep_block, spec, args.snr_grid, _resolve_channel(args, spec.sample))
     seeds = range(args.master_seed, args.master_seed + args.trials)
     workers = min(args.workers, args.trials)
     if workers > 1:
@@ -321,7 +317,7 @@ def run_sweep(args: argparse.Namespace) -> int:
         runs = [seeds[i:i + size] for i in range(0, args.trials, size)]
         with closing(_forked_runs(block, runs)) as results:
             return _write_sweep(chain.from_iterable(results), args)
-    return _write_sweep(map(block, _blocks(seeds)), args)
+    return _write_sweep(_sweep_run(block, seeds), args)
 
 
 # -- bound --------------------------------------------------------------------
@@ -451,7 +447,10 @@ def _add_channel_source(sub: argparse.ArgumentParser) -> None:
     from .channel import special_channel_kinds
 
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--channel-seed", type=_nonnegative_int, default=None, metavar="N",
+    # A text default goes through `type` as a given value does, and unlike the
+    # int 0 it is never taken for a typed `--channel-seed 0`, which must still
+    # clash with the other sources.
+    group.add_argument("--channel-seed", type=_nonnegative_int, default="0", metavar="N",
                        help="use the channel of seed N: sweep trial N's for a scheme, the plain 3x3 "
                             "draw for demo-containment (default 0)")
     group.add_argument("--special", choices=special_channel_kinds(), default=None,
@@ -482,6 +481,8 @@ def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
                        help=f"output file (relative paths resolve under ${OUT_DIR_ENV}); stdout if omitted")
     sweep.add_argument("--workers", type=_workers_arg, default=1)
     _add_channel_source(sweep)
+    # Without a channel flag, each trial draws its own channel.
+    sweep.set_defaults(channel_seed=None)
 
 
 def _bound_arguments(bound: argparse.ArgumentParser) -> None:

@@ -251,17 +251,17 @@ def _estimate_block(spec: SchemeSpec, channels, seeds, snr_grid_db) -> list:
     InfeasibleChannelError that refused its build, in trial order.  The rates
     read the stacks and singular values the builder's scoring computed, and the
     block's rates are one pass; only the slope fit runs trial by trial.  A spec
-    without streams (the per-symbol baseline) is rated by estimate_baseline_dof."""
-    grid = validate_snr_grid(snr_grid_db)
+    without streams (the per-symbol baseline) is rated by estimate_baseline_dof.
+    The grid is taken as already validated, as fit_dof takes it."""
     if not spec.stream_rx:
-        return [estimate_baseline_dof(channel, grid) for channel in channels]
+        return [estimate_baseline_dof(channel, snr_grid_db) for channel in channels]
     outcomes, receivers = _build_block(spec, channels, seeds)
     built = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, BeamformerSet)]
     if built:
         magnitudes = np.stack([channels[i].magnitude for i in built])
-        block = _block_rates(spec, magnitudes, receivers, np.array(_db_to_linear(grid)))
+        block = _block_rates(spec, magnitudes, receivers, np.array(_db_to_linear(snr_grid_db)))
         for i, rates in zip(built, block):
-            outcomes[i] = fit_dof(grid, rates, spec.extension)
+            outcomes[i] = fit_dof(snr_grid_db, rates, spec.extension)
     return outcomes
 
 

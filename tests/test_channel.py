@@ -1,5 +1,6 @@
 """Rotation lift, channel sampling, special channels, file round trips."""
 
+import copy
 import pickle
 import re
 
@@ -94,24 +95,47 @@ def test_link_rotations_are_built_once_and_read_only():
     assert chn.link_rotations(1)[1][2].shape == (2, 2)
 
 
+CLONES = {"pickle": lambda chn: pickle.loads(pickle.dumps(chn)), "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
 def test_channel_with_cached_rotations_pickles():
     chn = sample_channel(5, 3, 3)
     fresh = len(pickle.dumps(sample_channel(5, 3, 3)))
     lifted = chn.link_rotations(5)
     check_conditions(chn, "acs-ic3")
-    data = pickle.dumps(chn)
     # Only the two grids travel: cached rotations and condition reports are
     # rebuilt on first use.
-    assert len(data) == fresh
-    copy = pickle.loads(data)
-    assert copy == chn
-    assert np.array_equal(copy.magnitude, chn.magnitude)
-    assert np.array_equal(copy.phase, chn.phase)
-    assert not copy.magnitude.flags.writeable and not copy.phase.flags.writeable
-    for row, copied_row in zip(lifted, copy.link_rotations(5)):
-        for m, copied in zip(row, copied_row):
-            assert np.array_equal(m, copied)
-            assert not copied.flags.writeable
+    assert len(pickle.dumps(chn)) == fresh
+    for how, clone in CLONES.items():
+        back = clone(chn)
+        assert back == chn, how
+        assert np.array_equal(back.magnitude, chn.magnitude)
+        assert np.array_equal(back.phase, chn.phase)
+        assert not back.magnitude.flags.writeable and not back.phase.flags.writeable
+        assert "_derived_values" not in vars(back), how
+        for row, copied_row in zip(lifted, back.link_rotations(5)):
+            for m, copied in zip(row, copied_row):
+                assert np.array_equal(m, copied)
+                assert not copied.flags.writeable
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+def test_a_copied_channel_goes_through_the_constructor(clone):
+    # Grids set behind the constructor's back are checked again on the way in.
+    chn = sample_channel(5, 3, 3)
+    magnitude = np.array(chn.magnitude)
+    magnitude[0, 1] = -1.0
+    object.__setattr__(chn, "magnitude", magnitude)
+    with pytest.raises(ValueError, match="magnitudes must be nonnegative"):
+        clone(chn)
+    # ... and their phases made canonical.
+    chn = sample_channel(5, 3, 3)
+    phase = np.array(chn.phase)
+    phase[1, 2] = -1.0
+    object.__setattr__(chn, "phase", phase)
+    back = clone(chn)
+    assert back.phase[1, 2] == np.mod(-1.0, TWO_PI)
+    assert not back.phase.flags.writeable
 
 
 def test_channels_compare_and_hash_by_value():

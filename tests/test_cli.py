@@ -651,7 +651,11 @@ def test_usage_errors_exit_with_two(capsys):
                  ["sweep", "--scheme", "acs-ic3", "--trials", "0"],
                  ["sweep", "--scheme", "acs-ic3", "--workers", "0"],
                  ["sweep", "--scheme", "acs-ic3", "--format", "xml"],
-                 ["verify", "--scheme", "acs-ic3", "--channel-seed", "1", "--special", "all-ones"]):
+                 ["verify", "--scheme", "acs-ic3", "--channel-seed", "1", "--special", "all-ones"],
+                 # A typed seed equal to the default is still a second channel source.
+                 ["verify", "--scheme", "acs-ic3", "--channel-seed", "0", "--special", "all-ones"],
+                 ["demo-containment", "--channel-file", "chan.txt", "--channel-seed", "0"],
+                 ["sweep", "--scheme", "acs-ic3", "--channel-seed", "0", "--special", "all-ones"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -755,6 +759,41 @@ def test_verify_evaluates_each_condition_set_once(monkeypatch, capsys):
     code, _ = run_cli(["verify", "--scheme", "acs-ic3", "--channel-seed", "0"], capsys)
     assert code == 0
     assert sorted(calls) == ["acs-ic3", "singularity"]
+
+
+def test_verify_builds_on_the_spec_it_resolved(monkeypatch, capsys):
+    from acsalign import schemes
+
+    def by_tag(*args, **kwargs):
+        raise AssertionError("verify looked its scheme tag up a second time")
+
+    monkeypatch.setattr(schemes, "build_scheme", by_tag)
+    code, out = run_cli(["verify", "--scheme", "x-channel"], capsys)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+def test_a_sweep_validates_its_grid_once(monkeypatch, capsys):
+    from acsalign import cli, rates
+
+    calls = []
+    validate = rates.validate_snr_grid
+    monkeypatch.setattr(rates, "validate_snr_grid", lambda grid: calls.append(grid) or validate(grid))
+    # argparse validates the grid; the three blocks of trials take it as it is.
+    trials = 2 * cli.TRIAL_BLOCK + 1
+    argv = ["sweep", "--scheme", "x-channel", "--trials", str(trials), "--snr-grid", "60,70,80,90,100"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert sum(json.loads(line)["record"] == "dof" for line in out.splitlines()) == trials
+    assert calls == [(60.0, 70.0, 80.0, 90.0, 100.0)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task (Linux)")
+def test_the_test_process_forks_from_a_single_thread():
+    # tests/conftest.py keeps OpenBLAS from starting threads when numpy loads,
+    # so the pooled-sweep tests fork from one thread, as the CLI does.
+    assert "numpy" in sys.modules
+    assert len(os.listdir("/proc/self/task")) == 1
 
 
 # Seeds whose plain draw comes within GENERIC_PHASE_MARGIN of the degenerate
