@@ -214,8 +214,7 @@ def _sweep_block(spec: SchemeSpec, grid, fixed, seeds: range) -> list[list[dict]
             channels[seed] = fixed if fixed is not None else spec.sample(seed)
         except InfeasibleChannelError as exc:
             outcomes[seed] = exc
-    if channels:
-        outcomes.update(zip(channels, _estimate_block(spec, list(channels.values()), list(channels), grid)))
+    outcomes.update(zip(channels, _estimate_block(spec, list(channels.values()), list(channels), grid)))
     return [_trial_records(spec.tag, seed, outcomes[seed]) for seed in seeds]
 
 
@@ -443,16 +442,16 @@ class _SubcommandParser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def _add_channel_source(sub: argparse.ArgumentParser) -> None:
+def _add_channel_source(sub: argparse.ArgumentParser, seed_default: str | None = "0",
+                        seed_help: str = "use the channel of seed N: sweep trial N's for a scheme, the plain "
+                                         "3x3 draw for demo-containment (default 0)") -> None:
     from .channel import special_channel_kinds
 
     group = sub.add_mutually_exclusive_group()
     # A text default goes through `type` as a given value does, and unlike the
     # int 0 it is never taken for a typed `--channel-seed 0`, which must still
     # clash with the other sources.
-    group.add_argument("--channel-seed", type=_nonnegative_int, default="0", metavar="N",
-                       help="use the channel of seed N: sweep trial N's for a scheme, the plain 3x3 "
-                            "draw for demo-containment (default 0)")
+    group.add_argument("--channel-seed", type=_nonnegative_int, default=seed_default, metavar="N", help=seed_help)
     group.add_argument("--special", choices=special_channel_kinds(), default=None,
                        help="use a named constructed channel")
     group.add_argument("--channel-file", default=None, metavar="PATH",
@@ -480,9 +479,8 @@ def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--out", default=None, metavar="PATH",
                        help=f"output file (relative paths resolve under ${OUT_DIR_ENV}); stdout if omitted")
     sweep.add_argument("--workers", type=_workers_arg, default=1)
-    _add_channel_source(sweep)
-    # Without a channel flag, each trial draws its own channel.
-    sweep.set_defaults(channel_seed=None)
+    _add_channel_source(sweep, None, "rate the channel of seed N, sweep trial N's, in every trial; without a "
+                                     "channel flag each trial draws its own channel")
 
 
 def _bound_arguments(bound: argparse.ArgumentParser) -> None:

@@ -17,7 +17,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 from . import _exports
 from .channel import ComplexChannelMatrix
-from .schemes import BeamformerSet, SchemeSpec, _build_block
+from .schemes import SCHEMES, BeamformerSet, SchemeSpec, _build_block
 from .verify import _receivers, _verdict
 
 __all__ = _exports(__name__)
@@ -251,15 +251,17 @@ def _estimate_block(spec: SchemeSpec, channels, seeds, snr_grid_db) -> list:
     InfeasibleChannelError that refused its build, in trial order.  The rates
     read the stacks and singular values the builder's scoring computed, and the
     block's rates are one pass; only the slope fit runs trial by trial.  A spec
-    without streams (the per-symbol baseline) is rated by estimate_baseline_dof.
-    The grid is taken as already validated, as fit_dof takes it."""
+    without streams (the per-symbol baseline) fits `baseline_rate_profile` at
+    each grid point instead.  The grid is taken as already validated, as
+    fit_dof takes it, and converted once for both routes."""
+    snrs = _db_to_linear(snr_grid_db)
     if not spec.stream_rx:
-        return [estimate_baseline_dof(channel, snr_grid_db) for channel in channels]
+        return [fit_dof(snr_grid_db, [baseline_rate_profile(channel, snr) for snr in snrs]) for channel in channels]
     outcomes, receivers = _build_block(spec, channels, seeds)
     built = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, BeamformerSet)]
     if built:
         magnitudes = np.stack([channels[i].magnitude for i in built])
-        block = _block_rates(spec, magnitudes, receivers, np.array(_db_to_linear(snr_grid_db)))
+        block = _block_rates(spec, magnitudes, receivers, np.array(snrs))
         for i, rates in zip(built, block):
             outcomes[i] = fit_dof(snr_grid_db, rates, spec.extension)
     return outcomes
@@ -293,6 +295,6 @@ def baseline_rate_profile(channel: ComplexChannelMatrix, snr: float) -> np.ndarr
 
 def estimate_baseline_dof(channel: ComplexChannelMatrix, snr_grid_db=DEFAULT_SNR_GRID_DB) -> DofEstimate:
     """Least-squares slope of the per-symbol baseline's sum rate against
-    log2(snr) over a dB grid: `baseline_rate_profile` at each grid point."""
-    grid = validate_snr_grid(snr_grid_db)
-    return fit_dof(grid, [baseline_rate_profile(channel, snr) for snr in _db_to_linear(grid)])
+    log2(snr) over a dB grid: `baseline_rate_profile` at each grid point, the
+    baseline's _estimate_block on a block of one."""
+    return _estimate_block(SCHEMES["baseline"], [channel], [0], validate_snr_grid(snr_grid_db))[0]

@@ -745,6 +745,26 @@ def test_subcommand_help_names_the_choices(capsys):
             assert name in out
 
 
+def channel_seed_help(sub, capsys) -> str:
+    """The help text `sub --help` gives --channel-seed, with its line breaks undone."""
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    words = " ".join(capsys.readouterr().out.split())
+    # The last mention is the option's own line, after the usage line's.
+    return words.rpartition("--channel-seed N ")[2].partition(" --special ")[0]
+
+
+def test_channel_seed_help_gives_each_subcommands_default(capsys):
+    # A sweep given no channel flag draws a channel per trial: it has no seed 0.
+    sweep = channel_seed_help("sweep", capsys)
+    assert "default" not in sweep
+    assert "without a channel flag each trial draws its own channel" in sweep
+    for sub in ("verify", "demo-containment"):
+        assert channel_seed_help(sub, capsys) == ("use the channel of seed N: sweep trial N's for a scheme, "
+                                                  "the plain 3x3 draw for demo-containment (default 0)")
+
+
 def test_verify_evaluates_each_condition_set_once(monkeypatch, capsys):
     calls = []
     evaluate = verify._evaluate
@@ -773,15 +793,17 @@ def test_verify_builds_on_the_spec_it_resolved(monkeypatch, capsys):
     assert json.loads(out)["pass"] is True
 
 
-def test_a_sweep_validates_its_grid_once(monkeypatch, capsys):
+@pytest.mark.parametrize("scheme", ["x-channel", "baseline"])
+def test_a_sweep_validates_its_grid_once(scheme, monkeypatch, capsys):
     from acsalign import cli, rates
 
     calls = []
     validate = rates.validate_snr_grid
     monkeypatch.setattr(rates, "validate_snr_grid", lambda grid: calls.append(grid) or validate(grid))
-    # argparse validates the grid; the three blocks of trials take it as it is.
+    # argparse validates the grid; the three blocks of trials take it as it is,
+    # on the baseline's route as on the beamformed one.
     trials = 2 * cli.TRIAL_BLOCK + 1
-    argv = ["sweep", "--scheme", "x-channel", "--trials", str(trials), "--snr-grid", "60,70,80,90,100"]
+    argv = ["sweep", "--scheme", scheme, "--trials", str(trials), "--snr-grid", "60,70,80,90,100"]
     code, out = run_cli(argv, capsys)
     assert code == 0
     assert sum(json.loads(line)["record"] == "dof" for line in out.splitlines()) == trials

@@ -21,6 +21,7 @@ from acsalign.rates import (
     RankDeficientReceiverError,
     RateReport,
     baseline_rate_profile,
+    estimate_baseline_dof,
     estimate_dof,
     fit_dof,
     sum_rate,
@@ -30,6 +31,7 @@ from acsalign.schemes import (
     SCHEME_TAGS,
     SCHEMES,
     SchemeSpec,
+    _build,
     build_acs_ic3,
     build_phase_alignment,
     build_scheme,
@@ -351,3 +353,78 @@ def test_slope_estimate_rejects_bad_grids():
     chn = sample_feasible_channel("acs-ic3", 0)
     with pytest.raises(ValueError):
         estimate_dof(lambda ch, s: build_acs_ic3(ch, s), chn, seed=0, snr_grid_db=[60.0, 50.0, 70.0, 80.0])
+    # The baseline's estimate is its block route on one channel, behind the same check.
+    with pytest.raises(ValueError, match="snr grid must be strictly increasing"):
+        estimate_baseline_dof(chn, [60.0, 50.0, 70.0, 80.0])
+
+
+def _built_on_seeds(tag):
+    """(seed, channel, set) for trial seeds 0-9 of a sampleable tag, drawn and
+    built as a sweep does; a closure-gated one (phase-align) on the worked example."""
+    spec = SCHEMES[tag]
+    if not spec.sampleable:
+        chn = construct_special_channel("phase-example")
+        return [(0, chn, _build(spec, chn, 0))]
+    return [(seed, chn, _build(spec, chn, seed)) for seed in range(10) for chn in [spec.sample(seed)]]
+
+
+def _log_det_rates(bf, chn, snrs) -> np.ndarray:
+    """Each receiver's improper-Gaussian rate per S-slot block with interference
+    treated as noise, at each of `snrs`: (snrs, receivers), one stacked slogdet
+    per receiver and covariance.  No receiver is built: the covariances come
+    from the channel and columns alone, every interfering stream counted, aligned
+    duplicates included, and the streams a receiver knows (removed_streams) not."""
+    spec, S = bf.spec, bf.spec.extension
+    links = chn.link_rotations(S)
+    noise = rates.NOISE_VAR_PER_REAL_DIM * np.eye(2 * S)
+    out = np.zeros((len(snrs), spec.shape[0]))
+    for rx in range(spec.shape[0]):
+        desired, interfering = np.zeros((2 * S, 2 * S)), np.zeros((2 * S, 2 * S))
+        for t, c, r in spec.streams():
+            h = chn.magnitude[rx, t] * links[rx, t] @ bf.column(t, c)
+            power = S / len(spec.stream_rx[t])
+            if r == rx:
+                desired += power * np.outer(h, h)
+            elif (rx, t, c) not in spec.removed_streams:
+                interfering += power * np.outer(h, h)
+        interference = noise + snrs[:, None, None] * interfering
+        everything = interference + snrs[:, None, None] * desired
+        out[:, rx] = (np.linalg.slogdet(everything)[1] - np.linalg.slogdet(interference)[1]) / (2 * np.log(2))
+    return out
+
+
+@pytest.mark.parametrize("tag", ["acs-ic3", "x-channel", "uplinks", "cognitive-x"])
+def test_zero_forcing_rates_sit_under_the_receiver_free_log_det_rates(tag):
+    # Zero forcing decodes each stream alone behind a projection; the log-det
+    # rate decodes a receiver's streams jointly with the same interference as
+    # noise, so it is never lower, and both grow with the same slope.  The
+    # allowance is slogdet's round-off where aligned interferers leave the
+    # interference covariance nearly singular at the top of the grid.
+    snrs = np.array(rates._db_to_linear(DEFAULT_SNR_GRID_DB))
+    for seed, chn, bf in _built_on_seeds(tag):
+        S = bf.spec.extension
+        est = estimate_dof(lambda ch, s: bf, chn, seed)
+        log_det = _log_det_rates(bf, chn, snrs)
+        assert np.all(log_det / S >= np.array(est.per_user_rates) - 1e-4), (seed, log_det / S, est.per_user_rates)
+        assert fit_dof(DEFAULT_SNR_GRID_DB, log_det, S).slope == pytest.approx(est.slope, abs=1e-4), seed
+
+
+@pytest.mark.parametrize("tag", SCHEME_TAGS)
+def test_the_fitted_slope_is_the_stream_count_plus_the_gap_terms_slope(tag):
+    # A stream's zero-forcing rate per block is 0.5*log2(1 + a*snr), that is
+    # 0.5*log2(snr) + 0.5*log2(a) + 0.5*log2(1 + 1/(a*snr)).  Over D streams and
+    # S slots the fitted slope is D/(2S) plus the slope of the last terms' sum G:
+    # the constants fit no slope, and G alone carries the departure from D/(2S).
+    snrs = np.array(rates._db_to_linear(DEFAULT_SNR_GRID_DB))
+    x = np.log2(snrs)
+    for seed, chn, bf in _built_on_seeds(tag):
+        spec, S = bf.spec, bf.spec.extension
+        a = []
+        for rx, _, (gains,) in rates._zf_solve(spec, verify._receivers(bf, chn)):
+            for (t, _), g in zip(spec.desired_streams(rx), gains):
+                share = 1.0 / len(spec.stream_rx[t])
+                a.append(S * share * chn.magnitude[rx, t] ** 2 * g ** 2 / rates.NOISE_VAR_PER_REAL_DIM)
+        assert len(a) == len(spec.streams())
+        G = [sum(0.5 * np.log2(1.0 + 1.0 / (a_k * snr)) for a_k in a) / S for snr in snrs]
+        est = estimate_dof(lambda ch, s: bf, chn, seed)
+        assert est.slope == pytest.approx(len(a) / (2 * S) + np.polyfit(x, G, 1)[0], abs=1e-9), seed
